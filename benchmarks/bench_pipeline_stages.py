@@ -1,7 +1,7 @@
 """Throughput of the measurement pipeline itself.
 
 Not a paper exhibit, but the harness that produces all of them: times
-the end-to-end pipeline (pooled and serial) and the per-sample
+the end-to-end pipeline and the per-sample
 extraction path.  Caches are cleared before each timed run so the
 numbers reflect a cold start, not fixture warm-up.
 """
@@ -13,29 +13,14 @@ from repro.core.static_analysis import StaticAnalyzer
 from repro.perf.cache import clear_caches
 from repro.sandbox.emulator import Sandbox
 
-PIPELINE_WORKERS = 4
-
 
 def bench_full_pipeline(benchmark, tiny_world):
-    result = benchmark.pedantic(
-        lambda: MeasurementPipeline(
-            tiny_world, workers=PIPELINE_WORKERS).run(),
-        setup=clear_caches, rounds=1, iterations=1)
-    assert result.stats.miners > 0
-    print()
-    print(f"pipeline (workers={PIPELINE_WORKERS}): "
-          f"{result.stats.collected} collected -> "
-          f"{result.stats.miners} miners, "
-          f"{len(result.campaigns)} campaigns")
-
-
-def bench_full_pipeline_serial(benchmark, tiny_world):
     result = benchmark.pedantic(
         lambda: MeasurementPipeline(tiny_world).run(),
         setup=clear_caches, rounds=1, iterations=1)
     assert result.stats.miners > 0
     print()
-    print(f"pipeline (serial): {result.stats.collected} collected -> "
+    print(f"pipeline: {result.stats.collected} collected -> "
           f"{result.stats.miners} miners, "
           f"{len(result.campaigns)} campaigns")
 

@@ -6,11 +6,10 @@ without installing the package::
 
     PYTHONPATH=src python benchmarks/harness.py --suite all
     PYTHONPATH=src python benchmarks/harness.py --suite scale \
-        --scales 0.055,0.55 --workers-list 1,2,4
+        --scales 0.055,0.55
 
 Emits ``BENCH_scale.json`` (out-of-core scaling curve: samples, time,
-throughput, peak RSS per point — crossed with ``--workers-list``
-aggregation worker counts), ``BENCH_pipeline.json`` (batch pipeline
+throughput, peak RSS per point), ``BENCH_pipeline.json`` (batch pipeline
 stage breakdown), ``BENCH_scan.json`` (one-pass scan kernel vs the
 legacy per-pattern path, equivalence-asserted), ``BENCH_serve.json``
 (sustained-QPS serving run with p50/p95/p99 latency; ``workers=1``

@@ -10,9 +10,9 @@ metric dropped by more than the threshold (default 25%)::
         --suites scale,serve,ingest [--threshold 0.25]
 
 Points are matched on their identifying fields (see
-``repro.scale.bench.GATE_METRICS``): scale points on (scale, workers),
-serve points on (scale, concurrency, workers), ingest points on
-(scale, batch_days), lint points on (mode, workers).  Points present
+``repro.scale.bench.GATE_METRICS``): scale and pipeline points on
+their scale, serve points on (scale, concurrency, workers), ingest
+points on (scale, batch_days), lint points on (mode, workers).  Points present
 on only one side — a grown or shrunk curve — are reported but never
 fail the gate, so CI smoke runs covering a subset of the committed
 curve still gate the overlap.  A missing baseline file is a pass

@@ -13,7 +13,7 @@ Subcommands::
                                   [--port 8742] [--api-key KEY --rate 50]
                                   [--workers N]
     python -m repro.cli bench     [--suite scale|pipeline|scan|serve|
-                                   ingest|all] [--workers-list 1,2,4]
+                                   ingest|all] [--workers-list 1,2]
     python -m repro.cli lint      [--strict] [--update-baseline]
                                   [--changed] [--graph] [--workers N]
                                   [--json | --sarif]
@@ -29,7 +29,8 @@ the whole world in memory; ``serve`` starts the threat-intel HTTP API
 (:mod:`repro.serve`) over a checkpoint directory (hot-swapping as the
 checkpoint advances), a columnar record store, or a fresh pipeline
 run — ``--workers N`` forks an ``SO_REUSEPORT`` fleet of N serving
-processes sharing one pre-fork index; ``bench`` emits the
+processes sharing one pre-fork index (store or pipeline sources only:
+a fleet cannot follow a checkpoint); ``bench`` emits the
 ``BENCH_*.json`` scaling/stage benchmarks plus per-run
 ``BENCH_history/`` entries; ``lint`` runs the
 reprolint invariant checks (see ``docs/static-analysis.md``) and fails
@@ -94,8 +95,7 @@ def _print_runtime_stats() -> None:
 
 def _build_world_and_result(args):
     world = _get_world(args.seed, args.scale)
-    pipeline = MeasurementPipeline(world,
-                                   workers=getattr(args, "workers", 1))
+    pipeline = MeasurementPipeline(world)
     result = pipeline.run()
     if getattr(args, "profile", False):
         print(pipeline.profiler.render_table(), file=sys.stderr)
@@ -235,7 +235,7 @@ def cmd_ingest(args) -> int:
     world = _get_world(args.seed, args.scale)
     service = IngestionService(
         world, args.checkpoint, batch_days=args.batch_days,
-        workers=args.workers, resume=args.resume,
+        resume=args.resume,
         snapshot_every=args.snapshot_every)
     try:
         ingest = service.run()
@@ -249,8 +249,8 @@ def cmd_ingest(args) -> int:
         print(service.profiler.render_table(), file=sys.stderr)
         _print_runtime_stats()
     if args.verify:
-        pipeline = MeasurementPipeline(world, workers=args.workers)
-        diffs = diff_measurements(pipeline.run(), ingest.result)
+        diffs = diff_measurements(MeasurementPipeline(world).run(),
+                                  ingest.result)
         if diffs:
             print("verify: MISMATCH against the batch pipeline:",
                   file=sys.stderr)
@@ -272,8 +272,7 @@ def cmd_scale(args) -> int:
     corpus = StreamingCorpus(config, chunk_samples=args.chunk_samples,
                              keep_sample_hashes=False)
     store = RecordStore(args.store) if args.store else None
-    pipeline = ScalePipeline(corpus, store=store, workers=args.workers,
-                             num_shards=args.shards,
+    pipeline = ScalePipeline(corpus, store=store, num_shards=args.shards,
                              prefetch=args.prefetch)
     result = pipeline.run()
     stats = result.stats
@@ -338,6 +337,12 @@ def cmd_serve(args) -> int:
         result_from_store,
     )
 
+    if args.checkpoint and args.workers > 1:
+        # forked children would serve the pre-fork generation forever
+        print("--workers > 1 cannot serve --checkpoint: a fleet would "
+              "serve a frozen generation while the checkpoint advances; "
+              "use --workers 1 (hot swap) or --store", file=sys.stderr)
+        return 2
     registry = ApiKeyRegistry()
     if args.api_key:
         for key in args.api_key:
@@ -366,15 +371,12 @@ def cmd_serve(args) -> int:
     elif args.store:
         from repro.scale.columnar import RecordStore
         world = _get_world(args.seed, args.scale)
-        result = result_from_store(world, RecordStore(args.store),
-                                   workers=args.pipeline_workers)
+        result = result_from_store(world, RecordStore(args.store))
         index = build_index(result, generation=1,
                             source=f"store:{args.store}")
     else:
         world = _get_world(args.seed, args.scale)
-        pipeline = MeasurementPipeline(world,
-                                       workers=args.pipeline_workers)
-        result = pipeline.run()
+        result = MeasurementPipeline(world).run()
         index = build_index(
             result, generation=1,
             source=f"pipeline seed={args.seed} scale={args.scale}")
@@ -395,13 +397,10 @@ def cmd_serve(args) -> int:
 
 
 def _serve_fleet(service, args) -> int:
-    """Run the multi-process fleet until interrupted (frozen index)."""
+    """Run the multi-process fleet until interrupted."""
     import time as _time
 
     from repro.serve.fleet import ServerFleet
-    if args.checkpoint:
-        print("--workers > 1 serves a frozen index; checkpoint "
-              "watching disabled", file=sys.stderr)
     with ServerFleet(service.handle, host=args.host, port=args.port,
                      workers=args.workers) as fleet:
         print(f"serving on http://{fleet.host}:{fleet.port} with "
@@ -547,8 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--scale", type=float, default=0.01)
         p.add_argument("--seed", type=int, default=2019)
-        p.add_argument("--workers", type=_positive_int, default=1,
-                       help="extraction worker processes (1 = serial)")
         p.add_argument("--profile", action="store_true",
                        help="print per-stage pipeline timings to stderr")
         p.set_defaults(func=func)
@@ -580,7 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="out-of-core streaming pipeline (repro.scale)")
     scale.add_argument("--scale", type=float, default=0.055)
     scale.add_argument("--seed", type=int, default=2019)
-    scale.add_argument("--workers", type=_positive_int, default=1)
     scale.add_argument("--chunk-samples", type=_positive_int,
                        default=4096, help="samples per streamed chunk")
     scale.add_argument("--shards", type=_positive_int, default=8,
@@ -609,12 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=_positive_int, default=1,
                        help="serving processes; > 1 forks a "
                             "SO_REUSEPORT fleet sharing one pre-fork "
-                            "index (frozen: no checkpoint watching)")
-    serve.add_argument("--pipeline-workers", type=_positive_int,
-                       default=1,
-                       help="worker processes for building the index "
-                            "source (pipeline extraction / store "
-                            "aggregation shards)")
+                            "index (not with --checkpoint)")
     serve.add_argument("--batch-days", type=_positive_int, default=None,
                        help="feed plan override for journal-only "
                             "checkpoints")
@@ -644,10 +635,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--scales", type=str, default=None,
                        help="comma-separated scale factors")
     bench.add_argument("--seed", type=int, default=2019)
-    bench.add_argument("--workers", type=_positive_int, default=1)
+    bench.add_argument("--workers", type=_positive_int, default=1,
+                       help="serving processes for the serve lane")
     bench.add_argument("--workers-list", type=str, default=None,
                        help="comma-separated worker counts for the "
-                            "scale / serve lanes (e.g. 1,2,4)")
+                            "serve / lint lanes (e.g. 1,2)")
     bench.add_argument("--prefetch", type=int, default=2,
                        help="chunk prefetch depth for the scale lane")
     bench.add_argument("--batch-days", type=_positive_int, default=30,

@@ -3,9 +3,10 @@
 ``resource.getrusage`` reports the process-lifetime resident-set
 high-water mark; ``ru_maxrss`` is in kilobytes on Linux and bytes on
 macOS, which this module normalises.  The helper is child-process
-aware: worker pools forked by :mod:`repro.perf.parallel` contribute
-their own high-water marks through ``RUSAGE_CHILDREN``, so a pooled
-benchmark cannot under-report by hiding its allocations in workers.
+aware: forked children (the serving fleet, lint's process pool)
+contribute their own high-water marks through ``RUSAGE_CHILDREN``, so
+a multi-process benchmark cannot under-report by hiding its
+allocations in children.
 
 Because the kernel counter is a lifetime maximum, per-phase deltas
 cannot be measured in-process — the bench harness therefore runs each

@@ -4,16 +4,17 @@ Orchestrates: sanity checks -> static/dynamic extraction -> the
 illicit-wallet exception sweep -> ancillary recovery -> profit analysis
 -> proxy identification -> campaign aggregation -> enrichment.
 
-Per-sample extraction (stages 1 and 2) is independent until
-aggregation, so it is sharded over a worker pool when ``workers > 1``
-(see :mod:`repro.perf.parallel`); outcomes are merged in sample order,
-which keeps parallel results bit-identical to the serial path.  A
+The per-sample stage functions (:func:`stage1_analyze`,
+:func:`stage2_sweep`, :func:`analyze_linked_sample`) live here and are
+shared by all three drivers: this batch pipeline, the out-of-core
+:class:`~repro.scale.pipeline.ScalePipeline` and the checkpointed
+:class:`~repro.ingest.service.IngestionService`.  A
 :class:`~repro.perf.profiler.PipelineProfiler` times every stage.
 """
 
 import datetime
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.common.net import is_ipv4_literal
 from repro.core.aggregation import (
@@ -30,11 +31,6 @@ from repro.core.sanity import SanityChecker, SanityVerdict
 from repro.core.static_analysis import StaticAnalyzer
 from repro.corpus.model import SampleRecord, SyntheticWorld
 from repro.perf.cache import CachingResolver
-from repro.perf.parallel import (
-    AnalysisSpec,
-    ParallelExtractionEngine,
-    SampleOutcome,
-)
 from repro.perf.profiler import PipelineProfiler
 from repro.perf.scan import profiled_scan
 from repro.sandbox.emulator import Sandbox, SandboxEnvironment
@@ -42,14 +38,40 @@ from repro.sandbox.emulator import Sandbox, SandboxEnvironment
 _DEFAULT_ANALYSIS_DATE = datetime.date(2018, 9, 1)
 
 
+@dataclass(frozen=True)
+class AnalysisSpec:
+    """The knobs that configure the analysis components."""
+
+    positives_threshold: int
+    analysis_date: object
+    use_ha_reports: bool
+
+
+@dataclass
+class SampleOutcome:
+    """Result of one sample's stage-1 or stage-2 analysis.
+
+    ``kind`` is one of ``nonexec`` / ``deferred`` / ``rejected`` /
+    ``miner`` (stage 1), ``clean`` / ``exception`` (stage 2) or
+    ``recovered`` (ingestion's dropper-chain recovery).  Ingestion
+    journals these, so they carry only what the merge step needs.
+    """
+
+    index: int
+    sha256: str
+    kind: str
+    verdict: Optional[SanityVerdict] = None
+    record: Optional[MinerRecord] = None
+    has_network: bool = False
+    used_static: bool = False
+
+
 def build_analysis_components(
         world: SyntheticWorld,
         spec: AnalysisSpec) -> Tuple[SanityChecker, ExtractionEngine]:
-    """The per-process sanity checker + extraction engine pair.
+    """The sanity checker + extraction engine pair every driver uses.
 
-    Used both by the pipeline itself and by every pool worker, so a
-    worker analyses samples with components identical to the serial
-    path.  DNS resolution goes through a shared LRU memo.
+    DNS resolution goes through a shared LRU memo.
     """
     resolver = CachingResolver(world.resolver)
     sandbox = Sandbox(resolver, SandboxEnvironment(
@@ -67,6 +89,47 @@ def build_analysis_components(
         analysis_date=spec.analysis_date,
     )
     return checker, engine
+
+
+def stage1_analyze(sample: SampleRecord, index: int, checker,
+                   engine) -> SampleOutcome:
+    """Sanity checks + extraction for one sample (pipeline stage 1)."""
+    if not checker.is_executable(sample.raw):
+        return SampleOutcome(index, sample.sha256, "nonexec",
+                             verdict=SanityVerdict(
+                                 sample.sha256, is_executable=False,
+                                 reasons="not an executable"))
+    if not checker.is_malware(sample.sha256):
+        return SampleOutcome(index, sample.sha256, "deferred")
+    record, report = engine.extract_with_report(sample)
+    has_network = report is not None and len(report.flows) > 0
+    is_miner = (bool(record.identifiers)
+                or checker.is_miner(sample, report))
+    verdict = SanityVerdict(
+        sample.sha256, is_executable=True, is_malware=True,
+        is_miner=is_miner, whitelisted_tool=False)
+    return SampleOutcome(
+        index, sample.sha256, "miner" if is_miner else "rejected",
+        verdict=verdict, record=record if is_miner else None,
+        has_network=has_network, used_static=record.used_static)
+
+
+def stage2_sweep(sample: SampleRecord, index: int,
+                 confirmed: FrozenSet[str], engine) -> SampleOutcome:
+    """Illicit-wallet exception sweep for one deferred sample."""
+    quick = engine.extract_static_only(sample)
+    if not set(quick.identifiers) & confirmed:
+        return SampleOutcome(index, sample.sha256, "clean",
+                             verdict=SanityVerdict(
+                                 sample.sha256, is_executable=True,
+                                 is_malware=False,
+                                 reasons="below AV threshold"))
+    record, _report = engine.extract_with_report(sample)
+    verdict = SanityVerdict(
+        sample.sha256, is_executable=True, is_malware=True,
+        is_miner=True, used_wallet_exception=True)
+    return SampleOutcome(index, sample.sha256, "exception",
+                         verdict=verdict, record=record)
 
 
 def linked_hashes(record: MinerRecord, vt) -> Set[str]:
@@ -133,6 +196,27 @@ class PipelineStats:
     def all_executables_kept(self) -> int:
         return self.miners + self.ancillaries
 
+    def tally(self, outcome: SampleOutcome) -> None:
+        """Count one stage-1 or stage-2 outcome into the funnel.
+
+        Miner/ancillary and per-feed totals are not counted here: they
+        depend on the kept record set, which only recovery completes.
+        """
+        kind = outcome.kind
+        if kind in ("deferred", "rejected", "miner"):
+            self.executables += 1
+        if kind in ("rejected", "miner"):
+            self.malware += 1
+            self.sandbox_analyses += 1
+            if outcome.has_network:
+                self.network_analyses += 1
+            if outcome.used_static:
+                self.binary_analyses += 1
+        elif kind == "exception":
+            self.sandbox_analyses += 1
+            self.binary_analyses += 1
+            self.wallet_exception_hits += 1
+
 
 @dataclass
 class MeasurementResult:
@@ -192,11 +276,8 @@ def iter_result_records(result) -> Iterator[MinerRecord]:
 class MeasurementPipeline:
     """The full measurement methodology against a (synthetic) world.
 
-    ``workers`` shards stage-1/stage-2 extraction over a process pool;
-    ``workers=1`` (the default) runs everything in-process.  Both paths
-    produce identical results.  ``profiler`` may be supplied to share
-    one across runs; otherwise each pipeline owns one, exposed as
-    :attr:`profiler`.
+    ``profiler`` may be supplied to share one across runs; otherwise
+    each pipeline owns one, exposed as :attr:`profiler`.
     """
 
     def __init__(self, world: SyntheticWorld,
@@ -204,28 +285,21 @@ class MeasurementPipeline:
                  positives_threshold: int = 10,
                  analysis_date: datetime.date = _DEFAULT_ANALYSIS_DATE,
                  use_ha_reports: bool = True,
-                 workers: int = 1,
-                 chunk_size: Optional[int] = None,
                  profiler: Optional[PipelineProfiler] = None,
                  record_store=None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         self.world = world
-        self.workers = workers
         #: optional repro.scale.columnar.RecordStore (duck-typed to
         #: avoid a core -> scale import cycle); every run appends the
         #: kept record set as one columnar segment.
         self.record_store = record_store
         self.profiler = profiler or PipelineProfiler()
         self._policy = policy or GroupingPolicy.full()
-        self._chunk_size = chunk_size
-        self._spec = AnalysisSpec(
-            positives_threshold=positives_threshold,
-            analysis_date=analysis_date,
-            use_ha_reports=use_ha_reports,
-        )
         self._checker, self._engine = build_analysis_components(
-            world, self._spec)
+            world, AnalysisSpec(
+                positives_threshold=positives_threshold,
+                analysis_date=analysis_date,
+                use_ha_reports=use_ha_reports,
+            ))
         self._profit = ProfitAnalyzer(world.pool_directory)
 
     # ------------------------------------------------------------------
@@ -237,45 +311,47 @@ class MeasurementPipeline:
 
     def _run_stages(self) -> MeasurementResult:
         prof = self.profiler
-        stats = PipelineStats(collected=len(self.world.samples))
+        samples = self.world.samples
+        stats = PipelineStats(collected=len(samples))
         verdicts: Dict[str, SanityVerdict] = {}
         records: Dict[str, MinerRecord] = {}
-        deferred: List[SampleRecord] = []
+        deferred: List[int] = []
 
-        with ParallelExtractionEngine(
-                self.world, self._spec, workers=self.workers,
-                local_components=(self._checker, self._engine),
-                chunk_size=self._chunk_size) as engine:
-            # -- stage 1: sanity + extraction for confirmed malware -----
-            with prof.stage("sanity + extraction",
-                            items=len(self.world.samples)):
-                outcomes = engine.map_stage1(
-                    range(len(self.world.samples)))
-                self._merge_stage1(outcomes, stats, verdicts, records,
-                                   deferred)
+        # -- stage 1: sanity + extraction for confirmed malware ---------
+        with prof.stage("sanity + extraction", items=len(samples)):
+            for index, sample in enumerate(samples):
+                outcome = stage1_analyze(sample, index, self._checker,
+                                         self._engine)
+                stats.tally(outcome)
+                if outcome.kind == "deferred":
+                    deferred.append(index)
+                    continue
+                verdicts[outcome.sha256] = outcome.verdict
+                if outcome.kind == "miner":
+                    records[outcome.sha256] = outcome.record
+                    self._checker.confirm_wallets(
+                        set(outcome.record.identifiers))
 
-            # -- stage 2: illicit-wallet exception sweep -----------------
-            with prof.stage("wallet-exception sweep", items=len(deferred)):
-                sweep = engine.map_stage2(
-                    self._deferred_indices(deferred),
-                    frozenset(self._checker.confirmed_illicit_wallets))
-                self._merge_stage2(sweep, stats, verdicts, records)
+        # -- stage 2: illicit-wallet exception sweep ---------------------
+        confirmed = frozenset(self._checker.confirmed_illicit_wallets)
+        with prof.stage("wallet-exception sweep", items=len(deferred)):
+            for index in deferred:
+                outcome = stage2_sweep(samples[index], index, confirmed,
+                                       self._engine)
+                stats.tally(outcome)
+                verdicts[outcome.sha256] = outcome.verdict
+                if outcome.kind == "exception":
+                    records[outcome.sha256] = outcome.record
 
-            # -- stage 3: ancillary recovery -----------------------------
-            with prof.stage("ancillary recovery"):
-                self._recover_ancillaries(records, verdicts, stats)
+        # -- stage 3: ancillary recovery ---------------------------------
+        with prof.stage("ancillary recovery"):
+            self._recover_ancillaries(records, verdicts, stats)
 
-            kept = list(records.values())
+        kept = list(records.values())
 
-            if self.record_store is not None:
-                with prof.stage("record store flush", items=len(kept)):
-                    self.record_store.append_segment(kept)
-
-            # -- warm the CTPH memo for enrichment (pooled runs) ---------
-            if self.workers > 1:
-                with prof.stage("fuzzy-hash precompute"):
-                    warmed = self._warm_fuzzy_hashes(engine, kept)
-                    prof.count("ctph_precomputed", warmed)
+        if self.record_store is not None:
+            with prof.stage("record store flush", items=len(kept)):
+                self.record_store.append_segment(kept)
 
         with prof.stage("funnel accounting", items=len(kept)):
             for record in kept:
@@ -326,80 +402,6 @@ class MeasurementPipeline:
             stats=stats,
             proxy_ips=proxy_ips,
         )
-
-    # ------------------------------------------------------------------
-    # stage merges (order-preserving: identical to the serial loops)
-    # ------------------------------------------------------------------
-
-    def _deferred_indices(self, deferred: List[SampleRecord]) -> List[int]:
-        index_of = {id(s): i for i, s in enumerate(self.world.samples)}
-        return [index_of[id(s)] for s in deferred]
-
-    def _merge_stage1(self, outcomes: List[SampleOutcome],
-                      stats: PipelineStats,
-                      verdicts: Dict[str, SanityVerdict],
-                      records: Dict[str, MinerRecord],
-                      deferred: List[SampleRecord]) -> None:
-        for outcome in outcomes:
-            if outcome.kind == "nonexec":
-                verdicts[outcome.sha256] = outcome.verdict
-                continue
-            stats.executables += 1
-            if outcome.kind == "deferred":
-                deferred.append(self.world.samples[outcome.index])
-                continue
-            stats.malware += 1
-            stats.sandbox_analyses += 1
-            if outcome.has_network:
-                stats.network_analyses += 1
-            if outcome.used_static:
-                stats.binary_analyses += 1
-            verdicts[outcome.sha256] = outcome.verdict
-            if outcome.kind == "miner":
-                records[outcome.sha256] = outcome.record
-                self._checker.confirm_wallets(
-                    set(outcome.record.identifiers))
-
-    def _merge_stage2(self, outcomes: List[SampleOutcome],
-                      stats: PipelineStats,
-                      verdicts: Dict[str, SanityVerdict],
-                      records: Dict[str, MinerRecord]) -> None:
-        for outcome in outcomes:
-            verdicts[outcome.sha256] = outcome.verdict
-            if outcome.kind != "exception":
-                continue
-            stats.sandbox_analyses += 1
-            stats.binary_analyses += 1
-            stats.wallet_exception_hits += 1
-            records[outcome.sha256] = outcome.record
-
-    # ------------------------------------------------------------------
-
-    def _warm_fuzzy_hashes(self, engine: ParallelExtractionEngine,
-                           kept: List[MinerRecord]) -> int:
-        """Fan the enrichment CTPH workload out over the pool.
-
-        Stock-tool attribution hashes the whole catalog plus every
-        fuzzy-match candidate; precomputing those digests in the worker
-        pool turns the serial enrichment stage into cache hits.
-        """
-        catalog = self.world.stock_catalog
-        size_lo, size_hi = catalog.size_range()
-        candidates: Set[str] = set()
-        for record in kept:
-            candidates.add(record.sha256)
-            candidates.update(record.dropped)
-            candidates.update(record.parents)
-        sample_hashes = []
-        for sha in sorted(candidates):
-            if catalog.by_hash(sha) is not None:
-                continue
-            sample = self.world.sample_by_hash(sha)
-            if sample is None or not size_lo <= len(sample.raw) <= size_hi:
-                continue
-            sample_hashes.append(sha)
-        return engine.warm_fuzzy_hashes(
-            sample_hashes, range(len(catalog.binaries())))
 
     # ------------------------------------------------------------------
 

@@ -12,9 +12,9 @@ import dataclasses
 from typing import Any, Dict, Optional
 
 from repro.common.simtime import Date, parse_date
+from repro.core.pipeline import PipelineStats, SampleOutcome
 from repro.core.records import MinerRecord
 from repro.core.sanity import SanityVerdict
-from repro.perf.parallel import SampleOutcome
 
 #: bump when the journal/snapshot layout changes incompatibly.
 FORMAT_VERSION = 1
@@ -97,9 +97,8 @@ def encode_stats(stats) -> Dict[str, Any]:
     return _encode_dataclass(stats)
 
 
-def decode_stats(data: Dict[str, Any]):
+def decode_stats(data: Dict[str, Any]) -> PipelineStats:
     """Inverse of :func:`encode_stats`."""
-    from repro.core.pipeline import PipelineStats
     return PipelineStats(**data)
 
 

@@ -34,12 +34,16 @@ from typing import Callable, Dict, List, Optional, Set
 from repro.core.aggregation import GroupingPolicy
 from repro.core.enrichment import CampaignEnricher
 from repro.core.pipeline import (
+    AnalysisSpec,
     MeasurementResult,
     PipelineStats,
+    SampleOutcome,
     analyze_linked_sample,
     build_analysis_components,
     linked_hashes,
     proxy_candidate_ip,
+    stage1_analyze,
+    stage2_sweep,
 )
 from repro.core.profit import ProfitAnalyzer, WalletProfile
 from repro.core.records import MinerRecord
@@ -60,11 +64,6 @@ from repro.ingest.codec import (
     encode_verdict,
 )
 from repro.ingest.feed import FeedBatch, FeedScheduler
-from repro.perf.parallel import (
-    AnalysisSpec,
-    ParallelExtractionEngine,
-    SampleOutcome,
-)
 from repro.perf.profiler import PipelineProfiler
 
 _DEFAULT_ANALYSIS_DATE = datetime.date(2018, 9, 1)
@@ -182,20 +181,15 @@ class IngestionService:
                  positives_threshold: int = 10,
                  analysis_date: datetime.date = _DEFAULT_ANALYSIS_DATE,
                  use_ha_reports: bool = True,
-                 workers: int = 1,
-                 chunk_size: Optional[int] = None,
                  resume: bool = False,
                  snapshot_every: int = 8,
                  fsync: bool = True,
                  profiler: Optional[PipelineProfiler] = None,
                  fault_hook: Optional[Callable[[str, int], None]] = None,
                  record_store=None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         if snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
         self.world = world
-        self.workers = workers
         self.resume = resume
         self.snapshot_every = snapshot_every
         self.profiler = profiler or PipelineProfiler()
@@ -207,16 +201,14 @@ class IngestionService:
         #: marker so a replayed batch finds its segment already present
         #: and skips it (the reprocessed records are deterministic).
         self.record_store = record_store
-        self._chunk_size = chunk_size
         self._policy = policy or GroupingPolicy.full()
         self._fault = fault_hook or (lambda point, batch_id: None)
-        self._spec = AnalysisSpec(
-            positives_threshold=positives_threshold,
-            analysis_date=analysis_date,
-            use_ha_reports=use_ha_reports,
-        )
         self._checker, self._engine = build_analysis_components(
-            world, self._spec)
+            world, AnalysisSpec(
+                positives_threshold=positives_threshold,
+                analysis_date=analysis_date,
+                use_ha_reports=use_ha_reports,
+            ))
         self._profit = ProfitAnalyzer(world.pool_directory)
         self._reset_state()
 
@@ -260,12 +252,8 @@ class IngestionService:
                 self._restore(self.store.load(), batches)
             resumed_from = self._cursor
         try:
-            with ParallelExtractionEngine(
-                    self.world, self._spec, workers=self.workers,
-                    local_components=(self._checker, self._engine),
-                    chunk_size=self._chunk_size) as engine:
-                for batch in batches[self._cursor:]:
-                    self._ingest_batch(batch, engine)
+            for batch in batches[self._cursor:]:
+                self._ingest_batch(batch)
             result = self.finalize()
         finally:
             self.store.close()
@@ -274,8 +262,7 @@ class IngestionService:
                                resumed_from=resumed_from,
                                total_batches=len(batches))
 
-    def _ingest_batch(self, batch: FeedBatch,
-                      engine: ParallelExtractionEngine) -> None:
+    def _ingest_batch(self, batch: FeedBatch) -> None:
         t0 = time.perf_counter()
         samples = self.world.samples
         self._stats.collected += batch.num_samples
@@ -294,7 +281,9 @@ class IngestionService:
                 if samples[i].sha256 not in self._replayed_stage1]
         self._replayed_stage1.clear()
         with self.profiler.stage("ingest: extraction", items=len(todo)):
-            for outcome in engine.map_stage1(todo):
+            for index in todo:
+                outcome = stage1_analyze(samples[index], index,
+                                         self._checker, self._engine)
                 self.store.append_outcome(batch.batch_id,
                                           encode_outcome(outcome))
                 self._apply_outcome(outcome, new_records)
@@ -302,7 +291,7 @@ class IngestionService:
             1 for sha in new_records if self._records[sha].is_miner)
 
         # -- wallet-exception promotions against the full confirmed set --
-        promotions = self._promote_pending(batch, engine, new_records)
+        promotions = self._promote_pending(batch, new_records)
 
         # -- dropper-chain recovery over arrived samples ------------------
         recovered = self._recover(batch, frontier_seed, arrived_now,
@@ -359,23 +348,15 @@ class IngestionService:
         one.
         """
         sha = outcome.sha256
-        stats = self._stats
+        self._stats.tally(outcome)
         if outcome.kind == "nonexec":
             self._verdicts[sha] = outcome.verdict
         elif outcome.kind == "deferred":
-            stats.executables += 1
             self._pending[sha] = outcome.index
             quick = self._engine.extract_static_only(
                 self.world.samples[outcome.index])
             self._pending_ids[sha] = frozenset(quick.identifiers)
         elif outcome.kind in ("rejected", "miner"):
-            stats.executables += 1
-            stats.malware += 1
-            stats.sandbox_analyses += 1
-            if outcome.has_network:
-                stats.network_analyses += 1
-            if outcome.used_static:
-                stats.binary_analyses += 1
             self._verdicts[sha] = outcome.verdict
             if outcome.kind == "miner":
                 self._confirmed.update(outcome.record.identifiers)
@@ -383,9 +364,6 @@ class IngestionService:
                     self._records[sha] = outcome.record
                     new_records.append(sha)
         elif outcome.kind == "exception":
-            stats.sandbox_analyses += 1
-            stats.binary_analyses += 1
-            stats.wallet_exception_hits += 1
             self._verdicts[sha] = outcome.verdict
             self._pending.pop(sha, None)
             self._pending_ids.pop(sha, None)
@@ -393,7 +371,7 @@ class IngestionService:
                 self._records[sha] = outcome.record
                 new_records.append(sha)
         elif outcome.kind == "recovered":
-            stats.sandbox_analyses += 1
+            self._stats.sandbox_analyses += 1
             self._verdicts[sha] = outcome.verdict
             self._wanted.discard(sha)
             if sha not in self._records:
@@ -404,7 +382,6 @@ class IngestionService:
         # stays pending until a later batch confirms one of its wallets.
 
     def _promote_pending(self, batch: FeedBatch,
-                         engine: ParallelExtractionEngine,
                          new_records: List[str]) -> int:
         """Promote deferred samples whose wallets are now confirmed."""
         matches = sorted(
@@ -415,9 +392,10 @@ class IngestionService:
         promotions = 0
         with self.profiler.stage("ingest: wallet sweep",
                                  items=len(matches)):
-            sweep = engine.map_stage2([index for index, _ in matches],
-                                      frozenset(self._confirmed))
-            for outcome in sweep:
+            confirmed = frozenset(self._confirmed)
+            for index, _sha in matches:
+                outcome = stage2_sweep(self.world.samples[index], index,
+                                       confirmed, self._engine)
                 if outcome.kind != "exception":
                     continue  # stays pending; may match a later batch
                 self.store.append_outcome(batch.batch_id,

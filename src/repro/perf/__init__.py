@@ -1,4 +1,4 @@
-"""Performance subsystem: caching, profiling, scanning and parallelism.
+"""Performance subsystem: caching, profiling and scanning.
 
 - :mod:`repro.perf.cache` — bounded LRU memos with hit/miss counters
   for CTPH digests, entropy, unpack results, DNS resolution and pool
@@ -8,8 +8,6 @@
   per-sample scan contexts).
 - :mod:`repro.perf.profiler` — per-stage wall-time timers and the
   ``--profile`` stage-breakdown table.
-- :mod:`repro.perf.parallel` — the chunked worker-pool extraction
-  engine (imported lazily: it pulls in the core pipeline components).
 """
 
 from repro.perf.cache import (
@@ -35,29 +33,20 @@ __all__ = [
     "render_cache_table",
     "PipelineProfiler",
     "StageTiming",
-    "AnalysisSpec",
-    "ParallelExtractionEngine",
-    "SampleOutcome",
     "AhoCorasick",
     "ScanContext",
     "ScanKernel",
-    "prewarm_scan_kernel",
     "scan_context",
     "scan_stats",
     "reset_scan_stats",
     "render_scan_stats",
 ]
 
-_PARALLEL = ("AnalysisSpec", "ParallelExtractionEngine", "SampleOutcome")
-_SCAN = ("AhoCorasick", "ScanContext", "ScanKernel", "prewarm_scan_kernel",
-         "scan_context", "scan_stats", "reset_scan_stats",
-         "render_scan_stats")
+_SCAN = ("AhoCorasick", "ScanContext", "ScanKernel", "scan_context",
+         "scan_stats", "reset_scan_stats", "render_scan_stats")
 
 
 def __getattr__(name):
-    if name in _PARALLEL:
-        from repro.perf import parallel
-        return getattr(parallel, name)
     if name in _SCAN:
         from repro.perf import scan
         return getattr(scan, name)

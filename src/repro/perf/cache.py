@@ -133,11 +133,6 @@ def cached_ctph(data: bytes) -> FuzzyHash:
     return CTPH_CACHE.get_or_compute(key, lambda: compute(key))
 
 
-def warm_ctph(data: bytes, value: FuzzyHash) -> None:
-    """Pre-seed the CTPH memo (used by the parallel precompute stage)."""
-    CTPH_CACHE.put(bytes(data), value)
-
-
 def cached_entropy(data: bytes) -> float:
     """Shannon entropy of ``data``, memoised by content."""
     key = bytes(data)

@@ -673,20 +673,8 @@ def _is_monotone(node) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Process prewarm + profiler integration
+# Profiler integration
 # --------------------------------------------------------------------------
-
-
-def prewarm_scan_kernel() -> None:
-    """Compile the built-in kernel in this process (call before fork).
-
-    Worker processes forked by the parallel extraction engine then
-    inherit the compiled automata and fused regexes instead of each
-    rebuilding them on first scan.
-    """
-    from repro.yarm.builtin import builtin_miner_rules
-    builtin_miner_rules().kernel()
-    import repro.wallets.detect  # noqa: F401  (compiles the combined regex)
 
 
 @contextmanager

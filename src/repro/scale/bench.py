@@ -7,7 +7,7 @@ inherit each other's peaks.  The child re-invokes this module with a
 collects points into the committed artifacts:
 
 * ``BENCH_scale.json`` — the out-of-core pipeline's scaling curve,
-  with one point per (scale, workers) pair (``--workers-list``)
+  one point per scale
 * ``BENCH_pipeline.json`` — batch-pipeline stage breakdown (tier-1)
 * ``BENCH_scan.json`` — one-pass scan kernel vs the legacy per-pattern
   path (throughput + equivalence)
@@ -64,7 +64,7 @@ __all__ = [
 DEFAULT_SCALES = [0.072, 0.72, 6.35]
 
 
-def measure_scale_point(scale: float, seed: int = 2019, workers: int = 1,
+def measure_scale_point(scale: float, seed: int = 2019,
                         chunk_samples: int = 4096, num_shards: int = 8,
                         stride_days: int = 30, prefetch: int = 2) -> Dict:
     """One out-of-core pipeline run; returns its metrics dict.
@@ -82,8 +82,8 @@ def measure_scale_point(scale: float, seed: int = 2019, workers: int = 1,
     corpus = StreamingCorpus(config, chunk_samples=chunk_samples,
                              keep_sample_hashes=False)
     skeleton_s = time.perf_counter() - t0
-    pipeline = ScalePipeline(corpus, workers=workers,
-                             num_shards=num_shards, prefetch=prefetch)
+    pipeline = ScalePipeline(corpus, num_shards=num_shards,
+                             prefetch=prefetch)
     t1 = time.perf_counter()
     result = pipeline.run()
     run_s = time.perf_counter() - t1
@@ -94,7 +94,6 @@ def measure_scale_point(scale: float, seed: int = 2019, workers: int = 1,
         "suite": "scale",
         "scale": scale,
         "seed": seed,
-        "workers": workers,
         "prefetch": prefetch,
         "chunk_samples": chunk_samples,
         "num_shards": num_shards,
@@ -115,8 +114,7 @@ def measure_scale_point(scale: float, seed: int = 2019, workers: int = 1,
     }
 
 
-def measure_pipeline_point(scale: float = 0.02, seed: int = 2019,
-                           workers: int = 1) -> Dict:
+def measure_pipeline_point(scale: float = 0.02, seed: int = 2019) -> Dict:
     """One batch-pipeline run with per-stage timings (tier-1 scales)."""
     from repro.common.memory import peak_rss_mib
     from repro.core.pipeline import MeasurementPipeline
@@ -126,7 +124,7 @@ def measure_pipeline_point(scale: float = 0.02, seed: int = 2019,
     t0 = time.perf_counter()
     world = generate_world(ScenarioConfig(seed=seed, scale=scale))
     world_s = time.perf_counter() - t0
-    pipeline = MeasurementPipeline(world, workers=workers)
+    pipeline = MeasurementPipeline(world)
     t1 = time.perf_counter()
     result = pipeline.run()
     run_s = time.perf_counter() - t1
@@ -139,7 +137,6 @@ def measure_pipeline_point(scale: float = 0.02, seed: int = 2019,
         "suite": "pipeline",
         "scale": scale,
         "seed": seed,
-        "workers": workers,
         "samples": result.stats.collected,
         "records": len(result.records),
         "campaigns": len(result.campaigns),
@@ -348,42 +345,34 @@ def run_point_subprocess(argv: List[str], timeout: Optional[float] = None
 
 
 def run_scaling_suite(scales: List[float], seed: int = 2019,
-                      workers_list: Optional[List[int]] = None,
                       chunk_samples: int = 4096,
                       num_shards: int = 8,
                       prefetch: int = 2) -> Dict:
-    """The scaling curve: one subprocess per (scale, workers) point."""
-    workers_list = workers_list or [1]
+    """The scaling curve: one subprocess per scale point."""
     points = []
     for scale in scales:
-        for workers in workers_list:
-            points.append(run_point_subprocess([
-                "--point-scale", str(scale), "--seed", str(seed),
-                "--workers", str(workers),
-                "--prefetch", str(prefetch),
-                "--chunk-samples", str(chunk_samples),
-                "--shards", str(num_shards),
-            ]))
-            last = points[-1]
-            print(f"  scale={scale} workers={workers}: "
-                  f"{last['samples']} samples in {last['total_s']}s "
-                  f"({last['samples_per_s']}/s), "
-                  f"peak {last['peak_rss_mib']} MiB", file=sys.stderr)
+        points.append(run_point_subprocess([
+            "--point-scale", str(scale), "--seed", str(seed),
+            "--prefetch", str(prefetch),
+            "--chunk-samples", str(chunk_samples),
+            "--shards", str(num_shards),
+        ]))
+        last = points[-1]
+        print(f"  scale={scale}: "
+              f"{last['samples']} samples in {last['total_s']}s "
+              f"({last['samples_per_s']}/s), "
+              f"peak {last['peak_rss_mib']} MiB", file=sys.stderr)
     return {"bench": "scale", "seed": seed,
-            "workers_list": workers_list,
             "chunk_samples": chunk_samples, "num_shards": num_shards,
             "prefetch": prefetch, "points": points}
 
 
-def run_pipeline_suite(scale: float = 0.02, seed: int = 2019,
-                       workers: int = 1) -> Dict:
+def run_pipeline_suite(scale: float = 0.02, seed: int = 2019) -> Dict:
     """Batch-pipeline stage breakdown, in its own subprocess."""
     point = run_point_subprocess([
         "--pipeline-scale", str(scale), "--seed", str(seed),
-        "--workers", str(workers),
     ])
-    return {"bench": "pipeline", "seed": seed, "workers": workers,
-            "points": [point]}
+    return {"bench": "pipeline", "seed": seed, "points": [point]}
 
 
 def run_scan_suite(scale: float = 0.02, seed: int = 2019,
@@ -495,8 +484,8 @@ def _write_suite(out_dir: Path, suite: str, payload: Dict) -> None:
 #: Points are matched on the key fields; points present on only one
 #: side are reported but never fail the gate (the curve may grow).
 GATE_METRICS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
-    "scale": ("samples_per_s", ("scale", "workers")),
-    "pipeline": ("samples_per_s", ("scale", "workers")),
+    "scale": ("samples_per_s", ("scale",)),
+    "pipeline": ("samples_per_s", ("scale",)),
     "scan": ("kernel_mib_per_s", ("scale",)),
     "serve": ("qps", ("scale", "concurrency", "workers")),
     "ingest": ("batches_per_s", ("scale", "batch_days")),
@@ -607,10 +596,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="comma-separated scale factors for the "
                              "scaling suite")
     parser.add_argument("--seed", type=int, default=2019)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="serving processes (serve) or lint pool "
+                             "width (lint)")
     parser.add_argument("--workers-list", type=str, default=None,
                         help="comma-separated worker counts for the "
-                             "scale and serve suites (e.g. 1,2,4)")
+                             "serve and lint suites (e.g. 1,2)")
     parser.add_argument("--prefetch", type=int, default=2,
                         help="chunk prefetch depth for scale points "
                              "(0 disables the generator overlap)")
@@ -625,13 +616,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.suite is None:
         if args.point_scale is not None:
             print(json.dumps(measure_scale_point(
-                args.point_scale, seed=args.seed, workers=args.workers,
+                args.point_scale, seed=args.seed,
                 chunk_samples=args.chunk_samples, num_shards=args.shards,
                 prefetch=args.prefetch)))
             return 0
         if args.pipeline_scale is not None:
             print(json.dumps(measure_pipeline_point(
-                args.pipeline_scale, seed=args.seed, workers=args.workers)))
+                args.pipeline_scale, seed=args.seed)))
             return 0
         if args.scan_scale is not None:
             print(json.dumps(measure_scan_point(
@@ -666,14 +657,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if suite in ("scale", "all"):
         _write_suite(out_dir, "scale",
                      run_scaling_suite(scales, seed=args.seed,
-                                       workers_list=workers_list,
                                        chunk_samples=args.chunk_samples,
                                        num_shards=args.shards,
                                        prefetch=args.prefetch))
     if suite in ("pipeline", "all"):
         _write_suite(out_dir, "pipeline",
-                     run_pipeline_suite(seed=args.seed,
-                                        workers=args.workers))
+                     run_pipeline_suite(seed=args.seed))
     if suite in ("scan", "all"):
         _write_suite(out_dir, "scan",
                      run_scan_suite(args.scan_scale or 0.02,

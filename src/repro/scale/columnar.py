@@ -115,8 +115,12 @@ def _sha_bytes(sha256: str) -> bytes:
 def write_segment(records: Sequence[MinerRecord], path: Path) -> Path:
     """Pack ``records`` into one immutable segment file at ``path``.
 
-    The write is atomic: bytes go to ``<path>.tmp`` first and are
-    fsynced before the rename, so readers never observe a torn segment.
+    The write is atomic and durable: bytes go to ``<path>.tmp`` first
+    and are fsynced before the rename, so readers never observe a torn
+    segment, and the directory is fsynced after it, so a segment that
+    ingestion commits a batch against cannot vanish in a crash.  A
+    failed write (e.g. ``ENOSPC``) removes its ``.tmp`` file and
+    re-raises.
     """
     path = Path(path)
     pool = _StringPool()
@@ -192,15 +196,24 @@ def write_segment(records: Sequence[MinerRecord], path: Path) -> Path:
     }, separators=(",", ":")).encode("utf-8")
 
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(struct.pack("<I", len(header)))
-        handle.write(header)
-        for data in blocks:
-            handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(_MAGIC)
+            handle.write(struct.pack("<I", len(header)))
+            handle.write(header)
+            for data in blocks:
+                handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
     return path
 
 

@@ -2,8 +2,8 @@
 
 :class:`ScalePipeline` re-runs the exact methodology of
 :class:`~repro.core.pipeline.MeasurementPipeline` — same per-sample
-stage functions (:func:`~repro.perf.parallel.stage1_analyze`,
-:func:`~repro.perf.parallel.stage2_sweep`), same recovery fixpoint,
+stage functions (:func:`~repro.core.pipeline.stage1_analyze`,
+:func:`~repro.core.pipeline.stage2_sweep`), same recovery fixpoint,
 same proxy rule, same aggregation edges — but consumes
 :class:`~repro.scale.stream.StreamingCorpus` chunks instead of a
 materialised world, and parks everything that must outlive a chunk
@@ -45,21 +45,18 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.aggregation import Campaign, GroupingPolicy
 from repro.core.pipeline import (
+    AnalysisSpec,
     PipelineStats,
     analyze_linked_sample,
     build_analysis_components,
     proxy_candidate_ip,
+    stage1_analyze,
+    stage2_sweep,
 )
 from repro.core.profit import ProfitAnalyzer, WalletProfile
 from repro.core.records import MinerRecord
 from repro.core.sanity import SanityVerdict
 from repro.corpus.model import SampleRecord, SyntheticWorld
-from repro.perf.parallel import (
-    AnalysisSpec,
-    ParallelExtractionEngine,
-    stage1_analyze,
-    stage2_sweep,
-)
 from repro.scale.columnar import RecordStore
 from repro.scale.shards import ShardedCampaignAggregator
 from repro.scale.stream import ChunkPrefetcher, StreamingCorpus
@@ -163,16 +160,12 @@ class ScaleResult:
 class ScalePipeline:
     """Chunked, disk-backed run of the measurement methodology.
 
-    ``workers > 1`` fans each chunk's stage-1/stage-2 maps over a
-    short-lived fork pool built around a chunk-local world view —
-    results stay bit-identical because outcomes merge in sample order
-    either way — and runs the independent per-shard aggregation passes
-    on the same-width fork pool.  ``prefetch`` (default 2) generates
-    the next corpus chunks on a background thread while the current one
-    is analysed (:class:`~repro.scale.stream.ChunkPrefetcher`); chunks
-    are consumed in generation order, so the stage-1-then-stage-2
-    ordering and every spill is byte-identical to the eager path —
-    ``prefetch=0`` disables the overlap entirely.
+    ``prefetch`` (default 2) generates the next corpus chunks on a
+    background thread while the current one is analysed
+    (:class:`~repro.scale.stream.ChunkPrefetcher`); chunks are consumed
+    in generation order, so the stage-1-then-stage-2 ordering and every
+    spill is byte-identical to the eager path — ``prefetch=0`` disables
+    the overlap entirely.
     ``keep_verdicts=False`` (the default) drops the per-sample verdict
     map, the one remaining O(samples) structure with a non-trivial
     constant.
@@ -185,25 +178,16 @@ class ScalePipeline:
                  positives_threshold: int = 10,
                  analysis_date: datetime.date = _DEFAULT_ANALYSIS_DATE,
                  use_ha_reports: bool = True,
-                 workers: int = 1,
                  num_shards: int = 8,
                  segment_rows: int = 8192,
                  prefetch: int = 2,
                  keep_verdicts: bool = False,
                  keep_campaign_records: bool = False) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         if prefetch < 0:
             raise ValueError("prefetch must be >= 0")
         self.corpus = corpus
-        self.workers = workers
         self.prefetch = prefetch
         self._policy = policy or GroupingPolicy.full()
-        self._spec = AnalysisSpec(
-            positives_threshold=positives_threshold,
-            analysis_date=analysis_date,
-            use_ha_reports=use_ha_reports,
-        )
         self._num_shards = num_shards
         self._segment_rows = segment_rows
         self._keep_verdicts = keep_verdicts
@@ -219,7 +203,11 @@ class ScalePipeline:
         self._vt_view = _IntelView()
         self._ha_view = _IntelView()
         self._checker, self._engine = build_analysis_components(
-            self._skeleton_world(), self._spec)
+            self._skeleton_world(), AnalysisSpec(
+                positives_threshold=positives_threshold,
+                analysis_date=analysis_date,
+                use_ha_reports=use_ha_reports,
+            ))
         self._profit = ProfitAnalyzer(corpus.pool_directory)
         # O(1)-per-sample resident state
         self._confirmed_wallets: Set[str] = set()
@@ -231,21 +219,17 @@ class ScalePipeline:
         self._buffer: List[MinerRecord] = []
         self._segment_counter = 0
         self._recovered = 0
-        #: the stage-1 prefetcher while it is live — chunk engines fork
-        #: inside its quiesce window (FORK001).
-        self._active_prefetcher: Optional[ChunkPrefetcher] = None
 
-    # -- world facades -----------------------------------------------------
+    # -- world facade ------------------------------------------------------
 
-    def _skeleton_world(self, samples: Optional[List[SampleRecord]] = None,
-                        vt=None, ha=None) -> SyntheticWorld:
+    def _skeleton_world(self) -> SyntheticWorld:
         """A SyntheticWorld shell over skeleton services + chunk intel."""
         corpus = self.corpus
         return SyntheticWorld(
             config=corpus.config,
-            samples=samples or [],
-            vt=vt if vt is not None else self._vt_view,
-            ha=ha if ha is not None else self._ha_view,
+            samples=[],
+            vt=self._vt_view,
+            ha=self._ha_view,
             dns_zone=corpus.dns_zone,
             resolver=corpus.resolver,
             passive_dns=corpus.passive_dns,
@@ -254,24 +238,6 @@ class ScalePipeline:
             stock_catalog=corpus.stock_catalog,
             ground_truth=[],
         )
-
-    def _chunk_engine(self, samples: List[SampleRecord],
-                      reports: Dict[str, object],
-                      ha_reports: Dict[str, object]
-                      ) -> ParallelExtractionEngine:
-        """A pooled engine whose workers see only this chunk."""
-        vt, ha = _IntelView(), _IntelView()
-        vt.swap(reports)
-        ha.swap(ha_reports)
-        world = self._skeleton_world(samples, vt=vt, ha=ha)
-        # while the prefetcher thread is live, every fork must happen
-        # inside its quiesce window: a forked child inherits the chunk
-        # queue's lock in whatever state the producer left it.
-        barrier = (self._active_prefetcher.quiesced
-                   if self._active_prefetcher is not None else None)
-        return ParallelExtractionEngine(world, self._spec,
-                                        workers=self.workers,
-                                        fork_barrier=barrier)
 
     # -- acceptance bookkeeping --------------------------------------------
 
@@ -332,8 +298,7 @@ class ScalePipeline:
             aggregator = ShardedCampaignAggregator(
                 self.corpus.osint, self._policy, proxy_ips=proxy_ips,
                 num_shards=self._num_shards,
-                keep_records=self._keep_campaign_records,
-                workers=self.workers)
+                keep_records=self._keep_campaign_records)
             campaigns = aggregator.aggregate_source(self.store.iter_records)
 
             return ScaleResult(
@@ -373,14 +338,11 @@ class ScalePipeline:
                 deferred: _Spill, rejected: _Spill) -> None:
         index = 0
         chunks = self._chunk_stream()
-        if isinstance(chunks, ChunkPrefetcher):
-            self._active_prefetcher = chunks
         try:
             for chunk in chunks:
                 index = self._stage1_chunk(chunk, index, stats, verdicts,
                                            deferred, rejected)
         finally:
-            self._active_prefetcher = None
             if isinstance(chunks, ChunkPrefetcher):
                 chunks.close()
 
@@ -390,38 +352,21 @@ class ScalePipeline:
         """Stage-1 analysis of one chunk; returns the next sample index."""
         stats.collected += len(chunk.samples)
         self._index_parents(chunk.reports)
-        if self.workers == 1:
-            self._vt_view.swap(chunk.reports)
-            self._ha_view.swap(chunk.ha_reports)
-            outcomes = [
-                stage1_analyze(sample, index + i,
-                               self._checker, self._engine)
-                for i, sample in enumerate(chunk.samples)]
-        else:
-            with self._chunk_engine(chunk.samples, chunk.reports,
-                                    chunk.ha_reports) as engine:
-                outcomes = engine.map_stage1(
-                    range(len(chunk.samples)))
-                for outcome in outcomes:
-                    outcome.index += index
-        for i, outcome in enumerate(outcomes):
-            sample = chunk.samples[i]
+        self._vt_view.swap(chunk.reports)
+        self._ha_view.swap(chunk.ha_reports)
+        for i, sample in enumerate(chunk.samples):
+            outcome = stage1_analyze(sample, index + i,
+                                     self._checker, self._engine)
+            stats.tally(outcome)
             sha = outcome.sha256
             if outcome.kind == "nonexec":
                 if self._keep_verdicts:
                     verdicts[sha] = outcome.verdict
                 continue
-            stats.executables += 1
             if outcome.kind == "deferred":
                 deferred.put(sha, (sample, chunk.reports[sha],
                                    chunk.ha_reports.get(sha)))
                 continue
-            stats.malware += 1
-            stats.sandbox_analyses += 1
-            if outcome.has_network:
-                stats.network_analyses += 1
-            if outcome.used_static:
-                stats.binary_analyses += 1
             if self._keep_verdicts:
                 verdicts[sha] = outcome.verdict
             if outcome.kind == "miner":
@@ -440,29 +385,18 @@ class ScalePipeline:
         batch: List[_SpillEntry] = []
 
         def sweep(entries: List[_SpillEntry]) -> None:
-            samples = [entry[0] for entry in entries]
-            reports = {entry[0].sha256: entry[1] for entry in entries}
-            ha_reports = {entry[0].sha256: entry[2] for entry in entries
-                          if entry[2] is not None}
-            if self.workers == 1:
-                self._vt_view.swap(reports)
-                self._ha_view.swap(ha_reports)
-                outcomes = [stage2_sweep(sample, i, confirmed, self._engine)
-                            for i, sample in enumerate(samples)]
-            else:
-                with self._chunk_engine(samples, reports,
-                                        ha_reports) as engine:
-                    outcomes = engine.map_stage2(
-                        range(len(samples)), confirmed)
-            for i, outcome in enumerate(outcomes):
+            self._vt_view.swap({entry[0].sha256: entry[1]
+                                for entry in entries})
+            self._ha_view.swap({entry[0].sha256: entry[2]
+                                for entry in entries
+                                if entry[2] is not None})
+            for i, (sample, _report, _ha_report) in enumerate(entries):
+                outcome = stage2_sweep(sample, i, confirmed, self._engine)
+                stats.tally(outcome)
                 if self._keep_verdicts:
                     verdicts[outcome.sha256] = outcome.verdict
-                if outcome.kind != "exception":
-                    continue
-                stats.sandbox_analyses += 1
-                stats.binary_analyses += 1
-                stats.wallet_exception_hits += 1
-                self._accept(outcome.record, samples[i], stats)
+                if outcome.kind == "exception":
+                    self._accept(outcome.record, sample, stats)
 
         for _sha, entry in deferred.items():
             batch.append(entry)

@@ -24,33 +24,20 @@ identifiers are campaign-private, so the frontier stays small; the
 worst case (one giant component) degrades gracefully to the streaming
 aggregator's footprint, never worse.
 
-Given the boundary set, the per-shard builds are **independent**:
-``workers > 1`` fans them over a fork pool (one task per shard, results
-merged in shard-index order), so the K passes over the record source
-run concurrently instead of back to back.  The parallel path returns
-exactly what the serial path would — per-shard union-find structure is
-a pure function of the shard's records, every campaign list is sorted
-inside :func:`~repro.core.aggregation.build_campaign`, and
-:func:`~repro.core.aggregation.finalize_campaigns` canonicalises order
-and numbering — so the output stays bit-identical for any worker count.
-
 Equivalence is exact, not approximate: edges come from the shared
 :func:`~repro.core.aggregation.record_attachments`, components are
 deduplicated node *sets*, and
 :func:`~repro.core.aggregation.finalize_campaigns` canonicalises order
 and numbering — so for any record set the output is bit-identical to
 the batch aggregator's (property-tested in
-``tests/test_scale_shards.py``, including workers ∈ {1, 2, 4}).
+``tests/test_scale_shards.py``).
 """
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -91,8 +78,8 @@ class _ShardBuild:
     """One shard's pass-2 output, ready for the shard-order merge.
 
     Components are split against the boundary set already; both lists
-    carry component-filtered record dicts so the payload a pool worker
-    pickles back is exactly the records the merge needs, nothing more.
+    carry component-filtered record dicts, so the frontier buffers
+    exactly the records the glue step needs, nothing more.
     """
 
     shard: int
@@ -101,31 +88,16 @@ class _ShardBuild:
     num_records: int = 0
 
 
-# -- fork-pool plumbing ------------------------------------------------------
-
-#: (aggregator, source, boundary) of the in-flight parallel build; set
-#: by the parent immediately before the fork pool spins up, inherited
-#: by workers through fork memory (no pickling of the record source).
-_POOL_STATE: Optional[tuple] = None
-
-
-def _pool_build_shard(shard: int) -> _ShardBuild:
-    aggregator, source, boundary = _POOL_STATE
-    return aggregator._build_shard(shard, source, boundary)
-
-
 class ShardedCampaignAggregator:
     """Two-pass sharded aggregation over a re-iterable record source.
 
     ``keep_records=False`` clears each campaign's record list the
     moment it is built (profit/report stages that only need identifiers
-    and hashes use this at the million-sample scale).  ``workers > 1``
-    runs the independent per-shard builds on a fork pool; the output is
-    bit-identical to the serial build for any worker count.
+    and hashes use this at the million-sample scale).
     ``campaign_hook`` runs on each campaign right after it is built —
-    *before* ``keep_records=False`` strips its record list — always in
-    the parent process, so a consumer can fold over records (e.g.
-    serving-index enrichment) without anything retaining them.
+    *before* ``keep_records=False`` strips its record list — so a
+    consumer can fold over records (e.g. serving-index enrichment)
+    without anything retaining them.
     """
 
     def __init__(self, osint: OsintFeeds,
@@ -133,20 +105,16 @@ class ShardedCampaignAggregator:
                  proxy_ips: Optional[Set[str]] = None,
                  num_shards: int = 8,
                  keep_records: bool = True,
-                 workers: int = 1,
                  campaign_hook: Optional[
                      Callable[[Campaign], None]] = None) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         self._osint = osint
         self._policy = policy or GroupingPolicy.full()
         self._proxy_ips = set(proxy_ips or ())
         self._num_shards = num_shards
         self._keep_records = keep_records
         self._campaign_hook = campaign_hook
-        self.workers = workers
         #: high-water marks for the benchmark report
         self.max_shard_records = 0
         self.max_frontier_records = 0
@@ -180,12 +148,10 @@ class ShardedCampaignAggregator:
                      boundary: Set[Node]) -> _ShardBuild:
         """One shard's union-find over one pass of the source.
 
-        Runs identically in-process and in a forked pool worker: the
-        forest is a pure function of the shard's records, and both
-        component lists come back with component-filtered record dicts
-        (:func:`~repro.core.aggregation.build_campaign` only ever looks
-        up a component's own sample nodes, so the filtered dict yields
-        the same campaign as the full shard dict).
+        Both component lists come back with component-filtered record
+        dicts (:func:`~repro.core.aggregation.build_campaign` only ever
+        looks up a component's own sample nodes, so the filtered dict
+        yields the same campaign as the full shard dict).
         """
         forest: UnionFind = UnionFind()
         by_hash: Dict[str, MinerRecord] = {}
@@ -206,58 +172,21 @@ class ShardedCampaignAggregator:
             target.append((nodes, records))
         return build
 
-    def _build_all_serial(self, source: Callable[[], Iterable[MinerRecord]],
-                          boundary: Set[Node]) -> Iterator[_ShardBuild]:
-        for shard in range(self._num_shards):
-            yield self._build_shard(shard, source, boundary)
-
-    def _build_all_pool(self, source: Callable[[], Iterable[MinerRecord]],
-                        boundary: Set[Node]) -> Iterator[_ShardBuild]:
-        """Fan the per-shard builds over a fork pool.
-
-        Workers inherit the aggregator, the record source and the
-        boundary set through fork memory (the source — typically a
-        :meth:`~repro.scale.columnar.RecordStore.iter_records` bound
-        method over mmap'd segments — is rarely picklable and never
-        needs to be).  Submissions are plain shard indices; results
-        stream back and are consumed in shard-index order, so the merge
-        below observes exactly the serial ordering.
-        """
-        global _POOL_STATE
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            yield from self._build_all_serial(source, boundary)
-            return
-        _POOL_STATE = (self, source, boundary)
-        try:
-            workers = min(self.workers, self._num_shards)
-            with ProcessPoolExecutor(max_workers=workers,
-                                     mp_context=context) as pool:
-                yield from pool.map(_pool_build_shard,
-                                    range(self._num_shards))
-        finally:
-            _POOL_STATE = None
-
     def aggregate_source(self, source: Callable[[], Iterable[MinerRecord]]
                          ) -> List[Campaign]:
         """Aggregate a re-iterable record stream (e.g. a
         :meth:`~repro.scale.columnar.RecordStore.iter_records` factory).
 
-        The source is iterated ``1 + num_shards`` times (concurrently
-        across shards when ``workers > 1``); memory never holds more
-        than one shard's records plus the frontier per process.
+        The source is iterated ``1 + num_shards`` times; memory never
+        holds more than one shard's records plus the frontier.
         """
         boundary = self._scan(source) if self._num_shards > 1 else set()
-        parallel = self.workers > 1 and self._num_shards > 1
-        builds = (self._build_all_pool(source, boundary) if parallel
-                  else self._build_all_serial(source, boundary))
-
         campaigns: List[Campaign] = []
         #: buffered cross-shard components, in shard-index order
         frontier: List[_Component] = []
         frontier_records = 0
-        for build in builds:
+        for shard in range(self._num_shards):
+            build = self._build_shard(shard, source, boundary)
             self.max_shard_records = max(self.max_shard_records,
                                          build.num_records)
             for nodes, records in build.local:

@@ -19,7 +19,6 @@ equivalence suite asserts it equals the batch one.
 
 import queue
 import threading
-from contextlib import contextmanager
 from typing import Iterable, Iterator, List, Optional, TypeVar
 
 from repro.corpus.generator import EcosystemGenerator
@@ -41,12 +40,11 @@ class ChunkPrefetcher(Iterator[_T]):
 
     A daemon thread drives the wrapped iterator and parks results in a
     queue of depth ``depth``, so generating chunk N+1 overlaps with the
-    consumer's analysis of chunk N instead of serialising with it (the
-    win is largest when the consumer hands its work to a process pool
-    and would otherwise sit idle while the generator runs).  Items come
-    out in exactly the order the iterator produced them — one producer,
-    one FIFO queue — so a prefetched stream is element-for-element
-    equal to the eager one; only the timing changes.
+    consumer's analysis of chunk N instead of serialising with it.
+    Items come out in exactly the order the iterator produced them —
+    one producer, one FIFO queue — so a prefetched stream is
+    element-for-element equal to the eager one; only the timing
+    changes.
 
     A producer-side exception is re-raised at the consumer's next
     ``next()``, at the position it occurred.  ``close()`` stops the
@@ -64,9 +62,6 @@ class ChunkPrefetcher(Iterator[_T]):
         self._iterator = iter(iterable)
         self._queue: "queue.Queue" = queue.Queue(maxsize=depth)
         self._stop = threading.Event()
-        self._pause = threading.Event()
-        self._parked = threading.Event()
-        self._resume = threading.Event()
         self._thread = threading.Thread(
             target=self._produce, daemon=True, name="chunk-prefetch")
         self._thread.start()
@@ -84,48 +79,11 @@ class ChunkPrefetcher(Iterator[_T]):
     def _put(self, payload) -> None:
         """Queue ``payload`` without deadlocking against close()."""
         while not self._stop.is_set():
-            if self._pause.is_set():
-                self._park()
-                continue
             try:
                 self._queue.put(payload, timeout=0.1)
                 return
             except queue.Full:
                 continue
-
-    def _park(self) -> None:
-        """Hold at a lock-free point until :meth:`quiesced` exits."""
-        self._resume.clear()
-        self._parked.set()
-        while not self._stop.is_set() and self._pause.is_set():
-            self._resume.wait(timeout=0.1)
-        self._parked.clear()
-
-    @contextmanager
-    def quiesced(self):
-        """Park the producer thread for the duration of the block.
-
-        The sanctioned fork barrier (FORK001): a forked child inherits
-        only the forking thread, so any lock the producer holds at
-        fork time — the chunk queue's internal lock above all — stays
-        locked forever in the child.  Inside this block the producer
-        is parked between queue operations, holding nothing, so the
-        caller may fork freely (``engine = ...`` with
-        ``fork_barrier=prefetcher.quiesced``).  Best-effort: if the
-        producer is deep inside the wrapped iterator generating a
-        chunk, the wait times out rather than stalling the fork — the
-        producer touches no shared locks there either.
-        """
-        if not self._thread.is_alive():
-            yield
-            return
-        self._pause.set()
-        self._parked.wait(timeout=5.0)
-        try:
-            yield
-        finally:
-            self._pause.clear()
-            self._resume.set()
 
     def __iter__(self) -> "ChunkPrefetcher[_T]":
         return self

@@ -19,7 +19,8 @@ workers cost one index's RSS (the index is immutable, and CPython's
 refcount writes only fault the touched pages, a small fraction of the
 table payloads).  Hot swap stays a single-process feature — a fleet
 serves one frozen generation for its lifetime, which is exactly the
-bench / bulk-scan deployment shape.
+bench / bulk-scan deployment shape, and why ``repro serve`` refuses
+``--workers N`` over a ``--checkpoint`` that keeps advancing.
 
 Children are real processes, not daemons of a thread pool: SIGTERM
 asks a child's loop to stop, the child closes its server and leaves

@@ -156,15 +156,13 @@ class StoreResult:
 
 
 def result_from_store(world: SyntheticWorld, store,
-                      num_shards: int = 8,
-                      workers: int = 1) -> StoreResult:
+                      num_shards: int = 8) -> StoreResult:
     """Derive a serving result straight from a columnar record store.
 
     Same pure derivations as :func:`derive_result_from_records`, but
     never holding the record list: profiles and proxies come from two
     streaming passes over the segments, campaigns from the sharded
-    aggregator (fanned over ``workers`` processes when > 1), and
-    enrichment runs per campaign through the aggregator's
+    aggregator, and enrichment runs per campaign through the aggregator's
     ``campaign_hook`` — before each campaign's records are dropped.
     Peak memory is the index tables plus one aggregation shard, not
     the corpus.
@@ -197,7 +195,7 @@ def result_from_store(world: SyntheticWorld, store,
                                 world.sample_by_hash)
     aggregator = ShardedCampaignAggregator(
         world.osint, GroupingPolicy.full(), proxy_ips=proxies,
-        num_shards=num_shards, keep_records=False, workers=workers,
+        num_shards=num_shards, keep_records=False,
         campaign_hook=lambda c: enricher.enrich(c, profiles))
     campaigns = aggregator.aggregate_source(store.iter_records)
     return StoreResult(store=store, campaigns=campaigns,

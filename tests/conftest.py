@@ -1,8 +1,9 @@
 """Shared fixtures.
 
-The synthetic world and the pipeline run are expensive (seconds), so
-they are session-scoped: every integration test shares one deterministic
-world (seed 1, scale 0.01) and one measurement result.
+The synthetic world, the pipeline run and the full-tree lint are
+expensive (seconds), so they are session-scoped: every integration
+test shares one deterministic world (seed 1, scale 0.01), one
+measurement result and one reprolint run over the source tree.
 """
 
 import pytest
@@ -11,6 +12,7 @@ from repro.common.rng import DeterministicRNG
 from repro.core.pipeline import MeasurementPipeline
 from repro.corpus.generator import generate_world
 from repro.corpus.model import ScenarioConfig
+from repro.lint import lint_source_tree
 
 
 @pytest.fixture
@@ -31,3 +33,9 @@ def pipeline_result(small_world):
 @pytest.fixture(scope="session")
 def stock_catalog(small_world):
     return small_world.stock_catalog
+
+
+@pytest.fixture(scope="session")
+def source_tree_lint():
+    """One ``lint_source_tree()`` run over the real tree (read-only)."""
+    return lint_source_tree()

@@ -1,10 +1,11 @@
-"""Regression-gate arithmetic: the lint lane and machine calibration.
+"""Regression-gate arithmetic: point matching and machine calibration.
 
 The gate compares committed BENCH_*.json baselines against fresh
-runs; these tests pin the two behaviours PRs keep relying on — the
-lint lane's (mode, workers) point matching, and the calibration
-stamp that normalises throughput across machines of different speed
-(with a raw fallback against stamp-less baselines).
+runs; these tests pin the behaviours PRs keep relying on — the lint
+lane's (mode, workers) point matching, the scale and pipeline lanes'
+matching on scale alone, and the calibration stamp that normalises
+throughput across machines of different speed (with a raw fallback
+against stamp-less baselines).
 """
 
 from repro.common.calibrate import calibration_score
@@ -29,6 +30,22 @@ class TestCompareRuns:
         metric, key_fields = GATE_METRICS["lint"]
         assert metric == "modules_per_s"
         assert key_fields == ("mode", "workers")
+
+    def test_scale_and_pipeline_keyed_on_scale(self):
+        for suite in ("scale", "pipeline"):
+            assert GATE_METRICS[suite] == ("samples_per_s", ("scale",))
+
+    def test_history_point_with_workers_still_matches(self):
+        # history entries written before the lanes dropped their
+        # worker count carry ``workers``; they still gate on scale
+        prev = {"bench": "pipeline",
+                "points": [{"scale": 0.02, "workers": 1,
+                            "samples_per_s": 900.0}]}
+        cur = {"bench": "pipeline",
+               "points": [{"scale": 0.02, "samples_per_s": 500.0}]}
+        regressions, notes = compare_runs(prev, cur)
+        assert len(regressions) == 1
+        assert not any("new point" in n for n in notes)
 
     def test_raw_regression_detected(self):
         regressions, _ = compare_runs(_lint_run(80.0), _lint_run(50.0))

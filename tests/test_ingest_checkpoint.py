@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.core.pipeline import PipelineStats
+from repro.core.pipeline import PipelineStats, SampleOutcome
 from repro.core.records import MinerRecord
 from repro.core.sanity import SanityVerdict
 from repro.ingest.checkpoint import (
@@ -21,7 +21,6 @@ from repro.ingest.codec import (
     encode_record,
     encode_stats,
 )
-from repro.perf.parallel import SampleOutcome
 
 
 def make_record(sha="a" * 8):

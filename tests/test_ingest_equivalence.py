@@ -36,12 +36,6 @@ class TestEndToEndEquivalence:
         assert ingest.resumed_from == 0
         assert len(ingest.batches) == ingest.total_batches
 
-    def test_parallel_workers_equal_batch(self, small_world,
-                                          pipeline_result, tmp_path):
-        ingest = run_ingest(small_world, tmp_path, batch_days=60,
-                            workers=2)
-        assert diff_measurements(pipeline_result, ingest.result) == []
-
     @pytest.mark.parametrize("batch_days", [1, 30, 365, 10**6])
     def test_any_batch_width(self, tmp_path, batch_days):
         """Daily drops, monthly drops, yearly drops and one mega-batch

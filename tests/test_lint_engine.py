@@ -19,7 +19,6 @@ from repro.lint import (
     RULE_REGISTRY,
     build_project_index,
     changed_files,
-    lint_source_tree,
 )
 from repro.lint.pragmas import collect_pragmas
 
@@ -639,8 +638,8 @@ class TestBaselineEdgeCases:
 
 
 class TestSelfCheck:
-    def test_head_lints_clean(self):
-        run = lint_source_tree()
+    def test_head_lints_clean(self, source_tree_lint):
+        run = source_tree_lint
         assert run.report.parse_errors == []
         assert [f.render() for f in run.regressions] == []
 

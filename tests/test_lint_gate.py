@@ -7,7 +7,7 @@ run, with the same findings ``repro lint`` would print.
 
 from pathlib import Path
 
-from repro.lint import default_source_root, lint_source_tree
+from repro.lint import default_source_root
 from repro.lint.baseline import BASELINE_NAME, find_baseline
 
 
@@ -16,8 +16,9 @@ def _repo_baseline():
 
 
 class TestLintGate:
-    def test_source_tree_has_no_unbaselined_findings(self):
-        run = lint_source_tree()
+    def test_source_tree_has_no_unbaselined_findings(self,
+                                                     source_tree_lint):
+        run = source_tree_lint
         assert run.report.parse_errors == []
         assert run.report.modules_scanned > 100  # the real tree, not a stub
         rendered = [f.render() for f in run.regressions]
@@ -26,11 +27,10 @@ class TestLintGate:
             "justification, or — for accepted legacy findings only — "
             f"add them to {BASELINE_NAME}):\n" + "\n".join(rendered))
 
-    def test_baseline_carries_no_stale_grants(self):
+    def test_baseline_carries_no_stale_grants(self, source_tree_lint):
         # strict-mode invariant: the committed baseline only lists
         # findings the code still has, so it shrinks monotonically.
-        run = lint_source_tree()
-        assert run.expired == [], (
+        assert source_tree_lint.expired == [], (
             "stale baseline grants — regenerate with "
             "`repro lint --update-baseline`")
 
@@ -39,5 +39,5 @@ class TestLintGate:
         assert path is not None and path.name == BASELINE_NAME
         assert path.parent / "pyproject.toml" in path.parent.iterdir()
 
-    def test_strict_gate_verdict(self):
-        assert lint_source_tree().ok(strict=True)
+    def test_strict_gate_verdict(self, source_tree_lint):
+        assert source_tree_lint.ok(strict=True)

@@ -13,7 +13,6 @@ from repro.perf.cache import (
     cached_ctph,
     cached_entropy,
     clear_caches,
-    warm_ctph,
 )
 from repro.perf.profiler import PipelineProfiler
 
@@ -94,12 +93,6 @@ class TestContentMemos:
         assert CTPH_CACHE.hits == 0
         assert cached_ctph(data) == ctph.compute(data)
         assert CTPH_CACHE.hits == 1
-
-    def test_warm_ctph_preseeds(self):
-        data = b"warmed content " * 32
-        warm_ctph(data, ctph.compute(data))
-        cached_ctph(data)
-        assert CTPH_CACHE.hits == 1 and CTPH_CACHE.misses == 0
 
     def test_cached_entropy_matches_direct(self):
         data = bytes(range(256)) * 8

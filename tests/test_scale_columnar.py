@@ -1,6 +1,9 @@
 """Columnar segment store: exact roundtrip, immutability, discovery."""
 
 import datetime
+import errno
+import os
+import stat
 
 import pytest
 
@@ -128,6 +131,40 @@ class TestSegmentRoundtrip:
         bogus.write_bytes(b"NOTRCOL!" + b"\x00" * 32)
         with pytest.raises(ValueError):
             SegmentReader(bogus)
+
+
+class TestSegmentDurability:
+    def test_enospc_propagates_and_leaves_nothing(self, tmp_path,
+                                                  monkeypatch):
+        store = RecordStore(tmp_path / "store")
+        store.append_segment([_rich_record(0)], name="seg-a")
+
+        def full_disk(_fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        with pytest.raises(OSError) as excinfo:
+            store.append_segment([_rich_record(1)], name="seg-b")
+        monkeypatch.undo()
+        assert excinfo.value.errno == errno.ENOSPC
+        assert list(store.root.glob("*.tmp")) == []
+        assert not store.has_segment("seg-b")
+        assert list(store.iter_records()) == [_rich_record(0)]
+
+    def test_directory_fsynced_after_rename(self, tmp_path, monkeypatch):
+        target = tmp_path / "seg-0.rcol"
+        synced = []
+        real_fsync = os.fsync
+
+        def spy(fd):
+            synced.append((stat.S_ISDIR(os.fstat(fd).st_mode),
+                           target.exists()))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        write_segment([_sparse_record()], target)
+        # the file before the rename, then its directory after it
+        assert synced == [(False, False), (True, True)]
 
 
 class TestRecordStore:

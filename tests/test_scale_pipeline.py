@@ -67,16 +67,6 @@ class TestScalePipelineEquivalence:
 
 
 class TestScalePipelineOptions:
-    def test_workers_pool_identical(self, scale_result):
-        corpus = StreamingCorpus(_CONFIG, chunk_samples=512)
-        pooled = ScalePipeline(corpus, workers=2, num_shards=8,
-                               keep_verdicts=True,
-                               keep_campaign_records=True).run()
-        assert {r.sha256: r for r in pooled.records()} == \
-            {r.sha256: r for r in scale_result.records()}
-        assert pooled.verdicts == scale_result.verdicts
-        assert pooled.campaigns == scale_result.campaigns
-
     def test_prefetch_disabled_identical(self, scale_result):
         """The module fixture runs with the default prefetch (2); the
         eager path must produce byte-identical records, spills and
@@ -174,6 +164,7 @@ class TestBenchHarness:
         assert point["run_s"] > 0
         assert point["peak_rss_mib"] > 0
         assert point["segments"] >= 1
+        assert "workers" not in point
 
     def test_pipeline_point_metrics(self):
         from repro.scale.bench import measure_pipeline_point
@@ -181,3 +172,4 @@ class TestBenchHarness:
         assert point["samples"] > 0
         assert point["stages"], "expected per-stage timings"
         assert {"stage", "seconds", "items"} <= set(point["stages"][0])
+        assert "workers" not in point

@@ -46,12 +46,11 @@ def _batch(records, proxy_ips=None):
                               proxy_ips=proxy_ips).aggregate(records)
 
 
-def _sharded(records, k, proxy_ips=None, workers=1):
+def _sharded(records, k, proxy_ips=None):
     return ShardedCampaignAggregator(OsintFeeds(),
                                      GroupingPolicy.full(),
                                      proxy_ips=proxy_ips,
-                                     num_shards=k,
-                                     workers=workers).aggregate(records)
+                                     num_shards=k).aggregate(records)
 
 
 class TestShardOf:
@@ -74,10 +73,6 @@ class TestShardOf:
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError):
             ShardedCampaignAggregator(OsintFeeds(), num_shards=0)
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            ShardedCampaignAggregator(OsintFeeds(), workers=0)
 
 
 class TestShardedEquivalence:
@@ -120,6 +115,7 @@ class TestShardedEquivalence:
             small_world.osint, proxy_ips=pipeline_result.proxy_ips,
             num_shards=k)
         assert agg.aggregate(pipeline_result.records) == batch
+        assert agg.max_shard_records > 0
         if k > 1:
             # the shard high-water mark must actually be a partition,
             # not one shard holding everything
@@ -161,48 +157,42 @@ class TestShardedEquivalence:
 
 
 class TestParallelShardedEquivalence:
-    """``workers > 1`` fans per-shard builds over a fork pool; the
-    output must stay bit-identical to both serial and batch for any
-    worker count — including components that span every shard."""
+    """The sharded build runs in one worker: the calling process.  Every
+    pass over the source is made here, so a counting source sees all
+    ``1 + k`` of them (passes made in forked children would not count)."""
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_identifiers_spanning_all_shards(self, workers):
-        k = 8
-        wallets = {}
-        i = 0
-        while len(wallets) < k:
-            wallet = f"SPAN{i}"
-            wallets.setdefault(crc32(wallet.encode()) % k, wallet)
-            i += 1
-        spanning = sorted(wallets.values())
-        records = [MinerRecord(sha256=f"{j:064x}", identifiers=[w],
-                               identifier_coins=["XMR"])
-                   for j, w in enumerate(spanning)]
-        records.append(MinerRecord(sha256=f"{99:064x}",
-                                   identifiers=spanning,
-                                   identifier_coins=["XMR"] * len(spanning)))
-        batch = _batch(records)
-        assert len(batch) == 1
-        assert _sharded(records, k, workers=workers) == batch
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [1])
     def test_tier1_world_records(self, workers, small_world,
                                  pipeline_result):
+        calls = []
+
+        def source():
+            calls.append(1)
+            return iter(pipeline_result.records)
+
         batch = CampaignAggregator(
             small_world.osint, proxy_ips=pipeline_result.proxy_ips
         ).aggregate(pipeline_result.records)
         agg = ShardedCampaignAggregator(
             small_world.osint, proxy_ips=pipeline_result.proxy_ips,
-            num_shards=8, workers=workers)
-        assert agg.aggregate(pipeline_result.records) == batch
-        # high-water telemetry must survive the pool round-trip
+            num_shards=8)
+        assert agg.aggregate_source(source) == batch
+        assert len(calls) == 1 + 8
         assert agg.max_shard_records > 0
 
-    @given(miner_records(), st.sampled_from([1, 2, 4]))
+    @given(miner_records())
     @settings(max_examples=15, deadline=None)
-    def test_equivalence_any_records_any_workers(self, records, workers):
-        # max_examples stays low: every parallel example forks a pool
-        assert _sharded(records, 8, workers=workers) == _batch(records)
+    def test_equivalence_any_records_any_workers(self, records):
+        calls = []
+
+        def source():
+            calls.append(1)
+            return iter(records)
+
+        agg = ShardedCampaignAggregator(OsintFeeds(), GroupingPolicy.full(),
+                                        num_shards=8)
+        assert agg.aggregate_source(source) == _batch(records)
+        assert len(calls) == 1 + 8
 
 
 class TestShardedProperties:

@@ -173,24 +173,6 @@ class TestChunkPrefetcher:
         # producer stopped near the depth bound, not at the consumer's pace
         assert len(produced) <= 8
 
-    def test_quiesced_parks_the_producer(self):
-        prefetcher = ChunkPrefetcher(iter(range(50)), depth=2)
-        assert next(prefetcher) == 0
-        with prefetcher.quiesced():
-            assert prefetcher._parked.is_set()
-            # drain one slot: the parked producer must not refill it
-            assert next(prefetcher) == 1
-            time.sleep(0.05)
-            assert prefetcher._parked.is_set()
-        # resumed: the rest of the stream arrives intact and in order
-        assert list(prefetcher) == list(range(2, 50))
-
-    def test_quiesced_after_exhaustion_is_a_noop(self):
-        prefetcher = ChunkPrefetcher(iter([1]), depth=2)
-        assert list(prefetcher) == [1]
-        with prefetcher.quiesced():
-            pass  # dead producer: nothing to park, nothing to wake
-
     def test_context_manager_closes(self):
         with ChunkPrefetcher(iter(range(1000)), depth=2) as prefetcher:
             assert next(prefetcher) == 0

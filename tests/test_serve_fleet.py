@@ -5,7 +5,8 @@ pipeline-result index: point lookups and a bulk ``/v1/scan`` answered
 correctly, connections actually landing on the forked children (every
 ``/v1/healthz`` pid is one of the fleet's), and ``stop()`` leaving no
 live child behind.  POSIX-only by construction — the fleet refuses to
-start without ``os.fork``.
+start without ``os.fork``.  ``repro serve`` refuses a fleet over a
+checkpoint, which the fleet could not follow.
 """
 
 import os
@@ -13,6 +14,7 @@ import signal
 
 import pytest
 
+from repro import cli
 from repro.serve.app import IntelService
 from repro.serve.auth import ApiKeyRegistry
 from repro.serve.client import IntelClient
@@ -107,3 +109,32 @@ class TestServerFleet:
             assert _healthz_pid(fleet.host, fleet.port) == fleet.pids[1]
         finally:
             fleet.stop()
+
+
+class TestServeCommand:
+    def test_checkpoint_fleet_refused_before_building(self, tmp_path,
+                                                      monkeypatch,
+                                                      capsys):
+        def unexpected(*_args, **_kwargs):
+            raise AssertionError("must refuse before building anything")
+
+        monkeypatch.setattr(cli, "_get_world", unexpected)
+        monkeypatch.setattr(ServerFleet, "start", unexpected)
+        code = cli.main(["serve", "--workers", "2", "--port", "0",
+                         "--checkpoint", str(tmp_path)])
+        assert code == 2
+        assert "--checkpoint" in capsys.readouterr().err
+
+    def test_store_fleet_still_forks(self, tmp_path, monkeypatch):
+        forked = []
+
+        def fake_fleet(service, args):
+            forked.append(args.workers)
+            return 0
+
+        monkeypatch.setattr(cli, "_serve_fleet", fake_fleet)
+        code = cli.main(["serve", "--workers", "2", "--port", "0",
+                         "--scale", "0.003", "--api-key", _KEY,
+                         "--store", str(tmp_path / "store")])
+        assert code == 0
+        assert forked == [2]

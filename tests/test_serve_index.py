@@ -154,11 +154,9 @@ class TestStoreResultEquivalence:
         store.append_segment(records[half:], "seg-0001")
         return store
 
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_matches_derived_index_tables(self, index, small_world,
-                                          pipeline_result, store,
-                                          workers):
-        result = result_from_store(small_world, store, workers=workers)
+                                          pipeline_result, store):
+        result = result_from_store(small_world, store)
         other = build_index(result, generation=1, source="store")
         assert other.counts() == index.counts()
         assert other._campaigns == index._campaigns
