@@ -19,7 +19,8 @@ from repro.netsim.dns import PassiveDns, Resolver
 from repro.perf.cache import LruCache
 from repro.pools.directory import PoolDirectory
 
-_DEFAULT_ANALYSIS_DATE = datetime.date(2018, 9, 1)
+#: the sandbox clock and passive-DNS cut-off every driver defaults to
+DEFAULT_ANALYSIS_DATE = datetime.date(2018, 9, 1)
 
 
 class ExtractionEngine:
@@ -28,7 +29,7 @@ class ExtractionEngine:
     def __init__(self, static: StaticAnalyzer, dynamic: DynamicAnalyzer,
                  vt: VtService, pools: PoolDirectory,
                  resolver: Resolver, passive_dns: PassiveDns,
-                 analysis_date: Date = _DEFAULT_ANALYSIS_DATE) -> None:
+                 analysis_date: Date = DEFAULT_ANALYSIS_DATE) -> None:
         self._static = static
         self._dynamic = dynamic
         self._vt = vt

@@ -4,17 +4,36 @@ Orchestrates: sanity checks -> static/dynamic extraction -> the
 illicit-wallet exception sweep -> ancillary recovery -> profit analysis
 -> proxy identification -> campaign aggregation -> enrichment.
 
-The per-sample stage functions (:func:`stage1_analyze`,
-:func:`stage2_sweep`, :func:`analyze_linked_sample`) live here and are
-shared by all three drivers: this batch pipeline, the out-of-core
-:class:`~repro.scale.pipeline.ScalePipeline` and the checkpointed
-:class:`~repro.ingest.service.IngestionService`.  A
+Each step up to proxy identification has one implementation here, a
+plain function that all four drivers call directly: this batch pipeline,
+the out-of-core :class:`~repro.scale.pipeline.ScalePipeline`, the
+checkpointed :class:`~repro.ingest.service.IngestionService` and the
+record-set derivations of :mod:`repro.serve.snapshot`.  Besides the
+per-sample stages (:func:`stage1_analyze`, :func:`stage2_sweep`) these
+are the recovery fixpoint :func:`recover_linked`, the proxy rule
+:func:`find_proxies` over :func:`proxy_candidates`, the funnel tail
+:meth:`PipelineStats.count_kept` + :func:`below_threshold_verdict`, and
+:func:`derive_from_records`; profit polling is
+:meth:`~repro.core.profit.ProfitAnalyzer.profile_many` everywhere.  Each
+driver owns only where its samples come from and where its state lives:
+this one reads an in-memory world and keeps dicts.  A
 :class:`~repro.perf.profiler.PipelineProfiler` times every stage.
 """
 
 import datetime
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from functools import partial
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.common.net import is_ipv4_literal
 from repro.core.aggregation import (
@@ -24,7 +43,7 @@ from repro.core.aggregation import (
 )
 from repro.core.dynamic_analysis import DynamicAnalyzer
 from repro.core.enrichment import CampaignEnricher
-from repro.core.extraction import ExtractionEngine
+from repro.core.extraction import DEFAULT_ANALYSIS_DATE, ExtractionEngine
 from repro.core.profit import ProfitAnalyzer, WalletProfile
 from repro.core.records import MinerRecord
 from repro.core.sanity import SanityChecker, SanityVerdict
@@ -34,17 +53,6 @@ from repro.perf.cache import CachingResolver
 from repro.perf.profiler import PipelineProfiler
 from repro.perf.scan import profiled_scan
 from repro.sandbox.emulator import Sandbox, SandboxEnvironment
-
-_DEFAULT_ANALYSIS_DATE = datetime.date(2018, 9, 1)
-
-
-@dataclass(frozen=True)
-class AnalysisSpec:
-    """The knobs that configure the analysis components."""
-
-    positives_threshold: int
-    analysis_date: object
-    use_ha_reports: bool
 
 
 @dataclass
@@ -67,26 +75,27 @@ class SampleOutcome:
 
 
 def build_analysis_components(
-        world: SyntheticWorld,
-        spec: AnalysisSpec) -> Tuple[SanityChecker, ExtractionEngine]:
+        world: SyntheticWorld, positives_threshold: int,
+        analysis_date: datetime.date, use_ha_reports: bool
+) -> Tuple[SanityChecker, ExtractionEngine]:
     """The sanity checker + extraction engine pair every driver uses.
 
     DNS resolution goes through a shared LRU memo.
     """
     resolver = CachingResolver(world.resolver)
     sandbox = Sandbox(resolver, SandboxEnvironment(
-        analysis_date=spec.analysis_date))
+        analysis_date=analysis_date))
     checker = SanityChecker(
         world.vt, world.osint, world.pool_directory,
         tool_whitelist=world.stock_catalog.whitelist_hashes(),
-        positives_threshold=spec.positives_threshold,
+        positives_threshold=positives_threshold,
     )
     engine = ExtractionEngine(
         StaticAnalyzer(),
-        DynamicAnalyzer(sandbox, world.ha if spec.use_ha_reports else None),
+        DynamicAnalyzer(sandbox, world.ha if use_ha_reports else None),
         world.vt, world.pool_directory,
         resolver, world.passive_dns,
-        analysis_date=spec.analysis_date,
+        analysis_date=analysis_date,
     )
     return checker, engine
 
@@ -114,16 +123,19 @@ def stage1_analyze(sample: SampleRecord, index: int, checker,
         has_network=has_network, used_static=record.used_static)
 
 
+def below_threshold_verdict(sha256: str) -> SanityVerdict:
+    """Verdict of a deferred sample no confirmed wallet vouched for."""
+    return SanityVerdict(sha256, is_executable=True, is_malware=False,
+                         reasons="below AV threshold")
+
+
 def stage2_sweep(sample: SampleRecord, index: int,
                  confirmed: FrozenSet[str], engine) -> SampleOutcome:
     """Illicit-wallet exception sweep for one deferred sample."""
     quick = engine.extract_static_only(sample)
     if not set(quick.identifiers) & confirmed:
         return SampleOutcome(index, sample.sha256, "clean",
-                             verdict=SanityVerdict(
-                                 sample.sha256, is_executable=True,
-                                 is_malware=False,
-                                 reasons="below AV threshold"))
+                             verdict=below_threshold_verdict(sample.sha256))
     record, _report = engine.extract_with_report(sample)
     verdict = SanityVerdict(
         sample.sha256, is_executable=True, is_malware=True,
@@ -149,8 +161,7 @@ def analyze_linked_sample(
 
     The caller has already established executability, malware status and
     the link to an accepted record; this runs the extraction and types
-    the record Miner/Ancillary.  Shared by the batch pipeline's
-    ancillary recovery and the streaming ingestion service.
+    the record Miner/Ancillary.
     """
     record, _report = engine.extract_with_report(sample)
     record.type = "Miner" if record.identifiers else "Ancillary"
@@ -161,20 +172,80 @@ def analyze_linked_sample(
     return record, verdict
 
 
-def proxy_candidate_ip(record: MinerRecord) -> Optional[str]:
-    """The non-pool IPv4 endpoint a record mined against, if any.
+def recover_linked(linked: Set[str],
+                   links_of: Callable[[MinerRecord], Iterable[str]],
+                   admit: Callable[[str], Optional[MinerRecord]]) -> int:
+    """Pull in droppers/loaders linked to accepted records (§III-E).
 
-    First half of the proxy rule (§III-C); the second half — one of the
-    record's wallets shows activity at a known transparent pool — needs
-    profit profiles and is applied by the caller.
+    A malware executable that failed the is-miner check still enters
+    the dataset as an *ancillary* when it is a parent of an accepted
+    sample, or an accepted sample dropped it.  Dropper chains can be
+    several hops long (dropper -> loader -> miner), so this iterates to
+    a fixpoint in frontier waves: ``linked`` is the first wave, and each
+    later wave is only ``links_of`` the records the previous one
+    admitted.  ``admit(sha)`` returns the record it admitted, or None;
+    the count of admissions is returned.
     """
-    if record.dst_ip is None or record.pool is not None:
-        return None
-    if record.dst_ip in ("0.0.0.0", "127.0.0.1"):
-        return None  # unresolved-host sentinel, not a real endpoint
-    if not is_ipv4_literal(record.dst_ip):
-        return None
-    return record.dst_ip
+    admitted = 0
+    while linked:
+        wave: List[MinerRecord] = []
+        for sha in sorted(linked):
+            record = admit(sha)
+            if record is not None:
+                wave.append(record)
+        admitted += len(wave)
+        linked = set()
+        for record in wave:
+            linked.update(links_of(record))
+    return admitted
+
+
+def proxy_candidates(records: Iterable[MinerRecord]
+                     ) -> Iterator[Tuple[str, List[str]]]:
+    """``(ip, identifiers)`` of each record with identifiers that mined
+    against a non-pool IPv4 endpoint: the proxy rule's first half."""
+    for record in records:
+        ip = record.dst_ip
+        if ip is None or record.pool is not None or not record.identifiers:
+            continue
+        if ip in ("0.0.0.0", "127.0.0.1"):
+            continue  # unresolved-host sentinel, not a real endpoint
+        if is_ipv4_literal(ip):
+            yield ip, record.identifiers
+
+
+def find_proxies(candidates: Iterable[Tuple[str, Iterable[str]]],
+                 profiles: Dict[str, WalletProfile]) -> Set[str]:
+    """Proxy rule (§III-C): a sample mines against a non-pool IP but
+    its wallet shows activity at a known (transparent) pool."""
+    proxies: Set[str] = set()
+    for ip, identifiers in candidates:
+        for identifier in identifiers:
+            profile = profiles.get(identifier)
+            if profile is not None and profile.records:
+                proxies.add(ip)
+                break
+    return proxies
+
+
+def derive_from_records(records: List[MinerRecord],
+                        profit: ProfitAnalyzer, aggregator
+                        ) -> Tuple[Dict[str, WalletProfile], Set[str]]:
+    """``(profiles, proxies)`` of a record set, fed into ``aggregator``.
+
+    Pure functions of the records (wallets polled in first-seen order),
+    so a restore lands on the state an uninterrupted run holds without
+    persisting pool responses.  ``aggregator`` is incremental
+    (``add_record`` / ``add_proxy_ips``).
+    """
+    profiles = profit.profile_many(dict.fromkeys(
+        identifier for record in records
+        for identifier in record.identifiers))
+    proxies = find_proxies(proxy_candidates(records), profiles)
+    for record in records:
+        aggregator.add_record(record)
+    aggregator.add_proxy_ips(proxies)
+    return profiles, proxies
 
 
 @dataclass
@@ -216,6 +287,22 @@ class PipelineStats:
             self.sandbox_analyses += 1
             self.binary_analyses += 1
             self.wallet_exception_hits += 1
+
+    def count_kept(self, record: MinerRecord,
+                   sample: Optional[SampleRecord] = None) -> None:
+        """Count one kept record; ``sample`` (if known) adds its feeds.
+
+        Feeds overlap (Appendix C): a sample counts toward every feed
+        that carries it, so per-source totals can exceed the dataset
+        size, exactly like Table III.
+        """
+        if record.is_miner:
+            self.miners += 1
+        else:
+            self.ancillaries += 1
+        if sample is not None:
+            for feed in sample.sources:
+                self.by_source[feed] = self.by_source.get(feed, 0) + 1
 
 
 @dataclass
@@ -283,7 +370,7 @@ class MeasurementPipeline:
     def __init__(self, world: SyntheticWorld,
                  policy: Optional[GroupingPolicy] = None,
                  positives_threshold: int = 10,
-                 analysis_date: datetime.date = _DEFAULT_ANALYSIS_DATE,
+                 analysis_date: datetime.date = DEFAULT_ANALYSIS_DATE,
                  use_ha_reports: bool = True,
                  profiler: Optional[PipelineProfiler] = None,
                  record_store=None) -> None:
@@ -295,11 +382,7 @@ class MeasurementPipeline:
         self.profiler = profiler or PipelineProfiler()
         self._policy = policy or GroupingPolicy.full()
         self._checker, self._engine = build_analysis_components(
-            world, AnalysisSpec(
-                positives_threshold=positives_threshold,
-                analysis_date=analysis_date,
-                use_ha_reports=use_ha_reports,
-            ))
+            world, positives_threshold, analysis_date, use_ha_reports)
         self._profit = ProfitAnalyzer(world.pool_directory)
 
     # ------------------------------------------------------------------
@@ -316,6 +399,7 @@ class MeasurementPipeline:
         verdicts: Dict[str, SanityVerdict] = {}
         records: Dict[str, MinerRecord] = {}
         deferred: List[int] = []
+        confirmed: Set[str] = set()
 
         # -- stage 1: sanity + extraction for confirmed malware ---------
         with prof.stage("sanity + extraction", items=len(samples)):
@@ -329,14 +413,13 @@ class MeasurementPipeline:
                 verdicts[outcome.sha256] = outcome.verdict
                 if outcome.kind == "miner":
                     records[outcome.sha256] = outcome.record
-                    self._checker.confirm_wallets(
-                        set(outcome.record.identifiers))
+                    confirmed.update(outcome.record.identifiers)
 
         # -- stage 2: illicit-wallet exception sweep ---------------------
-        confirmed = frozenset(self._checker.confirmed_illicit_wallets)
+        swept = frozenset(confirmed)
         with prof.stage("wallet-exception sweep", items=len(deferred)):
             for index in deferred:
-                outcome = stage2_sweep(samples[index], index, confirmed,
+                outcome = stage2_sweep(samples[index], index, swept,
                                        self._engine)
                 stats.tally(outcome)
                 verdicts[outcome.sha256] = outcome.verdict
@@ -344,8 +427,14 @@ class MeasurementPipeline:
                     records[outcome.sha256] = outcome.record
 
         # -- stage 3: ancillary recovery ---------------------------------
+        vt = self.world.vt
         with prof.stage("ancillary recovery"):
-            self._recover_ancillaries(records, verdicts, stats)
+            linked: Set[str] = set()
+            for record in records.values():
+                linked.update(linked_hashes(record, vt))
+            recover_linked(linked, partial(linked_hashes, vt=vt),
+                           partial(self._admit_linked, records, verdicts,
+                                   stats))
 
         kept = list(records.values())
 
@@ -355,18 +444,8 @@ class MeasurementPipeline:
 
         with prof.stage("funnel accounting", items=len(kept)):
             for record in kept:
-                if record.is_miner:
-                    stats.miners += 1
-                else:
-                    stats.ancillaries += 1
-                sample = self.world.sample_by_hash(record.sha256)
-                if sample is not None:
-                    # feeds overlap (Appendix C): a sample counts toward
-                    # every feed that carries it, so per-source totals can
-                    # exceed the dataset size, exactly like Table III.
-                    for feed in sample.sources:
-                        stats.by_source[feed] = \
-                            stats.by_source.get(feed, 0) + 1
+                stats.count_kept(
+                    record, self.world.sample_by_hash(record.sha256))
 
         # -- stage 4: profit analysis ------------------------------------
         identifiers = {
@@ -378,7 +457,7 @@ class MeasurementPipeline:
 
         # -- stage 5: proxy identification --------------------------------
         with prof.stage("proxy identification"):
-            proxy_ips = self._find_proxies(kept, profiles)
+            proxy_ips = find_proxies(proxy_candidates(kept), profiles)
 
         # -- stage 6: aggregation ------------------------------------------
         with prof.stage("aggregation", items=len(kept)):
@@ -403,58 +482,21 @@ class MeasurementPipeline:
             proxy_ips=proxy_ips,
         )
 
-    # ------------------------------------------------------------------
-
-    def _recover_ancillaries(self, records: Dict[str, MinerRecord],
-                             verdicts: Dict[str, SanityVerdict],
-                             stats: PipelineStats) -> None:
-        """Pull in droppers/loaders linked to accepted miners (§III-E).
-
-        A malware executable that failed the is-miner check still enters
-        the dataset as an *ancillary* when it is a parent of an accepted
-        sample, or an accepted sample dropped it.
-
-        Dropper chains can be several hops long (dropper -> loader ->
-        miner), so recovery iterates to a fixpoint — but frontier-based:
-        each wave only expands the records added by the previous wave
-        instead of rescanning every accepted record (the old fixpoint
-        was O(n^2) in the number of records).
-        """
-        frontier = list(records)
-        while frontier:
-            linked: Set[str] = set()
-            for sha in frontier:
-                linked.update(linked_hashes(records[sha], self.world.vt))
-            frontier = []
-            for sha in sorted(linked):
-                if sha in records:
-                    continue
-                sample = self.world.sample_by_hash(sha)
-                if sample is None:
-                    continue
-                if not self._checker.is_executable(sample.raw):
-                    continue
-                if not self._checker.is_malware(sample.sha256):
-                    continue
-                record, verdict = analyze_linked_sample(sample, self._engine)
-                stats.sandbox_analyses += 1
-                records[sha] = record
-                verdicts[sha] = verdict
-                frontier.append(sha)
-                self.profiler.count("ancillaries_recovered")
-
-    def _find_proxies(self, records: List[MinerRecord],
-                      profiles: Dict[str, WalletProfile]) -> Set[str]:
-        """Proxy rule (§III-C): a sample mines against a non-pool IP but
-        its wallet shows activity at a known (transparent) pool."""
-        proxies: Set[str] = set()
-        for record in records:
-            candidate = proxy_candidate_ip(record)
-            if candidate is None:
-                continue
-            for identifier in record.identifiers:
-                profile = profiles.get(identifier)
-                if profile is not None and profile.records:
-                    proxies.add(candidate)
-                    break
-        return proxies
+    def _admit_linked(self, records: Dict[str, MinerRecord],
+                      verdicts: Dict[str, SanityVerdict],
+                      stats: PipelineStats,
+                      sha: str) -> Optional[MinerRecord]:
+        """Recovery's admission test: any executable malware sample of
+        the world that is not kept yet."""
+        if sha in records:
+            return None
+        sample = self.world.sample_by_hash(sha)
+        if (sample is None or not self._checker.is_executable(sample.raw)
+                or not self._checker.is_malware(sample.sha256)):
+            return None
+        record, verdict = analyze_linked_sample(sample, self._engine)
+        stats.sandbox_analyses += 1
+        records[sha] = record
+        verdicts[sha] = verdict
+        self.profiler.count("ancillaries_recovered")
+        return record

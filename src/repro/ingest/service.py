@@ -29,19 +29,24 @@ import dataclasses
 import datetime
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.aggregation import GroupingPolicy
 from repro.core.enrichment import CampaignEnricher
 from repro.core.pipeline import (
-    AnalysisSpec,
+    DEFAULT_ANALYSIS_DATE,
     MeasurementResult,
     PipelineStats,
     SampleOutcome,
     analyze_linked_sample,
+    below_threshold_verdict,
     build_analysis_components,
+    derive_from_records,
+    find_proxies,
     linked_hashes,
-    proxy_candidate_ip,
+    proxy_candidates,
+    recover_linked,
     stage1_analyze,
     stage2_sweep,
 )
@@ -65,8 +70,6 @@ from repro.ingest.codec import (
 )
 from repro.ingest.feed import FeedBatch, FeedScheduler
 from repro.perf.profiler import PipelineProfiler
-
-_DEFAULT_ANALYSIS_DATE = datetime.date(2018, 9, 1)
 
 #: stage-1 outcome kinds (everything else is a promotion or recovery).
 _STAGE1_KINDS = frozenset({"nonexec", "deferred", "rejected", "miner"})
@@ -179,7 +182,7 @@ class IngestionService:
                  batch_days: int = 1,
                  policy: Optional[GroupingPolicy] = None,
                  positives_threshold: int = 10,
-                 analysis_date: datetime.date = _DEFAULT_ANALYSIS_DATE,
+                 analysis_date: datetime.date = DEFAULT_ANALYSIS_DATE,
                  use_ha_reports: bool = True,
                  resume: bool = False,
                  snapshot_every: int = 8,
@@ -204,11 +207,7 @@ class IngestionService:
         self._policy = policy or GroupingPolicy.full()
         self._fault = fault_hook or (lambda point, batch_id: None)
         self._checker, self._engine = build_analysis_components(
-            world, AnalysisSpec(
-                positives_threshold=positives_threshold,
-                analysis_date=analysis_date,
-                use_ha_reports=use_ha_reports,
-            ))
+            world, positives_threshold, analysis_date, use_ha_reports)
         self._profit = ProfitAnalyzer(world.pool_directory)
         self._reset_state()
 
@@ -250,6 +249,7 @@ class IngestionService:
                     "state; pass resume=True or use a fresh directory")
             with self.profiler.stage("checkpoint restore"):
                 self._restore(self.store.load(), batches)
+                self._rebuild_wanted()
             resumed_from = self._cursor
         try:
             for batch in batches[self._cursor:]:
@@ -349,37 +349,32 @@ class IngestionService:
         """
         sha = outcome.sha256
         self._stats.tally(outcome)
-        if outcome.kind == "nonexec":
-            self._verdicts[sha] = outcome.verdict
-        elif outcome.kind == "deferred":
-            self._pending[sha] = outcome.index
-            quick = self._engine.extract_static_only(
-                self.world.samples[outcome.index])
-            self._pending_ids[sha] = frozenset(quick.identifiers)
-        elif outcome.kind in ("rejected", "miner"):
-            self._verdicts[sha] = outcome.verdict
-            if outcome.kind == "miner":
-                self._confirmed.update(outcome.record.identifiers)
-                if sha not in self._records:
-                    self._records[sha] = outcome.record
-                    new_records.append(sha)
-        elif outcome.kind == "exception":
-            self._verdicts[sha] = outcome.verdict
-            self._pending.pop(sha, None)
-            self._pending_ids.pop(sha, None)
-            if sha not in self._records:
-                self._records[sha] = outcome.record
-                new_records.append(sha)
-        elif outcome.kind == "recovered":
-            self._stats.sandbox_analyses += 1
-            self._verdicts[sha] = outcome.verdict
-            self._wanted.discard(sha)
-            if sha not in self._records:
-                self._records[sha] = outcome.record
-                new_records.append(sha)
-                self.profiler.count("ancillaries_recovered")
+        if outcome.kind == "deferred":
+            self._defer(sha, outcome.index)
+            return
         # stage-2 "clean" sweeps are never journaled: a pending sample
         # stays pending until a later batch confirms one of its wallets.
+        self._verdicts[sha] = outcome.verdict
+        if outcome.kind == "miner":
+            self._confirmed.update(outcome.record.identifiers)
+        elif outcome.kind == "exception":
+            self._pending.pop(sha, None)
+            self._pending_ids.pop(sha, None)
+        elif outcome.kind == "recovered":
+            self._stats.sandbox_analyses += 1
+            self._wanted.discard(sha)
+        # nonexec and rejected outcomes carry no record
+        if outcome.record is not None and sha not in self._records:
+            self._records[sha] = outcome.record
+            new_records.append(sha)
+            if outcome.kind == "recovered":
+                self.profiler.count("ancillaries_recovered")
+
+    def _defer(self, sha: str, index: int) -> None:
+        """Park a below-threshold sample with its static identifiers."""
+        self._pending[sha] = index
+        quick = self._engine.extract_static_only(self.world.samples[index])
+        self._pending_ids[sha] = frozenset(quick.identifiers)
 
     def _promote_pending(self, batch: FeedBatch,
                          new_records: List[str]) -> int:
@@ -414,42 +409,41 @@ class IngestionService:
         earlier batch wanted that arrived just now.  Links pointing at
         samples still missing from the feed go on the wanted list.
         """
-        recovered = 0
-        frontier = list(dict.fromkeys(frontier_seed + new_records))
-        pending_wanted = sorted(self._wanted.intersection(arrived_now))
+        vt = self.world.vt
         with self.profiler.stage("ingest: recovery"):
-            while frontier or pending_wanted:
-                linked: Set[str] = set(pending_wanted)
-                pending_wanted = []
-                for sha in frontier:
-                    linked.update(linked_hashes(self._records[sha],
-                                                self.world.vt))
-                frontier = []
-                for sha in sorted(linked):
-                    if sha in self._records:
-                        self._wanted.discard(sha)
-                        continue
-                    if sha not in self._arrived:
-                        if self.world.sample_by_hash(sha) is not None:
-                            self._wanted.add(sha)
-                        continue
-                    self._wanted.discard(sha)
-                    sample = self.world.samples[self._arrived[sha]]
-                    if not self._checker.is_executable(sample.raw):
-                        continue
-                    if not self._checker.is_malware(sample.sha256):
-                        continue
-                    record, verdict = analyze_linked_sample(
-                        sample, self._engine)
-                    outcome = SampleOutcome(
-                        index=self._arrived[sha], sha256=sha,
-                        kind="recovered", verdict=verdict, record=record)
-                    self.store.append_outcome(batch.batch_id,
-                                              encode_outcome(outcome))
-                    self._apply_outcome(outcome, new_records)
-                    frontier.append(sha)
-                    recovered += 1
-        return recovered
+            linked = self._wanted.intersection(arrived_now)
+            for sha in dict.fromkeys(frontier_seed + new_records):
+                linked.update(linked_hashes(self._records[sha], vt))
+            return recover_linked(
+                linked, partial(linked_hashes, vt=vt),
+                partial(self._admit_linked, batch, new_records))
+
+    def _admit_linked(self, batch: FeedBatch, new_records: List[str],
+                      sha: str) -> Optional[MinerRecord]:
+        """Recovery's admission test over arrived samples, journaled.
+
+        Also keeps the wanted list: a linked hash whose sample has not
+        arrived yet is wanted until it arrives or is admitted.
+        """
+        if sha in self._records:
+            self._wanted.discard(sha)
+            return None
+        index = self._arrived.get(sha)
+        if index is None:
+            if self.world.sample_by_hash(sha) is not None:
+                self._wanted.add(sha)
+            return None
+        self._wanted.discard(sha)
+        sample = self.world.samples[index]
+        if (not self._checker.is_executable(sample.raw)
+                or not self._checker.is_malware(sample.sha256)):
+            return None
+        record, verdict = analyze_linked_sample(sample, self._engine)
+        outcome = SampleOutcome(index=index, sha256=sha, kind="recovered",
+                                verdict=verdict, record=record)
+        self.store.append_outcome(batch.batch_id, encode_outcome(outcome))
+        self._apply_outcome(outcome, new_records)
+        return record
 
     def _profile_new_identifiers(self,
                                  new_records: List[str]) -> tuple:
@@ -460,33 +454,24 @@ class IngestionService:
                 if identifier not in self._profiled:
                     self._profiled.add(identifier)
                     fresh.append(identifier)
-        new_wallets = 0
-        profit_delta = 0.0
         with self.profiler.stage("ingest: profit", items=len(fresh)):
-            for identifier in sorted(fresh):
-                profile = self._profit.profile_wallet(identifier)
-                if profile.records:
-                    self._profiles[identifier] = profile
-                    new_wallets += 1
-                    profit_delta += profile.total_paid
-        return new_wallets, profit_delta
+            hits = self._profit.profile_many(sorted(fresh))
+        self._profiles.update(hits)
+        profit_delta = 0.0
+        for profile in hits.values():
+            profit_delta += profile.total_paid
+        return len(hits), profit_delta
 
     def _aggregate_new(self, new_records: List[str]) -> int:
         """Feed this batch's records (and proxies) to the union-find."""
         with self.profiler.stage("ingest: aggregation",
                                  items=len(new_records)):
+            records = [self._records[sha] for sha in new_records]
             merges = 0
-            for sha in new_records:
-                merges += self._agg.add_record(self._records[sha])
-            new_proxies = set()
-            for sha in new_records:
-                record = self._records[sha]
-                candidate = proxy_candidate_ip(record)
-                if candidate is None or candidate in self._proxy_ips:
-                    continue
-                if any(identifier in self._profiles
-                       for identifier in record.identifiers):
-                    new_proxies.add(candidate)
+            for record in records:
+                merges += self._agg.add_record(record)
+            new_proxies = find_proxies(proxy_candidates(records),
+                                       self._profiles) - self._proxy_ips
             self._proxy_ips |= new_proxies
             merges += self._agg.add_proxy_ips(new_proxies)
         return merges
@@ -501,11 +486,6 @@ class IngestionService:
         Idempotent — resuming an already-complete checkpoint re-derives
         the same result without reprocessing any sample.
         """
-        # deferred samples nothing ever vouched for: below AV threshold
-        for sha in sorted(self._pending, key=self._pending.get):
-            self._verdicts[sha] = SanityVerdict(
-                sha, is_executable=True, is_malware=False,
-                reasons="below AV threshold")
         result = self._materialize_result(self._verdicts, self._stats)
         with self.profiler.stage("ingest: snapshot"):
             self.store.write_snapshot(
@@ -514,23 +494,23 @@ class IngestionService:
 
     def _materialize_result(self, verdicts: Dict[str, SanityVerdict],
                             stats: PipelineStats) -> MeasurementResult:
-        """Funnel accounting + campaigns + enrichment over the records.
+        """Final verdicts, funnel accounting, campaigns and enrichment.
 
-        ``stats`` is mutated (miners/ancillaries/by_source recomputed);
-        callers that must not disturb the running state pass a copy.
+        ``verdicts`` gains the deferred samples nothing ever vouched for
+        and ``stats`` is mutated (miners/ancillaries/by_source
+        recomputed); callers that must not disturb the running state
+        pass copies.
         """
         prof = self.profiler
+        for sha in sorted(self._pending, key=self._pending.get):
+            verdicts[sha] = below_threshold_verdict(sha)
         kept = list(self._records.values())
         with prof.stage("ingest: funnel accounting", items=len(kept)):
-            stats.miners = sum(1 for r in kept if r.is_miner)
-            stats.ancillaries = len(kept) - stats.miners
+            stats.miners = stats.ancillaries = 0
             stats.by_source = {}
             for record in kept:
-                sample = self.world.sample_by_hash(record.sha256)
-                if sample is not None:
-                    for feed in sample.sources:
-                        stats.by_source[feed] = \
-                            stats.by_source.get(feed, 0) + 1
+                stats.count_kept(
+                    record, self.world.sample_by_hash(record.sha256))
         with prof.stage("ingest: materialise campaigns"):
             campaigns = self._agg.campaigns()
         with prof.stage("ingest: enrichment", items=len(campaigns)):
@@ -569,13 +549,8 @@ class IngestionService:
         aggregator's materialisation is non-destructive).  After the
         final batch the result equals :meth:`finalize`'s.
         """
-        verdicts = dict(self._verdicts)
-        for sha in sorted(self._pending, key=self._pending.get):
-            verdicts[sha] = SanityVerdict(
-                sha, is_executable=True, is_malware=False,
-                reasons="below AV threshold")
-        stats = dataclasses.replace(self._stats, by_source={})
-        return self._materialize_result(verdicts, stats)
+        return self._materialize_result(dict(self._verdicts),
+                                        dataclasses.replace(self._stats))
 
     # ------------------------------------------------------------------
     # durable state
@@ -626,10 +601,7 @@ class IngestionService:
             self._stats = decode_stats(snapshot["stats"])
             self._confirmed = set(snapshot["confirmed"])
             for sha, index in snapshot["pending"]:
-                self._pending[sha] = index
-                quick = self._engine.extract_static_only(
-                    self.world.samples[index])
-                self._pending_ids[sha] = frozenset(quick.identifiers)
+                self._defer(sha, index)
             self.batch_metrics = [BatchMetrics.from_json(m)
                                   for m in snapshot["batches"]]
             self._cursor = int(snapshot["cursor"])
@@ -660,8 +632,11 @@ class IngestionService:
                 # replayed records still owe their recovery examination
                 self._resume_frontier.append(outcome.sha256)
         # derived state is recomputed, not persisted: deterministic
-        self._rebuild_wanted()
-        self._rebuild_derived()
+        records = list(self._records.values())
+        self._profiled = {identifier for record in records
+                          for identifier in record.identifiers}
+        self._profiles, self._proxy_ips = derive_from_records(
+            records, self._profit, self._agg)
 
     def _rebuild_wanted(self) -> None:
         """Re-derive the wanted list from the restored record set.
@@ -670,7 +645,9 @@ class IngestionService:
         it was not admitted, and its sample has not arrived yet (an
         arrived-but-unadmitted link already failed its deterministic
         executable/malware checks and never qualifies later).  Being a
-        pure function of the records, this needs no journaling.
+        pure function of the records, this needs no journaling.  Only
+        recovery reads the list, so only a resumed :meth:`run` rebuilds
+        it; read-only restores skip its ``children_of`` call per record.
         """
         self._wanted = set()
         for record in self._records.values():
@@ -679,31 +656,3 @@ class IngestionService:
                     continue
                 if self.world.sample_by_hash(sha) is not None:
                     self._wanted.add(sha)
-
-    def _rebuild_derived(self) -> None:
-        """Re-derive profiles, proxies and the union-find from records.
-
-        Every derivation is a pure function of the (restored) record
-        set, so this lands on the same state an uninterrupted run would
-        hold — cheaper and safer than persisting pool responses.
-        """
-        for record in self._records.values():
-            for identifier in record.identifiers:
-                if identifier in self._profiled:
-                    continue
-                self._profiled.add(identifier)
-                profile = self._profit.profile_wallet(identifier)
-                if profile.records:
-                    self._profiles[identifier] = profile
-        proxies = set()
-        for record in self._records.values():
-            candidate = proxy_candidate_ip(record)
-            if candidate is None:
-                continue
-            if any(identifier in self._profiles
-                   for identifier in record.identifiers):
-                proxies.add(candidate)
-        self._proxy_ips = proxies
-        for record in self._records.values():
-            self._agg.add_record(record)
-        self._agg.add_proxy_ips(proxies)

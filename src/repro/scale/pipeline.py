@@ -1,13 +1,14 @@
 """The measurement pipeline over a streamed corpus: flat-RSS stage 1/2.
 
 :class:`ScalePipeline` re-runs the exact methodology of
-:class:`~repro.core.pipeline.MeasurementPipeline` — same per-sample
-stage functions (:func:`~repro.core.pipeline.stage1_analyze`,
-:func:`~repro.core.pipeline.stage2_sweep`), same recovery fixpoint,
-same proxy rule, same aggregation edges — but consumes
-:class:`~repro.scale.stream.StreamingCorpus` chunks instead of a
-materialised world, and parks everything that must outlive a chunk
-either on disk or in compact per-sample scalars:
+:class:`~repro.core.pipeline.MeasurementPipeline` through the same step
+functions of :mod:`repro.core.pipeline` (``stage1_analyze``,
+``stage2_sweep``, ``recover_linked``, ``proxy_candidates`` +
+``find_proxies``, ``PipelineStats.count_kept``) and
+``ProfitAnalyzer.profile_many``.  What it owns is its sample source and
+its state: it consumes :class:`~repro.scale.stream.StreamingCorpus`
+chunks instead of a materialised world, and parks everything that must
+outlive a chunk either on disk or in compact per-sample scalars:
 
 * accepted records   -> columnar :class:`~repro.scale.columnar.RecordStore`
   segments (flushed every ``segment_rows`` acceptances);
@@ -20,7 +21,9 @@ either on disk or in compact per-sample scalars:
   stage 1 that is precisely the ``rejected`` outcome, so spilling
   anything else would be waste);
 * dropper links      -> an in-memory reverse-parents index replacing
-  ``vt.children_of``'s linear scan over all reports.
+  ``vt.children_of``'s linear scan over all reports;
+* proxy candidates   -> ``(ip, identifiers)`` pairs kept at acceptance,
+  so the proxy rule makes no pass over the store.
 
 What stays resident is O(samples) only in small constants — the
 accepted/seen hash sets, spill offsets, link sets, per-feed counters —
@@ -40,16 +43,19 @@ import pickle
 import shutil
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.aggregation import Campaign, GroupingPolicy
 from repro.core.pipeline import (
-    AnalysisSpec,
+    DEFAULT_ANALYSIS_DATE,
     PipelineStats,
     analyze_linked_sample,
     build_analysis_components,
-    proxy_candidate_ip,
+    find_proxies,
+    proxy_candidates,
+    recover_linked,
     stage1_analyze,
     stage2_sweep,
 )
@@ -62,8 +68,6 @@ from repro.scale.shards import ShardedCampaignAggregator
 from repro.scale.stream import ChunkPrefetcher, StreamingCorpus
 
 __all__ = ["ScalePipeline", "ScaleResult"]
-
-_DEFAULT_ANALYSIS_DATE = datetime.date(2018, 9, 1)
 
 #: spill payload: the sample plus the intel its chunk carried for it.
 _SpillEntry = Tuple[SampleRecord, object, object]
@@ -133,7 +137,8 @@ class _Spill:
 
 @dataclass
 class ScaleResult:
-    """What the out-of-core pipeline produces.
+    """What the out-of-core pipeline produces, and what
+    :func:`repro.serve.snapshot.result_from_store` derives from a store.
 
     ``store`` replaces the batch result's in-memory record list;
     :meth:`records` materialises it (tier-1 equivalence tests only —
@@ -176,7 +181,7 @@ class ScalePipeline:
                  workdir: Optional[Path] = None,
                  policy: Optional[GroupingPolicy] = None,
                  positives_threshold: int = 10,
-                 analysis_date: datetime.date = _DEFAULT_ANALYSIS_DATE,
+                 analysis_date: datetime.date = DEFAULT_ANALYSIS_DATE,
                  use_ha_reports: bool = True,
                  num_shards: int = 8,
                  segment_rows: int = 8192,
@@ -203,11 +208,8 @@ class ScalePipeline:
         self._vt_view = _IntelView()
         self._ha_view = _IntelView()
         self._checker, self._engine = build_analysis_components(
-            self._skeleton_world(), AnalysisSpec(
-                positives_threshold=positives_threshold,
-                analysis_date=analysis_date,
-                use_ha_reports=use_ha_reports,
-            ))
+            self._skeleton_world(), positives_threshold, analysis_date,
+            use_ha_reports)
         self._profit = ProfitAnalyzer(corpus.pool_directory)
         # O(1)-per-sample resident state
         self._confirmed_wallets: Set[str] = set()
@@ -215,10 +217,9 @@ class ScalePipeline:
         self._identifiers: Set[str] = set()
         self._accum_links: Set[str] = set()
         self._reverse_parents: Dict[str, List[str]] = {}
-        self._proxy_candidates: List[Tuple[str, Tuple[str, ...]]] = []
+        self._proxy_candidates: List[Tuple[str, List[str]]] = []
         self._buffer: List[MinerRecord] = []
         self._segment_counter = 0
-        self._recovered = 0
 
     # -- world facade ------------------------------------------------------
 
@@ -247,19 +248,11 @@ class ScalePipeline:
         self._identifiers.update(record.identifiers)
         self._accum_links.update(record.parents)
         self._accum_links.update(record.dropped)
-        candidate = proxy_candidate_ip(record)
-        if candidate is not None and record.identifiers:
-            self._proxy_candidates.append(
-                (candidate, tuple(record.identifiers)))
+        self._proxy_candidates.extend(proxy_candidates((record,)))
         # the batch funnel counts these over the final kept set; a
         # record's type never changes after acceptance, so counting at
         # acceptance is the same sum.
-        if record.is_miner:
-            stats.miners += 1
-        else:
-            stats.ancillaries += 1
-        for feed in sample.sources:
-            stats.by_source[feed] = stats.by_source.get(feed, 0) + 1
+        stats.count_kept(record, sample)
         self._buffer.append(record)
         if len(self._buffer) >= self._segment_rows:
             self._flush_segment()
@@ -271,6 +264,12 @@ class ScalePipeline:
                                   name=f"{self._segment_counter:06d}")
         self._segment_counter += 1
         self._buffer = []
+
+    def _swap_views(self, entries: List[_SpillEntry]) -> None:
+        """Point the VT/HA views at the intel of spilled samples."""
+        self._vt_view.swap({entry[0].sha256: entry[1] for entry in entries})
+        self._ha_view.swap({entry[0].sha256: entry[2] for entry in entries
+                            if entry[2] is not None})
 
     def _index_parents(self, reports: Dict[str, object]) -> None:
         """Incremental replacement for ``vt.children_of``'s full scan."""
@@ -289,12 +288,16 @@ class ScalePipeline:
         try:
             self._stage1(stats, verdicts, deferred, rejected)
             self._stage2(stats, verdicts, deferred)
-            self._recover(stats, verdicts, rejected)
+            linked: Set[str] = set(self._accum_links)
+            for sha in self._accepted:
+                linked.update(self._reverse_parents.get(sha, ()))
+            recovered = recover_linked(
+                linked, self._links_of,
+                partial(self._admit_rejected, rejected, stats, verdicts))
             self._flush_segment()
 
-            identifiers = sorted(self._identifiers)
-            profiles = self._profit.profile_many(identifiers)
-            proxy_ips = self._find_proxies(profiles)
+            profiles = self._profit.profile_many(sorted(self._identifiers))
+            proxy_ips = find_proxies(self._proxy_candidates, profiles)
             aggregator = ShardedCampaignAggregator(
                 self.corpus.osint, self._policy, proxy_ips=proxy_ips,
                 num_shards=self._num_shards,
@@ -310,7 +313,7 @@ class ScalePipeline:
                 verdicts=verdicts,
                 deferred_spilled=len(deferred),
                 rejected_spilled=len(rejected),
-                recovered=self._recovered,
+                recovered=recovered,
                 spill_bytes=deferred.bytes_written()
                 + rejected.bytes_written(),
             )
@@ -385,11 +388,7 @@ class ScalePipeline:
         batch: List[_SpillEntry] = []
 
         def sweep(entries: List[_SpillEntry]) -> None:
-            self._vt_view.swap({entry[0].sha256: entry[1]
-                                for entry in entries})
-            self._ha_view.swap({entry[0].sha256: entry[2]
-                                for entry in entries
-                                if entry[2] is not None})
+            self._swap_views(entries)
             for i, (sample, _report, _ha_report) in enumerate(entries):
                 outcome = stage2_sweep(sample, i, confirmed, self._engine)
                 stats.tally(outcome)
@@ -406,50 +405,31 @@ class ScalePipeline:
         if batch:
             sweep(batch)
 
-    def _recover(self, stats: PipelineStats,
-                 verdicts: Dict[str, SanityVerdict],
-                 rejected: _Spill) -> None:
-        """Ancillary recovery against the rejected-malware spill.
+    def _links_of(self, record: MinerRecord) -> List[str]:
+        """Dropper-chain neighbours, children from the reverse index."""
+        return [*record.parents, *record.dropped,
+                *self._reverse_parents.get(record.sha256, ())]
+
+    def _admit_rejected(self, rejected: _Spill, stats: PipelineStats,
+                        verdicts: Dict[str, SanityVerdict],
+                        sha: str) -> Optional[MinerRecord]:
+        """Recovery's admission test against the rejected-malware spill.
 
         The batch fixpoint admits a linked sample iff it exists, is
         executable, and is malware — at stage 1 exactly the ``rejected``
         outcome — so the spill IS the admission universe and the
         executable/malware re-checks are implied by membership.
         """
-        linked: Set[str] = set(self._accum_links)
-        for sha in self._accepted:
-            linked.update(self._reverse_parents.get(sha, ()))
-        while linked:
-            frontier: List[MinerRecord] = []
-            for sha in sorted(linked):
-                if sha in self._accepted:
-                    continue
-                entry = rejected.get(sha)
-                if entry is None:
-                    continue
-                sample, report, ha_report = entry
-                self._vt_view.swap({sha: report})
-                self._ha_view.swap(
-                    {sha: ha_report} if ha_report is not None else {})
-                record, verdict = analyze_linked_sample(sample, self._engine)
-                stats.sandbox_analyses += 1
-                if self._keep_verdicts:
-                    verdicts[sha] = verdict
-                self._accept(record, sample, stats)
-                self._recovered += 1
-                frontier.append(record)
-            linked = set()
-            for record in frontier:
-                linked.update(record.parents)
-                linked.update(record.dropped)
-                linked.update(self._reverse_parents.get(record.sha256, ()))
-
-    def _find_proxies(self, profiles: Dict[str, WalletProfile]) -> Set[str]:
-        proxies: Set[str] = set()
-        for candidate, identifiers in self._proxy_candidates:
-            for identifier in identifiers:
-                profile = profiles.get(identifier)
-                if profile is not None and profile.records:
-                    proxies.add(candidate)
-                    break
-        return proxies
+        if sha in self._accepted:
+            return None
+        entry = rejected.get(sha)
+        if entry is None:
+            return None
+        self._swap_views([entry])
+        sample = entry[0]
+        record, verdict = analyze_linked_sample(sample, self._engine)
+        stats.sandbox_analyses += 1
+        if self._keep_verdicts:
+            verdicts[sha] = verdict
+        self._accept(record, sample, stats)
+        return record

@@ -11,38 +11,39 @@ Two provenances:
   ingestion is still running*.
 * **Columnar record stores** (:class:`repro.scale.columnar.
   RecordStore`) — out-of-core segments.  Campaigns, profiles and
-  proxies are re-derived from the record stream with the same pure
-  derivations the ingestion service uses on restore.
+  proxies are re-derived from the record stream with the step
+  functions of :mod:`repro.core.pipeline` the ingestion service uses
+  on restore.
 
 :class:`CheckpointIndexSource` packages the checkpoint flavour behind
 the ``stamp()`` / ``build()`` protocol the snapshot watcher polls.
 """
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
-from repro.core.aggregation import Campaign, GroupingPolicy
+from repro.core.aggregation import GroupingPolicy
 from repro.core.enrichment import CampaignEnricher
 from repro.core.pipeline import (
     MeasurementResult,
     PipelineStats,
-    proxy_candidate_ip,
+    derive_from_records,
+    find_proxies,
+    proxy_candidates,
 )
-from repro.core.profit import ProfitAnalyzer, WalletProfile
+from repro.core.profit import ProfitAnalyzer
 from repro.core.records import MinerRecord
-from repro.core.sanity import SanityVerdict
 from repro.corpus.model import SyntheticWorld
 from repro.ingest.aggregator import IncrementalAggregator
 from repro.ingest.checkpoint import SNAPSHOT_NAME, CheckpointStore
 from repro.ingest.service import IngestionService
+from repro.scale.pipeline import ScaleResult
 from repro.scale.shards import ShardedCampaignAggregator
 from repro.serve.index import IntelIndex, build_index
 
 __all__ = [
     "CheckpointIndexSource",
-    "StoreResult",
     "checkpoint_plan",
     "derive_result_from_records",
     "measurement_from_checkpoint",
@@ -94,69 +95,29 @@ def derive_result_from_records(world: SyntheticWorld,
                                ) -> MeasurementResult:
     """Re-derive the full result from a bare record stream.
 
-    The same pure derivations the ingestion service replays on
-    restore: pool profit profiles, proxy establishment, union-find
-    campaign aggregation, enrichment.  Verdicts and funnel counters
-    that need per-sample outcomes are unavailable from records alone
-    and stay empty/zero.
+    :func:`~repro.core.pipeline.derive_from_records` — the derivation
+    the ingestion service replays on restore — followed by enrichment.
+    Verdicts and funnel counters that need per-sample outcomes are
+    unavailable from records alone and stay empty/zero.
     """
     kept = list(records)
-    profit = ProfitAnalyzer(world.pool_directory)
-    profiles: Dict[str, WalletProfile] = {}
-    profiled = set()
-    for record in kept:
-        for identifier in record.identifiers:
-            if identifier in profiled:
-                continue
-            profiled.add(identifier)
-            profile = profit.profile_wallet(identifier)
-            if profile.records:
-                profiles[identifier] = profile
-    proxies = set()
-    for record in kept:
-        candidate = proxy_candidate_ip(record)
-        if candidate is None:
-            continue
-        if any(identifier in profiles
-               for identifier in record.identifiers):
-            proxies.add(candidate)
     agg = IncrementalAggregator(world.osint, GroupingPolicy.full())
-    for record in kept:
-        agg.add_record(record)
-    agg.add_proxy_ips(proxies)
+    profiles, proxies = derive_from_records(
+        kept, ProfitAnalyzer(world.pool_directory), agg)
     campaigns = agg.campaigns()
     enricher = CampaignEnricher(world.vt, world.stock_catalog,
                                 world.sample_by_hash)
     enricher.enrich_all(campaigns, profiles)
     stats = PipelineStats()
-    stats.miners = sum(1 for r in kept if r.is_miner)
-    stats.ancillaries = len(kept) - stats.miners
+    for record in kept:
+        stats.count_kept(record)
     return MeasurementResult(records=kept, campaigns=campaigns,
                              profiles=profiles, verdicts={},
                              stats=stats, proxy_ips=proxies)
 
 
-@dataclass
-class StoreResult:
-    """A store-backed serving result: everything :func:`repro.serve.
-    index.build_index` needs, with the record payload left on disk.
-
-    :func:`repro.core.pipeline.iter_result_records` sees the ``store``
-    attribute and streams straight from its columnar segments, so an
-    index build over this never materialises the record list.
-    Campaigns carry no records (enrichment already ran, streaming).
-    """
-
-    store: Any
-    campaigns: List[Campaign]
-    profiles: Dict[str, WalletProfile]
-    stats: PipelineStats
-    proxy_ips: Set[str]
-    verdicts: Dict[str, SanityVerdict] = field(default_factory=dict)
-
-
 def result_from_store(world: SyntheticWorld, store,
-                      num_shards: int = 8) -> StoreResult:
+                      num_shards: int = 8) -> ScaleResult:
     """Derive a serving result straight from a columnar record store.
 
     Same pure derivations as :func:`derive_result_from_records`, but
@@ -165,32 +126,18 @@ def result_from_store(world: SyntheticWorld, store,
     aggregator, and enrichment runs per campaign through the aggregator's
     ``campaign_hook`` — before each campaign's records are dropped.
     Peak memory is the index tables plus one aggregation shard, not
-    the corpus.
+    the corpus.  The result is store-backed like the out-of-core
+    pipeline's, so :func:`repro.core.pipeline.iter_result_records`
+    streams an index build straight from the segments; its campaigns
+    carry no records.
     """
-    profit = ProfitAnalyzer(world.pool_directory)
-    profiles: Dict[str, WalletProfile] = {}
-    profiled = set()
+    identifiers: Dict[str, None] = {}
     stats = PipelineStats()
     for record in store.iter_records():
-        if record.is_miner:
-            stats.miners += 1
-        else:
-            stats.ancillaries += 1
-        for identifier in record.identifiers:
-            if identifier in profiled:
-                continue
-            profiled.add(identifier)
-            profile = profit.profile_wallet(identifier)
-            if profile.records:
-                profiles[identifier] = profile
-    proxies: Set[str] = set()
-    for record in store.iter_records():
-        candidate = proxy_candidate_ip(record)
-        if candidate is None:
-            continue
-        if any(identifier in profiles
-               for identifier in record.identifiers):
-            proxies.add(candidate)
+        stats.count_kept(record)
+        identifiers.update(dict.fromkeys(record.identifiers))
+    profiles = ProfitAnalyzer(world.pool_directory).profile_many(identifiers)
+    proxies = find_proxies(proxy_candidates(store.iter_records()), profiles)
     enricher = CampaignEnricher(world.vt, world.stock_catalog,
                                 world.sample_by_hash)
     aggregator = ShardedCampaignAggregator(
@@ -198,7 +145,7 @@ def result_from_store(world: SyntheticWorld, store,
         num_shards=num_shards, keep_records=False,
         campaign_hook=lambda c: enricher.enrich(c, profiles))
     campaigns = aggregator.aggregate_source(store.iter_records)
-    return StoreResult(store=store, campaigns=campaigns,
+    return ScaleResult(store=store, campaigns=campaigns,
                        profiles=profiles, stats=stats,
                        proxy_ips=proxies)
 

@@ -115,3 +115,29 @@ class TestPolicyAblations:
         greedy = MeasurementPipeline(small_world,
                                      positives_threshold=5).run()
         assert greedy.stats.miners >= pipeline_result.stats.miners
+
+
+@pytest.mark.parametrize("fields,wallet_paid,proxies", [
+    ({"dst_ip": "0.0.0.0"}, True, set()),
+    ({"dst_ip": "127.0.0.1"}, True, set()),
+    ({"dst_ip": "proxy.example.com"}, True, set()),
+    ({"dst_ip": "203.0.113.9", "pool": "crypto-pool.fr"}, True, set()),
+    ({"dst_ip": "203.0.113.9"}, False, set()),
+    ({"dst_ip": "203.0.113.9", "identifiers": []}, True, set()),
+    ({"dst_ip": "203.0.113.9"}, True, {"203.0.113.9"}),
+], ids=["unresolved-sentinel", "loopback-sentinel", "hostname",
+        "known-pool", "wallet-without-pool-records", "no-identifiers",
+        "proxy"])
+def test_proxy_rule(fields, wallet_paid, proxies):
+    """§III-C: only a non-pool IPv4 endpoint whose wallet shows pool
+    activity is a proxy."""
+    from repro.core.pipeline import find_proxies, proxy_candidates
+    from repro.core.profit import WalletProfile
+    from repro.core.records import MinerRecord, WalletRecord
+
+    record = MinerRecord(**{"sha256": "ab" * 32, "identifiers": ["W1"],
+                            **fields})
+    pool_records = [WalletRecord(pool="minexmr", user="W1",
+                                 total_paid=1.5)] if wallet_paid else []
+    profiles = {"W1": WalletProfile("W1", records=pool_records)}
+    assert find_proxies(proxy_candidates([record]), profiles) == proxies

@@ -150,3 +150,48 @@ class TestSigkillResume:
                               timeout=300)
         assert done.returncode == 0, done.stderr
         assert "equals the batch pipeline" in done.stdout
+
+
+class TestReadOnlyRestore:
+    def test_restore_skips_wanted_list_and_resume_still_converges(
+            self, world, tmp_path, monkeypatch):
+        """Only recovery reads the wanted list, so a read-only restore
+        (the serving layer's rebuild) never scans ``children_of``; a
+        resumed run still rebuilds it and ends where an uninterrupted
+        run does, batch metrics included."""
+        import dataclasses
+
+        # batch 85 commits with 74 records kept and 33 linked samples
+        # not arrived yet: later recoveries need the wanted list
+        checkpoint = tmp_path / "ck"
+        run_until_crash(world, checkpoint, "post-commit", 85)
+        calls = []
+        vt_type = type(world.vt)
+        children_of = vt_type.children_of
+
+        def counting(self, sha256):
+            calls.append(sha256)
+            return children_of(self, sha256)
+
+        monkeypatch.setattr(vt_type, "children_of", counting)
+        reader = IngestionService(world, checkpoint, batch_days=30,
+                                  snapshot_every=4, fsync=False,
+                                  resume=True)
+        assert reader.restore_state() == 86
+        assert reader.current_result().records
+        assert calls == []
+
+        resumed = IngestionService(world, checkpoint, batch_days=30,
+                                   snapshot_every=4, fsync=False,
+                                   resume=True).run()
+        assert calls
+        uninterrupted = IngestionService(world, tmp_path / "fresh",
+                                         batch_days=30, snapshot_every=4,
+                                         fsync=False).run()
+        assert diff_measurements(uninterrupted.result,
+                                 resumed.result) == []
+
+        def timeless(batches):
+            return [dataclasses.replace(m, wall_s=0.0) for m in batches]
+
+        assert timeless(resumed.batches) == timeless(uninterrupted.batches)

@@ -3,7 +3,10 @@
 import datetime
 import errno
 import os
+import signal
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -165,6 +168,45 @@ class TestSegmentDurability:
         write_segment([_sparse_record()], target)
         # the file before the rename, then its directory after it
         assert synced == [(False, False), (True, True)]
+
+    def test_sigkill_between_fsync_and_rename(self, tmp_path):
+        """A writer killed inside ``write_segment`` after the ``.tmp``
+        is fsynced but before ``os.replace`` leaves the store holding
+        exactly its finished segments, and the lost one can be
+        appended again."""
+        root = tmp_path / "store"
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([os.path.join(repo, "src"),
+                                             repo])
+        child = (
+            "import os, signal, sys\n"
+            "from repro.scale.columnar import RecordStore\n"
+            "from tests.test_scale_columnar import _rich_record\n"
+            "store = RecordStore(sys.argv[1])\n"
+            "store.append_segment([_rich_record(0)], name='a')\n"
+            "store.append_segment([_rich_record(1), _rich_record(2)],"
+            " name='b')\n"
+            "os.replace = lambda src, dst: os.kill(os.getpid(),"
+            " signal.SIGKILL)\n"
+            "store.append_segment([_rich_record(3)], name='c')\n"
+        )
+        done = subprocess.run([sys.executable, "-c", child, str(root)],
+                              env=env, cwd=repo, capture_output=True,
+                              timeout=120)
+        assert done.returncode == -signal.SIGKILL, done.stderr
+
+        store = RecordStore(root)
+        assert store.segment_paths() == [store.segment_path("a"),
+                                         store.segment_path("b")]
+        assert list(store.iter_records()) == [
+            _rich_record(0), _rich_record(1), _rich_record(2)]
+        # the kill landed after the fsync: the torn write is only a .tmp
+        assert (root / "seg-c.rcol.tmp").exists()
+        assert not store.has_segment("c")
+        store.append_segment([_rich_record(3)], name="c")
+        assert list(store.iter_records())[-1] == _rich_record(3)
+        assert store.num_segments == 3
 
 
 class TestRecordStore:
