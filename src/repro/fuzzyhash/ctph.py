@@ -13,6 +13,7 @@ Algorithm (following Kornblum 2006, the paper's citation [36]):
    signatures, scaled to [0, 100]; 100 means near-identical.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -66,6 +67,7 @@ class _RollingHash:
 
 
 _FNV_INIT = 0x811C9DC5
+_FNV_PRIME = 0x01000193
 
 
 def _piecewise_signature(data: bytes, blocksize: int) -> str:
@@ -81,7 +83,7 @@ def _piecewise_signature(data: bytes, blocksize: int) -> str:
     trigger = blocksize - 1
     out: List[str] = []
     for byte in data:
-        piece = ((piece ^ byte) * 0x01000193) & 0xFFFFFFFF
+        piece = ((piece ^ byte) * _FNV_PRIME) & 0xFFFFFFFF
         widx = pos % _WINDOW
         old = window[widx]
         h2 = h2 - h1 + _WINDOW * byte
@@ -127,7 +129,47 @@ def _fnv_span(data: bytes, start: int, end: int) -> int:
     """FNV-1a over ``data[start:end]`` (the per-block piece hash)."""
     piece = _FNV_INIT
     for byte in memoryview(data)[start:end]:
-        piece = ((piece ^ byte) * 0x01000193) & 0xFFFFFFFF
+        piece = ((piece ^ byte) * _FNV_PRIME) & 0xFFFFFFFF
+    return piece
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_table() -> bytes:
+    """The 64x64x64 two-byte FNV step table (256 KiB), built on first
+    use so that importing this module stays free.
+
+    The low k bits of ``(x ^ b) * prime`` depend only on the low k bits
+    of ``x`` and ``b``, so a block character (``piece % 64``) can be
+    folded in 6-bit arithmetic, two bytes per lookup.  Entry
+    ``(b1 & 63) << 12 | (b2 & 63) << 6 | state`` is the low 6 bits of
+    the FNV-1a state after bytes ``b1``, ``b2``.
+    """
+    first = _np.arange(64, dtype=_np.uint32).reshape(64, 1, 1)
+    second = _np.arange(64, dtype=_np.uint32).reshape(1, 64, 1)
+    state = _np.arange(64, dtype=_np.uint32).reshape(1, 1, 64)
+    prime = _np.uint32(_FNV_PRIME & 63)
+    after_first = ((state ^ first) * prime) & _np.uint32(63)
+    after_second = ((after_first ^ second) * prime) & _np.uint32(63)
+    return after_second.astype(_np.uint8).tobytes()
+
+
+def _byte_pairs(data: bytes) -> List[int]:
+    """``(data[i] & 63) << 12 | (data[i + 1] & 63) << 6`` for every
+    ``i``: the pair part of a :func:`_pair_table` index."""
+    low = (_np.frombuffer(bytes(data), dtype=_np.uint8)
+           & _np.uint8(63)).astype(_np.uint32)
+    return ((low[:-1] << _np.uint32(12)) | (low[1:] << _np.uint32(6))).tolist()
+
+
+def _fnv_low6(data: bytes, pairs: List[int], start: int, end: int) -> int:
+    """``_fnv_span(data, start, end) % 64``, two bytes per step."""
+    table = _pair_table()
+    piece = _FNV_INIT & 63
+    stop = end - ((end - start) & 1)
+    for pair in pairs[start:stop:2]:
+        piece = table[pair | piece]
+    if stop < end:
+        piece = ((piece ^ data[stop]) * _FNV_PRIME) & 63
     return piece
 
 
@@ -137,13 +179,19 @@ def _boundaries(totals, blocksize: int):
                        == _np.uint64(blocksize - 1))[0]
 
 
-def _signature_from_totals(data: bytes, totals, blocksize: int) -> str:
+def _signature_from_totals(data: bytes, totals, pairs: List[int],
+                           blocksize: int) -> str:
     """Same output as :func:`_piecewise_signature`, boundary positions
-    taken from the precomputed rolling-hash array."""
+    taken from the precomputed rolling-hash array.
+
+    Non-tail blocks contribute only ``piece % 64`` and are folded by
+    :func:`_fnv_low6`; the tail keeps the full 32-bit hash, because it
+    is emitted only when it differs from the FNV seed.
+    """
     out: List[str] = []
     prev = 0
     for idx in _boundaries(totals, blocksize).tolist():
-        out.append(_B64[_fnv_span(data, prev, idx + 1) % 64])
+        out.append(_B64[_fnv_low6(data, pairs, prev, idx + 1)])
         prev = idx + 1
     tail_piece = _fnv_span(data, prev, len(data))
     if tail_piece != _FNV_INIT or not out:
@@ -193,8 +241,9 @@ def compute(data: bytes) -> FuzzyHash:
     When numpy is available the rolling hash is evaluated once as a
     vectorised sliding-window pass; the block-size search then probes
     candidate sizes via boundary *counts* (near-free) and only the two
-    final signatures pay a per-block FNV pass.  Output is bit-identical
-    to the pure-Python loop.
+    final signatures pay a per-block FNV pass, folded in 6-bit
+    arithmetic two bytes per table lookup.  Output is bit-identical to
+    the pure-Python loop.
     """
     totals = _rolling_totals(data)
     blocksize = _MIN_BLOCKSIZE
@@ -211,9 +260,10 @@ def compute(data: bytes) -> FuzzyHash:
                                  blocksize // 2) > _SPAMSUM_LENGTH:
                 break
             blocksize //= 2
-        signature = _signature_from_totals(data, totals, blocksize)
+        pairs = _byte_pairs(data)
+        signature = _signature_from_totals(data, totals, pairs, blocksize)
         double_signature = _signature_from_totals(
-            data, totals, blocksize * 2)[:_SPAMSUM_LENGTH]
+            data, totals, pairs, blocksize * 2)[:_SPAMSUM_LENGTH]
         return FuzzyHash(blocksize, signature[:_SPAMSUM_LENGTH],
                          double_signature)
     signature = _piecewise_signature(data, blocksize)

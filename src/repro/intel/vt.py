@@ -66,10 +66,15 @@ class VtService:
         self._reports: Dict[str, AvReport] = {}
         self._rate_limit = rate_limit
         self._queries_served = 0
+        #: parent sha -> child shas, built on the first children_of call
+        self._children: Optional[Dict[str, List[str]]] = None
 
     def add_report(self, report: AvReport) -> None:
         """Store (or replace) the report for one sample."""
         self._reports[report.sha256] = report
+        # A replaced report keeps its old dict position, so the index is
+        # rebuilt rather than appended to: children stay in report order.
+        self._children = None
 
     def __len__(self) -> int:
         return len(self._reports)
@@ -116,7 +121,16 @@ class VtService:
         ]
 
     def children_of(self, sha256: str) -> List[str]:
-        """Samples that list ``sha256`` among their parents."""
-        return [
-            r.sha256 for r in self._reports.values() if sha256 in r.parents
-        ]
+        """Samples that list ``sha256`` among their parents.
+
+        Answered from a reverse-parents index built on the first call
+        after any ``add_report``: children in report insertion order,
+        each listed once however often it names the parent.
+        """
+        if self._children is None:
+            children: Dict[str, List[str]] = {}
+            for report in self._reports.values():
+                for parent in dict.fromkeys(report.parents):
+                    children.setdefault(parent, []).append(report.sha256)
+            self._children = children
+        return list(self._children.get(sha256, ()))

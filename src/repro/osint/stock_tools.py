@@ -76,8 +76,8 @@ class ToolBinary:
     @property
     def fuzzy(self) -> FuzzyHash:
         if self._fuzzy is None:
-            # content-memoised: warmed by the pipeline's parallel
-            # precompute stage and shared across catalog rebuilds.
+            # content-memoised, so catalog rebuilds over the same
+            # builds share one CTPH per binary.
             self._fuzzy = cached_ctph(self.raw)
         return self._fuzzy
 
@@ -245,18 +245,26 @@ class StockToolCatalog:
         return bytes(raw)
 
     def _fuzzy_index(self):
-        """blocksize -> [(signature, grams, tool)] over both signature
-        octaves, built lazily on first fuzzy lookup."""
+        """blocksize -> ``(entries, postings)`` over both signature
+        octaves, built lazily on first fuzzy lookup.
+
+        ``entries`` is ``[(signature, grams, tool)]`` in catalog order;
+        ``postings`` maps each 7-gram to the ascending positions of the
+        entries whose signature contains it.
+        """
         from repro.fuzzyhash.ctph import signature_grams
         if not hasattr(self, "_fh_index"):
-            index: Dict[int, list] = {}
+            index: Dict[int, Tuple[list, Dict[str, List[int]]]] = {}
             for binary in self._binaries:
                 fh = binary.fuzzy
-                index.setdefault(fh.blocksize, []).append(
-                    (fh.signature, signature_grams(fh.signature), binary))
-                index.setdefault(fh.blocksize * 2, []).append(
-                    (fh.double_signature,
-                     signature_grams(fh.double_signature), binary))
+                for blocksize, signature in (
+                        (fh.blocksize, fh.signature),
+                        (fh.blocksize * 2, fh.double_signature)):
+                    entries, postings = index.setdefault(blocksize, ([], {}))
+                    grams = signature_grams(signature)
+                    for gram in grams:
+                        postings.setdefault(gram, []).append(len(entries))
+                    entries.append((signature, grams, binary))
             self._fh_index = index
         return self._fh_index
 
@@ -266,9 +274,14 @@ class StockToolCatalog:
         Exact SHA-256 hits are free; otherwise the candidate's CTPH is
         compared against an index of catalog signatures (same or
         adjacent block size, common-gram prefilter, then edit distance).
-        Returns (tool, distance) within ``threshold``, or None.
+        Only entries that share a 7-gram with the probe are scored, in
+        catalog order: every other entry scores 0, which no
+        ``threshold`` below 1.0 accepts.  Returns (tool, distance)
+        within ``threshold``, or None.
         """
         from repro.fuzzyhash.ctph import score_with_grams, signature_grams
+        if threshold >= 1.0:
+            raise ValueError("threshold must be below 1.0 (no similarity)")
         sha = hashlib.sha256(data).hexdigest()
         exact = self._by_hash.get(sha)
         if exact is not None:
@@ -282,9 +295,14 @@ class StockToolCatalog:
         best: Optional[Tuple[ToolBinary, float]] = None
         for blocksize, signature in probes:
             grams = signature_grams(signature)
-            if not grams:
+            if not grams or blocksize not in index:
                 continue
-            for cat_sig, cat_grams, binary in index.get(blocksize, []):
+            entries, postings = index[blocksize]
+            positions: Set[int] = set()
+            for gram in grams:
+                positions.update(postings.get(gram, ()))
+            for position in sorted(positions):
+                cat_sig, cat_grams, binary = entries[position]
                 score = score_with_grams(signature, grams, cat_sig,
                                          cat_grams, blocksize)
                 dist = 1.0 - score / 100.0

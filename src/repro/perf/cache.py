@@ -4,10 +4,10 @@ The pipeline's hot paths recompute pure functions of immutable inputs —
 CTPH digests and entropy of raw binaries, DNS/CNAME resolutions, and
 pool-directory suffix walks.  This module provides one bounded LRU
 implementation plus process-wide memo instances for the content-keyed
-substrates, so repeated work (ablation reruns, serial-vs-parallel
-comparisons, bench iterations, the stock-tool catalog index) is never
-redone.  Every cache exposes hit/miss counters; ``cache_stats()``
-aggregates them for the profiler and the scaling bench.
+substrates, so repeated work (ablation reruns, bench iterations, the
+stock-tool catalog index) is never redone.  Every cache exposes
+hit/miss counters; ``cache_stats()`` aggregates them for the profiler
+and the scaling bench.
 """
 
 import threading

@@ -20,8 +20,9 @@ outlive a chunk either on disk or in compact per-sample scalars:
   ``is_executable`` and ``is_malware`` and not already be kept — at
   stage 1 that is precisely the ``rejected`` outcome, so spilling
   anything else would be waste);
-* dropper links      -> an in-memory reverse-parents index replacing
-  ``vt.children_of``'s linear scan over all reports;
+* dropper links      -> an in-memory reverse-parents index, built
+  chunk by chunk: the VT view holds only the reports swapped in for
+  the current chunk or spill and has no ``children_of``;
 * proxy candidates   -> ``(ip, identifiers)`` pairs kept at acceptance,
   so the proxy rule makes no pass over the store.
 
@@ -272,7 +273,8 @@ class ScalePipeline:
                             if entry[2] is not None})
 
     def _index_parents(self, reports: Dict[str, object]) -> None:
-        """Incremental replacement for ``vt.children_of``'s full scan."""
+        """Add one chunk's dropper links to the reverse-parents index
+        (the per-chunk VT view cannot answer ``children_of``)."""
         for sha, report in reports.items():
             for parent in report.parents:
                 self._reverse_parents.setdefault(parent, []).append(sha)

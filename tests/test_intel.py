@@ -3,6 +3,8 @@
 import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.intel.ha import HaService
 from repro.intel.vt import AV_VENDORS, AvReport, VtService
@@ -88,6 +90,52 @@ class TestVtService:
         vt.add_report(report("child", parents=["parent"]))
         assert vt.children_of("parent") == ["child"]
         assert vt.children_of("child") == []
+
+    def test_children_of_returns_a_fresh_list(self):
+        vt = VtService()
+        vt.add_report(report("child", parents=["parent"]))
+        vt.children_of("parent").append("junk")
+        assert vt.children_of("parent") == ["child"]
+
+
+#: report hashes "h0".."h5" plus "u0"/"u1", which never get a report
+_HASHES = [f"h{i}" for i in range(6)] + ["u0", "u1"]
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 5),
+                  st.lists(st.sampled_from(_HASHES), max_size=5)),
+        st.just(("query",)),
+    ),
+    max_size=30,
+)
+
+
+class TestChildrenOfIndex:
+    """``children_of`` against a brute-force scan of the same reports."""
+
+    @staticmethod
+    def _assert_matches_scan(vt, reports):
+        for sha in _HASHES:
+            expected = [r.sha256 for r in reports.values()
+                        if sha in r.parents]
+            assert vt.children_of(sha) == expected, sha
+
+    @settings(max_examples=200, deadline=None)
+    @given(_OPS)
+    def test_equals_brute_force_scan(self, ops):
+        """Duplicate, self and unknown parents; reports replaced through
+        ``add_report`` and added after ``children_of`` calls."""
+        vt = VtService()
+        reports = {}  # same replace-in-place order as the service
+        for op in ops:
+            if op[0] == "add":
+                sha = f"h{op[1]}"
+                reports[sha] = report(sha, parents=list(op[2]))
+                vt.add_report(reports[sha])
+            else:
+                self._assert_matches_scan(vt, reports)
+        self._assert_matches_scan(vt, reports)
 
 
 class TestHaService:

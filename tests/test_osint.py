@@ -1,10 +1,13 @@
 """Unit tests for OSINT feeds and the stock-tool catalog."""
 
 import datetime
+import hashlib
 
 import pytest
 
+from repro.binfmt.codegen import pseudo_code
 from repro.common.rng import DeterministicRNG
+from repro.fuzzyhash import ctph
 from repro.osint.feeds import (
     KNOWN_OPERATION_NAMES,
     KnownOperation,
@@ -126,3 +129,68 @@ class TestStockToolCatalog:
         c1 = StockToolCatalog(DeterministicRNG(5))
         c2 = StockToolCatalog(DeterministicRNG(5))
         assert c1.whitelist_hashes() == c2.whitelist_hashes()
+
+
+def _reference_match(catalog, data, threshold):
+    """``match`` as a full scan: every fuzzy-index entry scored in
+    order, the first strict minimum within ``threshold`` kept."""
+    exact = catalog.by_hash(hashlib.sha256(data).hexdigest())
+    if exact is not None:
+        return exact, 0.0
+    candidate = ctph.compute(data)
+    index = catalog._fuzzy_index()
+    best = None
+    for blocksize, signature in (
+            (candidate.blocksize, candidate.signature),
+            (candidate.blocksize * 2, candidate.double_signature)):
+        grams = ctph.signature_grams(signature)
+        if not grams:
+            continue
+        entries, _ = index.get(blocksize, ([], {}))
+        for cat_sig, cat_grams, tool in entries:
+            score = ctph.score_with_grams(signature, grams, cat_sig,
+                                          cat_grams, blocksize)
+            dist = 1.0 - score / 100.0
+            if dist <= threshold and (best is None or dist < best[1]):
+                best = (tool, dist)
+    return best
+
+
+def _equivalence_inputs(catalog):
+    builds = catalog.binaries()[::37]
+    rng = DeterministicRNG(2019)
+    inputs = [build.raw for build in builds]
+    # one byte changed: the SHA-256 misses, the fuzzy path runs
+    inputs += [build.raw[:-1] + bytes([build.raw[-1] ^ 1])
+               for build in builds]
+    inputs += [catalog.fork_tool(build, rng.substream(f"fork:{i}"))
+               for i, build in enumerate(builds)]
+    inputs += [pseudo_code(rng.substream(f"blob:{size}"), size)
+               for size in (1200, 2300, 4400, 8800, 17600)]
+    # one block-size octave above and below a build
+    inputs += [build.raw * 2 for build in builds]
+    inputs += [build.raw[:len(build.raw) // 2] for build in builds]
+    return inputs
+
+
+class TestPostingsMatch:
+    """The postings-pruned ``match`` equals a scan of the whole index."""
+
+    @pytest.mark.parametrize("threshold", [0.1, 0.95])
+    def test_equals_full_scan(self, stock_catalog, threshold):
+        inputs = _equivalence_inputs(stock_catalog)
+        matched = 0
+        for data in inputs:
+            got = stock_catalog.match(data, threshold=threshold)
+            want = _reference_match(stock_catalog, data, threshold)
+            if want is None:
+                assert got is None
+                continue
+            matched += 1
+            assert got is not None
+            assert got[0] is want[0] and got[1] == want[1]
+        assert 0 < matched < len(inputs)
+
+    def test_threshold_of_no_similarity_rejected(self, stock_catalog):
+        with pytest.raises(ValueError):
+            stock_catalog.match(b"\x00" * 4400, threshold=1.0)

@@ -1,6 +1,10 @@
 """Unit tests for the repro.perf subsystem and its helpers."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.binfmt.entropy import shannon_entropy
 from repro.common.net import is_ipv4_literal
@@ -222,3 +226,42 @@ class TestCtphFastPath:
             reference = ctph._piecewise_signature(
                 payload, fast.blocksize)
             assert fast.signature == reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=512), st.data())
+    def test_low6_fold_equals_fnv_span(self, data, draw):
+        start = draw.draw(st.integers(0, len(data)))
+        end = draw.draw(st.integers(start, len(data)))
+        pairs = ctph._byte_pairs(data)
+        assert (ctph._fnv_low6(data, pairs, start, end)
+                == ctph._fnv_span(data, start, end) % 64)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 9), st.integers(0, 1024), st.integers(1, 256),
+           st.integers(0, 2**32))
+    def test_compute_equals_pure_python_reference(self, kib, extra,
+                                                  alphabet, seed):
+        """0-10 KiB inputs; low ``alphabet`` sizes give long blocks and
+        short signatures, so the search shrinks the block size too."""
+        rng = random.Random(seed)
+        payload = bytes(rng.choices(range(alphabet), k=kib * 1024 + extra))
+        assert ctph.compute(payload) == _reference_ctph(payload)
+
+
+def _reference_ctph(data: bytes) -> "ctph.FuzzyHash":
+    """``compute`` on the pure-Python per-byte path only."""
+    blocksize = 3
+    while blocksize * 64 < len(data):
+        blocksize *= 2
+    signature = ctph._piecewise_signature(data, blocksize)
+    while len(signature) > 64:
+        blocksize *= 2
+        signature = ctph._piecewise_signature(data, blocksize)
+    while blocksize > 3 and len(signature) < 16:
+        candidate = ctph._piecewise_signature(data, blocksize // 2)
+        if len(candidate) > 64:
+            break
+        blocksize //= 2
+        signature = candidate
+    double = ctph._piecewise_signature(data, blocksize * 2)
+    return ctph.FuzzyHash(blocksize, signature[:64], double[:64])
