@@ -44,23 +44,9 @@ import argparse
 import sys
 from typing import Optional
 
-from repro.analysis import (
-    headline_monero_fraction,
-    table4_currencies,
-    table7_pool_popularity,
-    table8_top_campaigns,
-    table11_infrastructure,
-)
-from repro.analysis.validation import aggregation_quality
 from repro.core.pipeline import MeasurementPipeline
 from repro.corpus.generator import generate_world
 from repro.corpus.model import ScenarioConfig
-from repro.reporting.render import (
-    render_table4,
-    render_table7,
-    render_table8,
-    render_table11,
-)
 
 
 def _positive_int(text: str) -> int:
@@ -105,6 +91,8 @@ def _build_world_and_result(args):
 
 def cmd_measure(args) -> int:
     """Run the full pipeline and print the sample funnel."""
+    from repro.analysis import headline_monero_fraction
+    from repro.analysis.validation import aggregation_quality
     world, result = _build_world_and_result(args)
     stats = result.stats
     print(f"collected:   {stats.collected}")
@@ -132,6 +120,18 @@ def cmd_measure(args) -> int:
 
 def cmd_exhibits(args) -> int:
     """Render the main paper tables for one measured world."""
+    from repro.analysis import (
+        table4_currencies,
+        table7_pool_popularity,
+        table8_top_campaigns,
+        table11_infrastructure,
+    )
+    from repro.reporting.render import (
+        render_table4,
+        render_table7,
+        render_table8,
+        render_table11,
+    )
     _, result = _build_world_and_result(args)
     print(render_table4(table4_currencies(result)))
     print()

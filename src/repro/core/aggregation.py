@@ -6,6 +6,11 @@ features.  Each connected component is one campaign.  A
 :class:`GroupingPolicy` toggles feature classes so the ablation benches
 can compare against the wallet-only baseline of prior work.
 
+:class:`CampaignAggregator` is the one implementation of the cut: a
+union-find that batch measurement, streaming ingestion, serving and
+every out-of-core shard (:mod:`repro.scale.shards`) share.  The graph
+is never materialised; components are tracked as records arrive.
+
 Deliberate non-features (the paper is explicit about these):
 donation wallets are excluded before edges are drawn; PPI botnet
 membership and stock-tool usage never create edges; public-repo hosting
@@ -13,14 +18,13 @@ only links samples when the *full URL* matches.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 from urllib.parse import urlparse
-
-import networkx as nx
 
 from repro.common.net import is_ipv4_literal
 from repro.common.simtime import Date
 from repro.core.records import MinerRecord
+from repro.core.unionfind import UnionFind
 from repro.osint.feeds import OsintFeeds
 
 #: registrable domains treated as shared public infrastructure: hosting
@@ -156,10 +160,9 @@ def record_attachments(record: MinerRecord, policy: GroupingPolicy,
                        proxy_ips: Set[str]) -> List[Tuple[Node, str]]:
     """The grouping edges one record contributes, as (node, feature).
 
-    This is the single source of truth for §III-E's six features —
-    shared by the batch :class:`CampaignAggregator` (networkx graph) and
-    the streaming :class:`repro.ingest.aggregator.IncrementalAggregator`
-    (union-find), so both build the exact same graph.
+    This is the single source of truth for §III-E's six features: the
+    :class:`CampaignAggregator` unions along these edges, and the
+    sharded front-end's boundary scan walks the same node lists.
 
     The hosting rule is applied exactly as the paper states it: link on
     the exact URL (parameters included), or on the hosting *IP* when the
@@ -251,13 +254,24 @@ def finalize_campaigns(campaigns: List[Campaign]) -> List[Campaign]:
 
 
 class CampaignAggregator:
-    """Builds the grouping graph and cuts it into campaigns.
+    """Union-find over samples and infrastructure nodes: the one
+    implementation of §III-E's component cut.
 
-    One-shot: :meth:`aggregate` consumes the instance.  A second call
-    raises instead of silently merging both record sets into one graph
-    (the historical footgun).  Streams of records are the job of
-    :class:`repro.ingest.aggregator.IncrementalAggregator`, which shares
-    the edge rules via :func:`record_attachments`.
+    Records arrive one at a time through :meth:`add_record`; each
+    contributes the edges :func:`record_attachments` derives, and a
+    :class:`~repro.core.unionfind.UnionFind` forest tracks components
+    with near-constant-time merges.  Grouping is monotone — adding
+    records or proxy IPs only merges components — which is what makes
+    union-find sufficient.  The one retroactive feature is the proxy
+    rule: an IP may be established as a proxy *after* records that mined
+    against it arrived, so sample nodes are indexed by destination IP
+    and :meth:`add_proxy_ips` unions the backlog.
+
+    The batch pipeline calls :meth:`aggregate` once on a fresh
+    instance; ingestion feeds records and proxies batch by batch and
+    reads :meth:`campaigns` at any point;
+    :class:`~repro.scale.shards.ShardedCampaignAggregator` builds one
+    instance per shard and reads :meth:`components`.
     """
 
     def __init__(self, osint: OsintFeeds,
@@ -267,48 +281,92 @@ class CampaignAggregator:
         self._policy = policy or GroupingPolicy.full()
         #: IPs established as mining proxies (wallet active at a known
         #: pool while the sample mined against this non-pool address).
-        self._proxy_ips = proxy_ips or set()
-        self.graph = nx.Graph()
-        self._aggregated = False
+        self._proxy_ips: Set[str] = set(proxy_ips or ())
+        #: records by sha256, in arrival order
+        self._records: Dict[str, MinerRecord] = {}
+        #: node order doubles as insertion order
+        self._forest: UnionFind = UnionFind()
+        #: sample nodes by the destination IP their record mined against
+        self._by_dst_ip: Dict[str, List[Node]] = {}
 
-    # ------------------------------------------------------------------
+    # -- ingestion ---------------------------------------------------------
 
     def aggregate(self, records: Iterable[MinerRecord]) -> List[Campaign]:
-        """Build the grouping graph over ``records`` and cut campaigns.
+        """Feed ``records`` to an empty aggregator and cut campaigns.
 
-        May be called once per aggregator; the grouping graph stays
-        readable on :attr:`graph` afterwards, but a repeat call raises
-        :class:`RuntimeError` — it would union the new record set with
-        the previous one and hand back merged campaigns.
+        One-shot: on an aggregator that already holds records this
+        raises :class:`RuntimeError` instead of silently merging both
+        record sets into one partition (streams go through
+        :meth:`add_record`).
         """
-        if self._aggregated:
+        if self._records:
             raise RuntimeError(
                 "aggregate() already ran on this CampaignAggregator; "
-                "build a new instance per record set (the grouping "
-                "graph would otherwise merge both sets), or use "
-                "repro.ingest.IncrementalAggregator for streams")
-        self._aggregated = True
-        records = list(records)
+                "build a new instance per record set (the partition "
+                "would otherwise merge both sets), or feed streams "
+                "through add_record()")
         for record in records:
-            self._add_record(record)
-        return self._components(records)
+            self.add_record(record)
+        return self.campaigns()
 
-    # ------------------------------------------------------------------
+    def add_record(self, record: MinerRecord) -> int:
+        """Ingest one record's nodes and edges; returns merges caused.
 
-    def _add_record(self, record: MinerRecord) -> None:
+        Records are keyed by sha256 and must arrive at most once — the
+        ingestion service deduplicates upstream.
+        """
+        if record.sha256 in self._records:
+            raise ValueError(f"duplicate record {record.sha256}")
+        forest = self._forest
+        before = forest.merges
         node: Node = ("sample", record.sha256)
-        self.graph.add_node(node, record=record)
-        for other, feature in record_attachments(
+        forest.ensure(node)
+        for other, _feature in record_attachments(
                 record, self._policy, self._osint, self._proxy_ips):
-            self.graph.add_edge(node, other, feature=feature)
+            forest.union(node, other)
+        if self._policy.proxies and record.dst_ip is not None:
+            # indexed regardless of current proxy status: the IP may be
+            # established as a proxy by a later batch.
+            self._by_dst_ip.setdefault(record.dst_ip, []).append(node)
+        self._records[record.sha256] = record
+        return forest.merges - before
 
-    # ------------------------------------------------------------------
+    def add_proxy_ips(self, ips: Iterable[str]) -> int:
+        """Register proxies, retroactively linking earlier records.
 
-    def _components(self, records: List[MinerRecord]) -> List[Campaign]:
-        by_hash = {r.sha256: r for r in records}
-        campaigns: List[Campaign] = []
-        for component in nx.connected_components(self.graph):
-            campaign = build_campaign(component, by_hash)
+        Every already-ingested record that mined against one of these
+        IPs gains its proxy edge now — the same edge it would have got
+        with the full proxy set up front.  Returns the number of
+        component merges this caused.
+        """
+        before = self._forest.merges
+        for ip in ips:
+            if ip in self._proxy_ips:
+                continue
+            self._proxy_ips.add(ip)
+            if not self._policy.proxies:
+                continue
+            for node in self._by_dst_ip.get(ip, []):
+                self._forest.union(node, ("proxy", ip))
+        return self._forest.merges - before
+
+    # -- materialisation ---------------------------------------------------
+
+    def components(self) -> Iterator[
+            Tuple[List[Node], Dict[str, MinerRecord]]]:
+        """Connected components in first-node insertion order, each with
+        the records of its own sample nodes (all
+        :func:`build_campaign` looks up)."""
+        records = self._records
+        for nodes in self._forest.components():
+            yield nodes, {sha: records[sha] for kind, sha in nodes
+                          if kind == "sample" and sha in records}
+
+    def campaigns(self) -> List[Campaign]:
+        """Materialise the current campaign set (non-destructive)."""
+        campaigns = []
+        for nodes, records in self.components():
+            campaign = build_campaign(nodes, records)
             if campaign is not None:
                 campaigns.append(campaign)
         return finalize_campaigns(campaigns)

@@ -1,10 +1,10 @@
-"""Disjoint-set forest shared by the streaming and sharded aggregators.
+"""Disjoint-set forest behind campaign aggregation.
 
-Extracted from :class:`repro.ingest.aggregator.IncrementalAggregator`
-so the sharded campaign aggregation (:mod:`repro.scale.shards`) reuses
-the exact same merge semantics.  The parent dict doubles as node
-insertion order, which :meth:`components` preserves — a property the
-ingest aggregator's equivalence tests rely on.
+:class:`repro.core.aggregation.CampaignAggregator` tracks grouping
+components with it, and the sharded front-end
+(:mod:`repro.scale.shards`) glues cross-shard components with a second
+one.  The parent dict doubles as node insertion order, which
+:meth:`components` preserves.
 """
 
 from typing import Dict, Generic, Iterator, List, TypeVar

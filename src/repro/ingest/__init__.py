@@ -4,7 +4,8 @@ The batch pipeline (:mod:`repro.core.pipeline`) answers "measure this
 corpus"; this package answers "keep measuring as the feeds drop":
 
 * :mod:`repro.ingest.feed` — replay a corpus as dated feed batches
-* :mod:`repro.ingest.aggregator` — online union-find campaign merging
+* :mod:`repro.ingest.aggregator` — the streaming name of the union-find
+  campaign core (:class:`repro.core.aggregation.CampaignAggregator`)
 * :mod:`repro.ingest.checkpoint` — journal + snapshot durability
 * :mod:`repro.ingest.service` — the incremental end-to-end service
 * :mod:`repro.ingest.codec` — JSON codecs for the durable state

@@ -1,143 +1,14 @@
-"""Online campaign aggregation: union-find with incremental merging.
+"""The streaming name of the campaign aggregator.
 
-The batch :class:`~repro.core.aggregation.CampaignAggregator` builds
-one networkx graph over the full record set and cuts connected
-components.  Streaming ingestion cannot afford that — every new feed
-batch would mean a full rebuild — so this aggregator maintains the same
-partition *online*: records arrive one at a time, each contributes the
-edges :func:`~repro.core.aggregation.record_attachments` derives (the
-single source of truth shared with the batch path), and a union-find
-forest tracks components with near-constant-time merges.
-
-Grouping is monotone — adding records or proxy IPs can only merge
-components, never split them — which is exactly the property that makes
-union-find sufficient.  The one retroactive feature is the proxy rule:
-an IP may be established as a proxy *after* records pointing at it were
-ingested, so sample nodes are indexed by destination IP and
-:meth:`IncrementalAggregator.add_proxy_ips` unions the backlog.
-
-:meth:`IncrementalAggregator.campaigns` materialises through the same
-``build_campaign``/``finalize_campaigns`` helpers as the batch
-aggregator, so the end state is *equal*, not merely isomorphic.
+Ingestion feeds :class:`~repro.core.aggregation.CampaignAggregator`
+batch by batch through ``add_record`` / ``add_proxy_ips`` and reads
+``campaigns()`` whenever it materialises a result; the core is already
+incremental, so this module only keeps the name ``repro.ingest``
+exports.
 """
 
-from typing import Dict, Iterable, List, Optional, Set
+from repro.core.aggregation import CampaignAggregator
 
-from repro.core.aggregation import (
-    Campaign,
-    GroupingPolicy,
-    Node,
-    build_campaign,
-    finalize_campaigns,
-    record_attachments,
-)
-from repro.core.records import MinerRecord
-from repro.core.unionfind import UnionFind
-from repro.osint.feeds import OsintFeeds
+__all__ = ["IncrementalAggregator"]
 
-
-class IncrementalAggregator:
-    """Union-find over samples + infrastructure nodes, fed in batches."""
-
-    def __init__(self, osint: OsintFeeds,
-                 policy: Optional[GroupingPolicy] = None) -> None:
-        self._osint = osint
-        self._policy = policy or GroupingPolicy.full()
-        #: records by sha256, in arrival order
-        self._records: Dict[str, MinerRecord] = {}
-        #: union-find forest (node order doubles as insertion order);
-        #: shared with the sharded aggregator in repro.scale.shards.
-        self._forest: UnionFind = UnionFind()
-        self._proxy_ips: Set[str] = set()
-        #: sample nodes by the destination IP their record mined against
-        self._by_dst_ip: Dict[str, List[Node]] = {}
-
-    @property
-    def merges(self) -> int:
-        """Total component merges performed (distinct roots united)."""
-        return self._forest.merges
-
-    def _ensure(self, node: Node) -> None:
-        self._forest.ensure(node)
-
-    def _find(self, node: Node) -> Node:
-        return self._forest.find(node)
-
-    def _union(self, a: Node, b: Node) -> bool:
-        return self._forest.union(a, b)
-
-    # -- ingestion ---------------------------------------------------------
-
-    def add_record(self, record: MinerRecord) -> int:
-        """Ingest one record's nodes and edges; returns merges caused.
-
-        Records are keyed by sha256 and must arrive at most once — the
-        ingestion service deduplicates upstream.
-        """
-        if record.sha256 in self._records:
-            raise ValueError(f"duplicate record {record.sha256}")
-        before = self.merges
-        node: Node = ("sample", record.sha256)
-        self._ensure(node)
-        for other, _feature in record_attachments(
-                record, self._policy, self._osint, self._proxy_ips):
-            self._union(node, other)
-        if self._policy.proxies and record.dst_ip is not None:
-            # indexed regardless of current proxy status: the IP may be
-            # established as a proxy by a later batch.
-            self._by_dst_ip.setdefault(record.dst_ip, []).append(node)
-        self._records[record.sha256] = record
-        return self.merges - before
-
-    def add_proxy_ips(self, ips: Iterable[str]) -> int:
-        """Register proxies, retroactively linking earlier records.
-
-        Every already-ingested record that mined against one of these
-        IPs gains its proxy edge now — the same edge the batch
-        aggregator would have drawn with the full proxy set up front.
-        Returns the number of component merges this caused.
-        """
-        before = self.merges
-        for ip in ips:
-            if ip in self._proxy_ips:
-                continue
-            self._proxy_ips.add(ip)
-            if not self._policy.proxies:
-                continue
-            for node in self._by_dst_ip.get(ip, []):
-                self._union(node, ("proxy", ip))
-        return self.merges - before
-
-    # -- inspection --------------------------------------------------------
-
-    @property
-    def num_records(self) -> int:
-        """Number of records ingested so far."""
-        return len(self._records)
-
-    @property
-    def proxy_ips(self) -> Set[str]:
-        """The proxy IPs registered so far (a copy)."""
-        return set(self._proxy_ips)
-
-    def num_components(self) -> int:
-        """Current number of connected components (all node kinds)."""
-        return self._forest.num_components()
-
-    def components(self) -> List[List[Node]]:
-        """Connected components, ordered by first-node insertion."""
-        return self._forest.components()
-
-    def campaigns(self) -> List[Campaign]:
-        """Materialise the current campaign set (non-destructive).
-
-        Uses the same component-to-campaign materialisation as the
-        batch aggregator, so for any record/proxy set the result equals
-        ``CampaignAggregator.aggregate()`` over the same records.
-        """
-        campaigns = []
-        for component in self.components():
-            campaign = build_campaign(component, self._records)
-            if campaign is not None:
-                campaigns.append(campaign)
-        return finalize_campaigns(campaigns)
+IncrementalAggregator = CampaignAggregator

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Set
 
-from repro.core.aggregation import GroupingPolicy
+from repro.core.aggregation import CampaignAggregator, GroupingPolicy
 from repro.core.enrichment import CampaignEnricher
 from repro.core.pipeline import (
     DEFAULT_ANALYSIS_DATE,
@@ -54,7 +54,6 @@ from repro.core.profit import ProfitAnalyzer, WalletProfile
 from repro.core.records import MinerRecord
 from repro.core.sanity import SanityVerdict
 from repro.corpus.model import SyntheticWorld
-from repro.ingest.aggregator import IncrementalAggregator
 from repro.ingest.checkpoint import CheckpointStore, JournalReplay
 from repro.ingest.codec import (
     decode_date,
@@ -223,7 +222,7 @@ class IngestionService:
         self._profiles: Dict[str, WalletProfile] = {}
         self._profiled: Set[str] = set()
         self._proxy_ips: Set[str] = set()
-        self._agg = IncrementalAggregator(self.world.osint, self._policy)
+        self._agg = CampaignAggregator(self.world.osint, self._policy)
         self._cursor = 0
         self._replayed_stage1: Set[str] = set()
         self._resume_frontier: List[str] = []

@@ -10,8 +10,9 @@ construction" or "the durable sink".
 """
 
 #: defining or importing either of these marks a grouping module —
-#: exactly the batch aggregator and the streaming one today, and
-#: automatically any future module that takes on edge construction.
+#: exactly the campaign core (core/aggregation.py) and its sharded
+#: front-end (scale/shards.py) today, and automatically any future
+#: module that takes on edge construction.
 GROUPING_FUNCTIONS = frozenset({"record_attachments", "build_campaign"})
 
 #: modules whose outputs are enrichment-only (prefix matched): values

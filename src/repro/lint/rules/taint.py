@@ -10,9 +10,9 @@ rules keep it mechanically.
 
 Applicability: a module participates in grouping iff it defines or
 imports :func:`record_attachments` / :func:`build_campaign` — exactly
-the batch aggregator (``core/aggregation.py``) and the streaming one
-(``ingest/aggregator.py``) today, and automatically any future module
-that takes on edge construction.
+the campaign core (``core/aggregation.py``) and its sharded front-end
+(``scale/shards.py``) today, and automatically any future module that
+takes on edge construction.
 
 * **TAINT001** — a grouping module imports an enrichment module.
 * **TAINT002** — a grouping module *reads* an enrichment-owned

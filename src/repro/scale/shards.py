@@ -1,13 +1,10 @@
-"""Sharded campaign aggregation: identifier-locality union-find.
+"""Sharded campaign aggregation: identifier-locality front-end.
 
-The batch :class:`~repro.core.aggregation.CampaignAggregator` holds one
-networkx graph plus every record; the streaming
-:class:`~repro.ingest.aggregator.IncrementalAggregator` drops the graph
-but still holds every record.  At a million samples neither fits the
-"flat RSS" budget, so this aggregator partitions the work by
-*identifier locality*: records land in ``crc32(min(identifiers) or
-sha256) % K`` shards, each shard runs its own
-:class:`~repro.core.unionfind.UnionFind` over only its records, and
+:class:`~repro.core.aggregation.CampaignAggregator` holds every record
+of its record set.  At a million samples that does not fit the "flat
+RSS" budget, so this front-end partitions the work by *identifier
+locality*: records land in ``crc32(min(identifiers) or sha256) % K``
+shards, each shard is fed to its own ``CampaignAggregator``, and
 components that never touch a *boundary node* (a graph node observed
 from two or more shards) are materialised — and their records freed —
 before the next shard loads.
@@ -21,19 +18,18 @@ incidence.  Peak memory is therefore
 — the last term is the pass-1 boundary scan (a node-to-first-shard map,
 ~100 bytes per distinct node), the first two hold actual records.  Most
 identifiers are campaign-private, so the frontier stays small; the
-worst case (one giant component) degrades gracefully to the streaming
-aggregator's footprint, never worse.
+worst case (one giant component) degrades gracefully to the unsharded
+core's footprint, never worse.
 
 Equivalence is exact, not approximate: edges come from the shared
 :func:`~repro.core.aggregation.record_attachments`, components are
 deduplicated node *sets*, and
 :func:`~repro.core.aggregation.finalize_campaigns` canonicalises order
 and numbering — so for any record set the output is bit-identical to
-the batch aggregator's (property-tested in
-``tests/test_scale_shards.py``).
+the unsharded core's (property-tested in ``tests/test_scale_shards.py``
+against an independent graph-cut reference).
 """
 
-from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
@@ -48,6 +44,7 @@ from zlib import crc32
 
 from repro.core.aggregation import (
     Campaign,
+    CampaignAggregator,
     GroupingPolicy,
     Node,
     build_campaign,
@@ -71,21 +68,6 @@ def shard_of(record: MinerRecord, num_shards: int) -> int:
     cross-run comparison)."""
     key = min(record.identifiers) if record.identifiers else record.sha256
     return crc32(key.encode("utf-8")) % num_shards
-
-
-@dataclass
-class _ShardBuild:
-    """One shard's pass-2 output, ready for the shard-order merge.
-
-    Components are split against the boundary set already; both lists
-    carry component-filtered record dicts, so the frontier buffers
-    exactly the records the glue step needs, nothing more.
-    """
-
-    shard: int
-    local: List[_Component] = field(default_factory=list)
-    frontier: List[_Component] = field(default_factory=list)
-    num_records: int = 0
 
 
 class ShardedCampaignAggregator:
@@ -119,13 +101,6 @@ class ShardedCampaignAggregator:
         self.max_shard_records = 0
         self.max_frontier_records = 0
 
-    def _nodes_of(self, record: MinerRecord) -> List[Node]:
-        nodes: List[Node] = [("sample", record.sha256)]
-        for node, _feature in record_attachments(
-                record, self._policy, self._osint, self._proxy_ips):
-            nodes.append(node)
-        return nodes
-
     # -- pass 1: boundary scan --------------------------------------------
 
     def _scan(self, source: Callable[[], Iterable[MinerRecord]]
@@ -135,42 +110,26 @@ class ShardedCampaignAggregator:
         boundary: Set[Node] = set()
         for record in source():
             shard = shard_of(record, self._num_shards)
-            for node in self._nodes_of(record):
-                seen = first_shard.setdefault(node, shard)
-                if seen != shard:
+            nodes: List[Node] = [("sample", record.sha256)] + [
+                node for node, _feature in record_attachments(
+                    record, self._policy, self._osint, self._proxy_ips)]
+            for node in nodes:
+                if first_shard.setdefault(node, shard) != shard:
                     boundary.add(node)
         return boundary
 
     # -- pass 2: per-shard build + frontier glue ---------------------------
 
     def _build_shard(self, shard: int,
-                     source: Callable[[], Iterable[MinerRecord]],
-                     boundary: Set[Node]) -> _ShardBuild:
-        """One shard's union-find over one pass of the source.
-
-        Both component lists come back with component-filtered record
-        dicts (:func:`~repro.core.aggregation.build_campaign` only ever
-        looks up a component's own sample nodes, so the filtered dict
-        yields the same campaign as the full shard dict).
-        """
-        forest: UnionFind = UnionFind()
-        by_hash: Dict[str, MinerRecord] = {}
+                     source: Callable[[], Iterable[MinerRecord]]
+                     ) -> CampaignAggregator:
+        """One shard's core aggregator over one pass of the source."""
+        core = CampaignAggregator(self._osint, self._policy,
+                                  self._proxy_ips)
         for record in source():
-            if shard_of(record, self._num_shards) != shard:
-                continue
-            node: Node = ("sample", record.sha256)
-            forest.ensure(node)
-            for other in self._nodes_of(record)[1:]:
-                forest.union(node, other)
-            by_hash[record.sha256] = record
-        build = _ShardBuild(shard=shard, num_records=len(by_hash))
-        for component in forest.components():
-            nodes = set(component)
-            records = {sha: by_hash[sha] for kind, sha in nodes
-                       if kind == "sample" and sha in by_hash}
-            target = build.frontier if nodes & boundary else build.local
-            target.append((nodes, records))
-        return build
+            if shard_of(record, self._num_shards) == shard:
+                core.add_record(record)
+        return core
 
     def aggregate_source(self, source: Callable[[], Iterable[MinerRecord]]
                          ) -> List[Campaign]:
@@ -178,7 +137,9 @@ class ShardedCampaignAggregator:
         :meth:`~repro.scale.columnar.RecordStore.iter_records` factory).
 
         The source is iterated ``1 + num_shards`` times; memory never
-        holds more than one shard's records plus the frontier.
+        holds more than one shard's records plus the frontier.  Each
+        shard's components come with component-filtered record dicts,
+        so the frontier buffers exactly the records the glue step needs.
         """
         boundary = self._scan(source) if self._num_shards > 1 else set()
         campaigns: List[Campaign] = []
@@ -186,14 +147,18 @@ class ShardedCampaignAggregator:
         frontier: List[_Component] = []
         frontier_records = 0
         for shard in range(self._num_shards):
-            build = self._build_shard(shard, source, boundary)
+            shard_records = 0
+            for component, records in self._build_shard(
+                    shard, source).components():
+                shard_records += len(records)
+                nodes = set(component)
+                if nodes & boundary:
+                    frontier.append((nodes, records))
+                    frontier_records += len(records)
+                else:
+                    self._emit(nodes, records, campaigns)
             self.max_shard_records = max(self.max_shard_records,
-                                         build.num_records)
-            for nodes, records in build.local:
-                self._emit(nodes, records, campaigns)
-            for nodes, records in build.frontier:
-                frontier.append((nodes, records))
-                frontier_records += len(records)
+                                         shard_records)
             self.max_frontier_records = max(self.max_frontier_records,
                                             frontier_records)
 

@@ -21,21 +21,18 @@ the ``stamp()`` / ``build()`` protocol the snapshot watcher polls.
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.aggregation import GroupingPolicy
 from repro.core.enrichment import CampaignEnricher
 from repro.core.pipeline import (
     MeasurementResult,
     PipelineStats,
-    derive_from_records,
     find_proxies,
     proxy_candidates,
 )
 from repro.core.profit import ProfitAnalyzer
-from repro.core.records import MinerRecord
 from repro.corpus.model import SyntheticWorld
-from repro.ingest.aggregator import IncrementalAggregator
 from repro.ingest.checkpoint import SNAPSHOT_NAME, CheckpointStore
 from repro.ingest.service import IngestionService
 from repro.scale.pipeline import ScaleResult
@@ -45,7 +42,6 @@ from repro.serve.index import IntelIndex, build_index
 __all__ = [
     "CheckpointIndexSource",
     "checkpoint_plan",
-    "derive_result_from_records",
     "measurement_from_checkpoint",
     "result_from_store",
 ]
@@ -90,40 +86,15 @@ def measurement_from_checkpoint(world: SyntheticWorld, checkpoint_dir,
     return service.current_result()
 
 
-def derive_result_from_records(world: SyntheticWorld,
-                               records: Iterable[MinerRecord]
-                               ) -> MeasurementResult:
-    """Re-derive the full result from a bare record stream.
-
-    :func:`~repro.core.pipeline.derive_from_records` — the derivation
-    the ingestion service replays on restore — followed by enrichment.
-    Verdicts and funnel counters that need per-sample outcomes are
-    unavailable from records alone and stay empty/zero.
-    """
-    kept = list(records)
-    agg = IncrementalAggregator(world.osint, GroupingPolicy.full())
-    profiles, proxies = derive_from_records(
-        kept, ProfitAnalyzer(world.pool_directory), agg)
-    campaigns = agg.campaigns()
-    enricher = CampaignEnricher(world.vt, world.stock_catalog,
-                                world.sample_by_hash)
-    enricher.enrich_all(campaigns, profiles)
-    stats = PipelineStats()
-    for record in kept:
-        stats.count_kept(record)
-    return MeasurementResult(records=kept, campaigns=campaigns,
-                             profiles=profiles, verdicts={},
-                             stats=stats, proxy_ips=proxies)
-
-
 def result_from_store(world: SyntheticWorld, store,
                       num_shards: int = 8) -> ScaleResult:
     """Derive a serving result straight from a columnar record store.
 
-    Same pure derivations as :func:`derive_result_from_records`, but
-    never holding the record list: profiles and proxies come from two
-    streaming passes over the segments, campaigns from the sharded
-    aggregator, and enrichment runs per campaign through the aggregator's
+    Profiles, proxies and campaigns are re-derived from the records, as
+    the ingestion service does on restore, without ever holding the
+    record list: profiles and proxies come from two streaming passes
+    over the segments, campaigns from the sharded aggregator, and
+    enrichment runs per campaign through the aggregator's
     ``campaign_hook`` — before each campaign's records are dropped.
     Peak memory is the index tables plus one aggregation shard, not
     the corpus.  The result is store-backed like the out-of-core

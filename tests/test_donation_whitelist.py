@@ -4,15 +4,16 @@ The paper excludes developer donation wallets before identifier edges
 are drawn — samples that merely ship the same donation address (miners
 commonly embed the default donation wallet of the stock tool they
 wrap) must not collapse into one campaign.  These tests pin that both
-the batch aggregator and the incremental one consult the whitelist on
+the aggregator fed record by record and the independent graph-cut
+reference (``tests/reference_aggregation.py``) consult the whitelist on
 their identifier-edge paths, and that the exclusion is exactly as wide
 as the whitelist.
 """
 
 from repro.core.aggregation import CampaignAggregator, GroupingPolicy
 from repro.core.records import MinerRecord
-from repro.ingest.aggregator import IncrementalAggregator
 from repro.osint.feeds import OsintFeeds
+from tests.reference_aggregation import ReferenceAggregator
 
 DONATION = "4DONATEdevfundwalletxxxxxxxxxxxxxxxxxxxxx"
 
@@ -33,12 +34,12 @@ def _records(shared_wallet):
 
 
 def _batch_campaigns(records, feeds):
-    return CampaignAggregator(feeds, GroupingPolicy.full()).aggregate(
+    return ReferenceAggregator(feeds, GroupingPolicy.full()).aggregate(
         records)
 
 
 def _incremental_campaigns(records, feeds):
-    aggregator = IncrementalAggregator(feeds, GroupingPolicy.full())
+    aggregator = CampaignAggregator(feeds, GroupingPolicy.full())
     for record in records:
         aggregator.add_record(record)
     return aggregator.campaigns()

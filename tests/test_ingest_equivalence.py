@@ -4,7 +4,8 @@ The ingestion service must land on *exactly* the batch pipeline's
 output — records, verdicts, funnel stats, proxies, campaign partition
 and per-campaign profit — for any batch width, seed and scale, and the
 incremental aggregator must agree with the graph aggregator on any
-record stream in any order.
+record stream in any order — checked against the independent
+networkx graph cut in ``tests/reference_aggregation.py``.
 """
 
 import pytest
@@ -18,7 +19,11 @@ from repro.corpus.model import ScenarioConfig
 from repro.ingest import IncrementalAggregator, IngestionService
 from repro.ingest.service import diff_measurements
 from repro.osint.feeds import OsintFeeds
+from tests.reference_aggregation import ReferenceAggregator
 from tests.test_property_aggregation import miner_records
+
+#: destination IPs the interleaving test routes records through
+_IPS = ["198.51.100.7", "198.51.100.8", "203.0.113.9"]
 
 
 def run_ingest(world, tmp_path, **kwargs):
@@ -70,17 +75,43 @@ def _clusterings(campaigns):
 
 
 class TestIncrementalAggregatorProperties:
-    @given(miner_records())
+    @given(miner_records(), st.data())
     @settings(max_examples=50, deadline=None)
-    def test_stream_equals_graph(self, records):
+    def test_stream_equals_graph(self, records, data):
         """Feeding records one at a time reproduces the batch graph's
-        campaigns exactly — ids, members, everything."""
+        campaigns exactly — ids, members, everything — and so does any
+        interleaving of record arrivals, proxy discoveries and
+        mid-stream materialisations."""
         incremental = IncrementalAggregator(OsintFeeds())
         for record in records:
             incremental.add_record(record)
-        batch = CampaignAggregator(
+        batch = ReferenceAggregator(
             OsintFeeds(), GroupingPolicy.full()).aggregate(records)
         assert incremental.campaigns() == batch
+
+        for record in records:
+            record.dst_ip = data.draw(st.sampled_from(_IPS + [None]))
+        proxies = data.draw(st.lists(st.sampled_from(_IPS), unique=True))
+        events = ([("record", record) for record in records]
+                  + [("proxy", ip) for ip in proxies]
+                  + [("probe", None)] * data.draw(st.integers(0, 3)))
+        interleaved = IncrementalAggregator(OsintFeeds())
+        fed, learned = [], set()
+        for kind, value in data.draw(st.permutations(events)):
+            if kind == "record":
+                interleaved.add_record(value)
+                fed.append(value)
+            elif kind == "proxy":
+                interleaved.add_proxy_ips([value])
+                learned.add(value)
+            else:
+                assert interleaved.campaigns() == ReferenceAggregator(
+                    OsintFeeds(), GroupingPolicy.full(),
+                    proxy_ips=set(learned)).aggregate(fed)
+        reference = ReferenceAggregator(
+            OsintFeeds(), GroupingPolicy.full(),
+            proxy_ips=set(proxies)).aggregate(records)
+        assert interleaved.campaigns() == reference
 
     @given(miner_records(), st.randoms(use_true_random=False))
     @settings(max_examples=50, deadline=None)
@@ -117,13 +148,16 @@ class TestIncrementalAggregatorProperties:
         ip = "198.51.100.7"
         for record in records:
             record.dst_ip = ip
-        early = CampaignAggregator(OsintFeeds(), GroupingPolicy.full(),
-                                   proxy_ips={ip}).aggregate(records)
+        early = ReferenceAggregator(OsintFeeds(), GroupingPolicy.full(),
+                                    proxy_ips={ip}).aggregate(records)
         late = IncrementalAggregator(OsintFeeds())
         for record in records:
             late.add_record(record)
         late.add_proxy_ips([ip])
         assert late.campaigns() == early
+
+    def test_incremental_is_the_core(self):
+        assert IncrementalAggregator is CampaignAggregator
 
     def test_duplicate_record_rejected(self):
         from tests.test_core_aggregation import miner

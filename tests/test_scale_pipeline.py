@@ -10,13 +10,13 @@ import dataclasses
 
 import pytest
 
-from repro.core.aggregation import CampaignAggregator
 from repro.core.pipeline import MeasurementPipeline
 from repro.corpus.model import ScenarioConfig
 from repro.ingest import IngestionService
 from repro.scale.columnar import RecordStore
 from repro.scale.pipeline import ScalePipeline
 from repro.scale.stream import StreamingCorpus
+from tests.reference_aggregation import ReferenceAggregator
 
 _CONFIG = ScenarioConfig(seed=1, scale=0.01)
 
@@ -54,7 +54,7 @@ class TestScalePipelineEquivalence:
         # the batch result's campaigns carry post-aggregation
         # enrichment; compare against the bare aggregator output,
         # which is what ScalePipeline's sharded stage replaces
-        batch = CampaignAggregator(
+        batch = ReferenceAggregator(
             small_world.osint, proxy_ips=pipeline_result.proxy_ips
         ).aggregate(pipeline_result.records)
         assert scale_result.campaigns == batch

@@ -2,8 +2,11 @@
 
 The property extends the repo's batch ≡ incremental equivalence to
 batch ≡ sharded: for any record set and any shard count, the sharded
-aggregator's finalized campaigns equal the batch aggregator's, record
-for record — including components whose identifiers span every shard.
+aggregator's finalized campaigns equal the batch graph's, record for
+record — including components whose identifiers span every shard.  The
+batch side is the independent networkx cut in
+``tests/reference_aggregation.py``, not the union-find core every shard
+is built with.
 """
 
 from zlib import crc32
@@ -12,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aggregation import CampaignAggregator, GroupingPolicy
+from repro.core.aggregation import GroupingPolicy
 from repro.core.records import MinerRecord
 from repro.osint.feeds import OsintFeeds
 from repro.scale.shards import ShardedCampaignAggregator, shard_of
+from tests.reference_aggregation import ReferenceAggregator
 
 # -- strategies (mirrors tests/test_property_aggregation.py) ---------------
 
@@ -42,8 +46,8 @@ def miner_records(draw, max_records=12):
 
 
 def _batch(records, proxy_ips=None):
-    return CampaignAggregator(OsintFeeds(), GroupingPolicy.full(),
-                              proxy_ips=proxy_ips).aggregate(records)
+    return ReferenceAggregator(OsintFeeds(), GroupingPolicy.full(),
+                               proxy_ips=proxy_ips).aggregate(records)
 
 
 def _sharded(records, k, proxy_ips=None):
@@ -108,7 +112,7 @@ class TestShardedEquivalence:
     def test_tier1_world_records(self, k, small_world, pipeline_result):
         """On the real extracted record set the sharded output is
         bit-identical (same order, ids, records, everything)."""
-        batch = CampaignAggregator(
+        batch = ReferenceAggregator(
             small_world.osint, proxy_ips=pipeline_result.proxy_ips
         ).aggregate(pipeline_result.records)
         agg = ShardedCampaignAggregator(
@@ -136,10 +140,13 @@ class TestShardedEquivalence:
         assert [c.campaign_id for c in lean] == \
             [c.campaign_id for c in full]
 
-    def test_source_reiterated_not_cached(self, small_world,
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_source_reiterated_not_cached(self, k, small_world,
                                           pipeline_result):
         """aggregate_source() pulls a fresh iterator per pass — the
-        contract a disk-backed record store relies on."""
+        contract a disk-backed record store relies on — and makes every
+        pass in the calling process, so a counting source sees all
+        ``1 + k`` of them."""
         calls = []
 
         def source():
@@ -148,51 +155,13 @@ class TestShardedEquivalence:
 
         agg = ShardedCampaignAggregator(
             small_world.osint, proxy_ips=pipeline_result.proxy_ips,
-            num_shards=4)
+            num_shards=k)
         campaigns = agg.aggregate_source(source)
-        assert len(calls) == 1 + 4  # boundary scan + one per shard
-        assert campaigns == CampaignAggregator(
+        assert len(calls) == 1 + k  # boundary scan + one per shard
+        assert campaigns == ReferenceAggregator(
             small_world.osint, proxy_ips=pipeline_result.proxy_ips
         ).aggregate(pipeline_result.records)
-
-
-class TestParallelShardedEquivalence:
-    """The sharded build runs in one worker: the calling process.  Every
-    pass over the source is made here, so a counting source sees all
-    ``1 + k`` of them (passes made in forked children would not count)."""
-
-    @pytest.mark.parametrize("workers", [1])
-    def test_tier1_world_records(self, workers, small_world,
-                                 pipeline_result):
-        calls = []
-
-        def source():
-            calls.append(1)
-            return iter(pipeline_result.records)
-
-        batch = CampaignAggregator(
-            small_world.osint, proxy_ips=pipeline_result.proxy_ips
-        ).aggregate(pipeline_result.records)
-        agg = ShardedCampaignAggregator(
-            small_world.osint, proxy_ips=pipeline_result.proxy_ips,
-            num_shards=8)
-        assert agg.aggregate_source(source) == batch
-        assert len(calls) == 1 + 8
         assert agg.max_shard_records > 0
-
-    @given(miner_records())
-    @settings(max_examples=15, deadline=None)
-    def test_equivalence_any_records_any_workers(self, records):
-        calls = []
-
-        def source():
-            calls.append(1)
-            return iter(records)
-
-        agg = ShardedCampaignAggregator(OsintFeeds(), GroupingPolicy.full(),
-                                        num_shards=8)
-        assert agg.aggregate_source(source) == _batch(records)
-        assert len(calls) == 1 + 8
 
 
 class TestShardedProperties:

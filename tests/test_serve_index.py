@@ -10,10 +10,7 @@ import pytest
 from repro.reporting.dataset_export import campaign_summary
 from repro.scale.columnar import RecordStore
 from repro.serve.index import build_index
-from repro.serve.snapshot import (
-    derive_result_from_records,
-    result_from_store,
-)
+from repro.serve.snapshot import result_from_store
 
 
 @pytest.fixture(scope="module")
@@ -120,25 +117,6 @@ class TestLookupAndScan:
 
     def test_scan_of_garbage_is_empty(self, index):
         assert index.scan_text("nothing known in here at all") == []
-
-
-class TestDerivedResultEquivalence:
-    """Index built from a bare record stream (the --store path)."""
-
-    def test_matches_batch_index_tables(self, index, small_world,
-                                        pipeline_result):
-        derived = derive_result_from_records(small_world,
-                                             pipeline_result.records)
-        other = build_index(derived, generation=1, source="derived")
-        assert other.counts() == index.counts()
-        assert other._campaigns == index._campaigns
-        assert other._wallets == index._wallets
-        assert other._domains == index._domains
-        # hash payloads agree except the verdict-backed field, which a
-        # bare record stream cannot reconstruct.
-        for sha, intel in index._hashes.items():
-            expected = dict(intel, malware=None)
-            assert other._hashes[sha] == expected
 
 
 class TestStoreResultEquivalence:
