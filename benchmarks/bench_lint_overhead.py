@@ -1,23 +1,18 @@
 """Reprolint overhead bench: full-repo lint wall time and throughput.
 
 The lint gate runs on every ``pytest`` invocation
-(``tests/test_lint_gate.py``) and in CI's strict job, so its cost has
+(``tests/test_lint_gate.py``) and in CI's lint job, so its cost has
 to stay negligible next to the suite it guards.  This bench times the
 complete pass — module discovery, parse, the single traversal with all
 per-module rule families, the whole-program passes (call graph +
-interprocedural taint, schema contracts, dead-symbol reachability),
-baseline reconciliation — over the real ``src/repro`` tree and fails
-if it exceeds a generous wall-time budget.
+interprocedural taint, schema contracts, dead-symbol reachability) —
+over the real ``src/repro`` tree and fails if it exceeds a generous
+wall-time budget.
 
-Three configurations are timed:
+Two configurations are timed, both serial (the JSON records
+``cpu_count`` so the numbers read in context):
 
-* **serial** — one process, the default engine;
-* **parallel** — per-module parse+walk fanned over a process pool
-  (``--workers``), merged deterministically; the project passes still
-  run in the parent, so speedup approaches the per-module share of
-  total cost (Amdahl), not the worker count — and on a single-core
-  host the pool is pure overhead (the JSON records ``cpu_count`` so
-  the ratio reads in context);
+* **full** — the whole tree, the default engine;
 * **changed-one** — the ``--changed`` fast path with a single-file
   focus and a warm fact cache: the whole program still feeds the
   cross-module passes, but unchanged modules come from the pickled
@@ -30,8 +25,7 @@ Results are printed as JSON.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_lint_overhead.py \
-        [--iterations 3] [--budget-s 5.0] [--workers 4] \
-        [--changed-budget-s 1.5]
+        [--iterations 3] [--budget-s 5.0] [--changed-budget-s 1.5]
 """
 
 import argparse
@@ -65,9 +59,6 @@ def main(argv=None) -> int:
     parser.add_argument("--budget-s", type=float, default=5.0,
                         help="fail when a full-repo lint pass takes "
                              "longer than this")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="process-pool width for the parallel "
-                             "configuration")
     # 1.0s until the unit/kind pass landed; that pass is whole-program
     # (the fixpoint + checks run even when one file changed, ~0.2s on
     # the reference core), so the lane's floor moved and the budget
@@ -81,13 +72,6 @@ def main(argv=None) -> int:
     best_s, run = _best_of(lint_source_tree, args.iterations)
     report = run.report
     modules = report.modules_scanned
-
-    parallel_s, parallel_run = _best_of(
-        lambda: lint_source_tree(workers=args.workers),
-        args.iterations)
-    assert [f.render() for f in parallel_run.report.findings] == \
-        [f.render() for f in report.findings], \
-        "parallel lint diverged from serial"
 
     # the --changed fast path, pinned to a one-file focus so the
     # number doesn't depend on the working tree's actual diff state;
@@ -108,15 +92,10 @@ def main(argv=None) -> int:
         "modules": modules,
         "wall_s": round(best_s, 4),
         "modules_per_s": round(modules / best_s, 1) if best_s else None,
-        "parallel_workers": args.workers,
         "cpu_count": os.cpu_count(),
-        "parallel_wall_s": round(parallel_s, 4),
-        "parallel_speedup": round(best_s / parallel_s, 2)
-        if parallel_s else None,
         "changed_one_file_wall_s": round(changed_s, 4),
         "changed_focus_findings": len(changed_report.findings),
         "findings": len(report.findings),
-        "regressions": len(run.regressions),
         "parse_errors": len(report.parse_errors),
         "budget_s": args.budget_s,
         "changed_budget_s": args.changed_budget_s,
@@ -126,8 +105,8 @@ def main(argv=None) -> int:
     if report.parse_errors:
         print("FAIL: lint pass hit parse errors", file=sys.stderr)
         return 1
-    if run.regressions:
-        print("FAIL: unbaselined findings on the tree", file=sys.stderr)
+    if report.findings:
+        print("FAIL: findings on the tree", file=sys.stderr)
         return 1
     if best_s > args.budget_s:
         print(f"FAIL: lint pass took {best_s:.2f}s, budget "

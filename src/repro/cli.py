@@ -14,8 +14,7 @@ Subcommands::
                                   [--workers N]
     python -m repro.cli bench     [--suite scale|pipeline|scan|serve|
                                    ingest|all] [--workers-list 1,2]
-    python -m repro.cli lint      [--strict] [--update-baseline]
-                                  [--changed] [--graph] [--workers N]
+    python -m repro.cli lint      [--changed] [--graph]
                                   [--json | --sarif]
 
 ``measure`` runs the full pipeline and prints the funnel; ``exhibits``
@@ -34,10 +33,9 @@ a fleet cannot follow a checkpoint); ``bench`` emits the
 ``BENCH_*.json`` scaling/stage benchmarks plus per-run
 ``BENCH_history/`` entries; ``lint`` runs the
 reprolint invariant checks (see ``docs/static-analysis.md``) and fails
-on findings the committed baseline does not accept — ``--changed``
-narrows reporting to the git diff, ``--graph`` dumps the resolved
-call graph and stage-contract table, ``--workers`` fans the
-per-module work over a process pool.
+on any finding a pragma does not accept — ``--changed`` narrows
+reporting to the git diff, ``--graph`` dumps the resolved call graph
+and stage-contract table.
 """
 
 import argparse
@@ -437,13 +435,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    """Run reprolint over the source tree and gate on the baseline."""
+    """Run reprolint over the source tree; any finding fails."""
     import json
     from pathlib import Path
 
-    from repro.lint import Baseline, lint_source_tree
+    from repro.lint import lint_source_tree
     root = Path(args.root) if args.root else None
-    baseline = Path(args.baseline) if args.baseline else None
     if args.graph:
         from repro.lint import build_project_index
         from repro.lint.callgraph import (
@@ -456,58 +453,29 @@ def cmd_lint(args) -> int:
         print(render_contracts(index), end="")
         print(render_concurrency(index), end="")
         return 0
-    run = lint_source_tree(root=root, baseline_path=baseline,
-                           workers=args.workers,
-                           changed_only=args.changed)
+    run = lint_source_tree(root=root, changed_only=args.changed)
     report = run.report
     if args.changed and run.focus is not None:
         print(f"reprolint --changed: {len(run.focus)} file(s) since "
               "the merge base", file=sys.stderr)
-    if args.update_baseline:
-        target = (baseline if baseline is not None
-                  else run.baseline.path)
-        if target is None:
-            print("no baseline path to update (pass --baseline)",
-                  file=sys.stderr)
-            return 2
-        fresh = Baseline.from_report(report, notes=run.baseline.notes)
-        fresh.write(target)
-        print(f"baseline updated: {target} "
-              f"({len(fresh.entries)} entries)")
-        return 0
     if args.sarif:
         from repro.lint.sarif import render_sarif
-        print(render_sarif(report, run.regressions))
-        return 0 if run.ok(strict=args.strict) else 1
-    if args.json:
+        print(render_sarif(report))
+    elif args.json:
         print(json.dumps({
             "modules": report.modules_scanned,
             "findings": [f.__dict__ for f in report.findings],
-            "regressions": [f.__dict__ for f in run.regressions],
-            "expired": [{"rule": k[0], "path": k[1],
-                         "granted": granted, "used": used}
-                        for k, granted, used in run.expired],
             "suppressed": len(report.suppressed),
         }, indent=2))
-        return 0 if run.ok(strict=args.strict) else 1
-    for error in report.parse_errors:
-        print(f"parse error: {error}", file=sys.stderr)
-    for finding in run.regressions:
-        print(finding.render())
-    baselined = len(report.findings) - len(run.regressions)
-    print(f"reprolint: {report.modules_scanned} modules, "
-          f"{len(report.findings)} findings "
-          f"({len(run.regressions)} new, {baselined} baselined, "
-          f"{len(report.suppressed)} pragma-suppressed)")
-    if run.expired:
-        for (rule, path), granted, used in run.expired:
-            print(f"stale baseline grant: {rule} {path} "
-                  f"(granted {granted}, used {used})",
-                  file=sys.stderr)
-        if args.strict:
-            print("strict mode: prune the stale grants with "
-                  "--update-baseline", file=sys.stderr)
-    return 0 if run.ok(strict=args.strict) else 1
+    else:
+        for error in report.parse_errors:
+            print(f"parse error: {error}", file=sys.stderr)
+        for finding in report.findings:
+            print(finding.render())
+        print(f"reprolint: {report.modules_scanned} modules, "
+              f"{len(report.findings)} findings "
+              f"({len(report.suppressed)} pragma-suppressed)")
+    return 0 if run.ok() else 1
 
 
 def cmd_status(args) -> int:
@@ -639,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serving processes for the serve lane")
     bench.add_argument("--workers-list", type=str, default=None,
                        help="comma-separated worker counts for the "
-                            "serve / lint lanes (e.g. 1,2)")
+                            "serve lane (e.g. 1,2)")
     bench.add_argument("--prefetch", type=int, default=2,
                        help="chunk prefetch depth for the scale lane")
     bench.add_argument("--batch-days", type=_positive_int, default=30,
@@ -664,28 +632,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="static invariant checks (reprolint) over the source tree")
     lint.add_argument("--root", type=str, default=None,
                       help="tree to lint (default: the repro package)")
-    lint.add_argument("--baseline", type=str, default=None,
-                      help="baseline file (default: nearest "
-                           "lint_baseline.toml above the root)")
-    lint.add_argument("--strict", action="store_true",
-                      help="also fail on stale baseline grants")
-    lint.add_argument("--workers", type=int, default=None,
-                      help="process-pool width for per-module "
-                           "parse+walk (default: serial)")
     lint.add_argument("--changed", action="store_true",
                       help="report only files differing from the git "
                            "merge base (full tree still analysed)")
     lint.add_argument("--graph", action="store_true",
                       help="dump the resolved call graph and the "
                            "stage-contract table, then exit")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="rewrite the baseline to accept the "
-                           "current findings")
     lint.add_argument("--json", action="store_true",
                       help="machine-readable report on stdout")
     lint.add_argument("--sarif", action="store_true",
-                      help="SARIF 2.1.0 report on stdout (new "
-                           "findings carry baselineState: new)")
+                      help="SARIF 2.1.0 report on stdout")
     lint.set_defaults(func=cmd_lint)
     return parser
 

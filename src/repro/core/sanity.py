@@ -15,7 +15,6 @@ from repro.binfmt.format import ExecutableKind, magic_kind
 from repro.corpus.model import SampleRecord
 from repro.intel.vt import VtService
 from repro.osint.feeds import OsintFeeds
-from repro.perf.cache import cached_unpack
 from repro.perf.scan import scan_context
 from repro.pools.directory import PoolDirectory
 from repro.sandbox.emulator import SandboxReport
@@ -85,14 +84,6 @@ class SanityChecker:
                                & self.confirmed_illicit_wallets):
             return True
         return False
-
-    def _scannable_bytes(self, raw: bytes) -> bytes:
-        """Unpack known packers before rule scanning when possible.
-
-        Backed by the content-keyed unpack memo, so static analysis of
-        the same sample reuses this result instead of unpacking again.
-        """
-        return cached_unpack(raw)[0]
 
     def is_miner(self, sample: SampleRecord,
                  sandbox_report: Optional[SandboxReport] = None) -> bool:

@@ -9,9 +9,8 @@ import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.binfmt.entropy import OBFUSCATION_THRESHOLD
+from repro.binfmt.entropy import OBFUSCATION_THRESHOLD, shannon_entropy
 from repro.binfmt.format import parse_binary
-from repro.perf.cache import cached_entropy
 from repro.perf.scan import ScanContext, scan_context
 from repro.binfmt.packers import identify_packer
 from repro.common.errors import BinaryFormatError
@@ -57,7 +56,7 @@ class StaticAnalyzer:
         checker's rule scan over the same sample reuses this work.
         """
         findings = StaticFindings()
-        findings.entropy = cached_entropy(raw)
+        findings.entropy = shannon_entropy(raw)
         packer = identify_packer(raw)
         ctx = scan_context(raw)
         if packer is not None:

@@ -7,14 +7,12 @@ mechanically: per-module rule families over a single compile-once
 pass of each module, plus whole-program passes (call graph +
 interprocedural taint, record-schema contracts, dead-symbol
 reachability) over the per-module fact summaries.  See
-``docs/static-analysis.md`` for the rule catalogue, pragma syntax and
-the baseline workflow.
+``docs/static-analysis.md`` for the rule catalogue and pragma syntax.
 
 High-level entry points:
 
-* :func:`lint_source_tree` — lint a tree and diff against a baseline;
-  what the ``repro lint`` CLI, the pytest gate and the overhead bench
-  all call.  ``workers=N`` parallelises the per-module work;
+* :func:`lint_source_tree` — lint a tree for gating; what the
+  ``repro lint`` CLI, the pytest gate and the overhead bench all call.
   ``changed_only=True`` narrows reporting to files differing from the
   git merge base.
 * :class:`repro.lint.engine.LintEngine` — the underlying engine, for
@@ -24,11 +22,10 @@ High-level entry points:
 """
 
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.lint.baseline import Baseline, find_baseline
 from repro.lint.callgraph import (
     ProjectIndex,
     render_concurrency,
@@ -44,7 +41,6 @@ from repro.lint.findings import (
 import repro.lint.rules  # noqa: F401  (registers every rule ID)
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintEngine",
     "LintReport",
@@ -56,7 +52,6 @@ __all__ = [
     "build_project_index",
     "changed_files",
     "default_source_root",
-    "find_baseline",
     "known_rule",
     "lint_source_tree",
     "lint_tree",
@@ -118,41 +113,29 @@ def changed_files(root: Path,
 
 @dataclass
 class LintRun:
-    """One lint-plus-baseline evaluation, ready for gating."""
+    """One lint evaluation, ready for gating."""
 
     report: LintReport
-    baseline: Baseline
-    regressions: List[Finding] = field(default_factory=list)
-    expired: List[Tuple[Tuple[str, str], int, int]] = \
-        field(default_factory=list)
     #: relpaths reporting was narrowed to (``--changed``), or None.
     focus: Optional[List[str]] = None
 
-    def ok(self, strict: bool = False) -> bool:
-        """Gate verdict: no regressions (and, in strict, no expiry)."""
-        if self.report.parse_errors or self.regressions:
-            return False
-        if strict and self.expired:
-            return False
-        return True
+    def ok(self) -> bool:
+        """Gate verdict: any finding or parse error fails."""
+        return not (self.report.parse_errors or self.report.findings)
 
 
 def lint_source_tree(root: Optional[Path] = None,
-                     baseline_path: Optional[Path] = None,
-                     workers: Optional[int] = None,
                      changed_only: bool = False,
                      cache_path: Optional[Path] = None) -> LintRun:
-    """Lint ``root`` (default: the repro package) against a baseline.
+    """Lint ``root`` (default: the repro package).
 
-    When ``baseline_path`` is None the nearest ``lint_baseline.toml``
-    above ``root`` is used; no file at all means an empty baseline, so
-    every finding is a regression.  ``changed_only`` narrows the
-    *reported* files to those differing from the git merge base (the
-    whole tree is still summarized so cross-module passes stay
-    sound); when git can't answer, the full tree is reported.
-    Changed-only runs keep a fact cache (``.reprolint-cache`` next to
-    the baseline file, or ``cache_path``) so unchanged modules feed
-    the whole-program passes without re-parsing.
+    ``changed_only`` narrows the *reported* files to those differing
+    from the git merge base (the whole tree is still summarized so
+    cross-module passes stay sound); when git can't answer, the full
+    tree is reported.  Changed-only runs keep a fact cache
+    (``.reprolint-cache`` next to the nearest ``pyproject.toml``, or
+    ``cache_path``) so unchanged modules feed the whole-program passes
+    without re-parsing.
     """
     root = Path(root) if root is not None else default_source_root()
     focus: Optional[List[str]] = None
@@ -160,36 +143,24 @@ def lint_source_tree(root: Optional[Path] = None,
         focus = changed_files(root)
         if focus is not None and not focus:
             # clean diff: nothing to lint, nothing to gate.
-            baseline = _load_baseline(root, baseline_path)
-            return LintRun(report=LintReport(), baseline=baseline,
-                           focus=[])
+            return LintRun(report=LintReport(), focus=[])
         if focus is not None and cache_path is None:
-            located = baseline_path or find_baseline(root)
-            if located is not None:
-                cache_path = located.parent / ".reprolint-cache"
-    report = LintEngine(workers=workers,
-                        cache_path=cache_path).run(root, focus=focus)
-    baseline = _load_baseline(root, baseline_path)
-    expired = baseline.expired(report)
-    if focus is not None:
-        focus_set = set(focus)
-        expired = [entry for entry in expired
-                   if entry[0][1] in focus_set]
-    return LintRun(
-        report=report,
-        baseline=baseline,
-        regressions=baseline.regressions(report),
-        expired=expired,
-        focus=focus,
-    )
+            project = _project_dir(root)
+            if project is not None:
+                cache_path = project / ".reprolint-cache"
+    report = LintEngine(cache_path=cache_path).run(root, focus=focus)
+    return LintRun(report=report, focus=focus)
 
 
-def _load_baseline(root: Path,
-                   baseline_path: Optional[Path]) -> Baseline:
-    if baseline_path is None:
-        baseline_path = find_baseline(root)
-    return (Baseline.load(baseline_path)
-            if baseline_path is not None else Baseline())
+def _project_dir(start: Path) -> Optional[Path]:
+    """The nearest directory at or above ``start`` with a pyproject."""
+    start = Path(start).resolve()
+    if start.is_file():
+        start = start.parent
+    for directory in (start, *start.parents):
+        if (directory / "pyproject.toml").exists():
+            return directory
+    return None
 
 
 def build_project_index(root: Optional[Path] = None) -> ProjectIndex:

@@ -17,11 +17,9 @@ construction: a blocking call is only a defect if a coroutine can
 their facts flow through the same resolved call graph
 (:func:`repro.lint.interproc.resolved_program`) the taint pass uses.
 
-Because per-module work only needs the facts back, it parallelises
-over a process pool (``workers=N``) with a deterministic path-sorted
-merge; the project passes always run in the parent.  ``focus`` narrows
-*reporting* to a subset of files (``repro lint --changed``) while the
-whole program still feeds the project passes.
+Modules are linted one after another in path order.  ``focus``
+narrows *reporting* to a subset of files (``repro lint --changed``)
+while the whole program still feeds the project passes.
 """
 
 import ast
@@ -138,7 +136,7 @@ class ProjectRule:
 
 
 # --------------------------------------------------------------------------
-# Parallel per-module work
+# Per-module work
 # --------------------------------------------------------------------------
 
 #: (relpath, findings, suppressed, parse error, summary) per module.
@@ -149,7 +147,7 @@ ModuleResult = Tuple[str, List[Finding], List[Finding], Optional[str],
 def _lint_one(path: Path, base: Path,
               rules: Sequence[Rule],
               run_module_rules: bool) -> ModuleResult:
-    """Parse + walk + summarize one module (worker-safe)."""
+    """Parse + walk + summarize one module."""
     try:
         module = build_module_info(path, base,
                                    with_pragmas=run_module_rules)
@@ -180,27 +178,11 @@ def _walk(node: ast.AST, module: ModuleInfo, emitter: Emitter,
         emitter.pop()
 
 
-def _lint_worker(args) -> List[ModuleResult]:
-    """Process-pool task: lint one chunk of paths with default rules."""
-    base_str, path_strs, focus = args
-    from repro.lint.rules import default_rules
-    rules = default_rules()
-    base = Path(base_str)
-    out: List[ModuleResult] = []
-    for path_str in path_strs:
-        path = Path(path_str)
-        relpath = path.relative_to(base).as_posix()
-        run_module_rules = focus is None or relpath in focus
-        out.append(_lint_one(path, base, rules, run_module_rules))
-    return out
-
-
 class LintEngine:
     """Runs a rule set over every Python module under a root."""
 
     def __init__(self, rules: Optional[Sequence[Rule]] = None,
                  project_rules: Optional[Sequence[ProjectRule]] = None,
-                 workers: Optional[int] = None,
                  cache_path=None) -> None:
         self._default_rules = rules is None
         if rules is None:
@@ -212,7 +194,6 @@ class LintEngine:
         self.rules = list(rules)
         # an explicit per-module rule set means *exactly* those rules
         self.project_rules = list(project_rules or [])
-        self.workers = workers
         self._cache = None
         if cache_path is not None:
             from repro.lint.cache import SummaryCache
@@ -268,48 +249,28 @@ class LintEngine:
 
     def _run_modules(self, path_list: List[Path], base: Path,
                      focus: Optional[Set[str]]) -> List[ModuleResult]:
-        workers = self.workers or 1
-        if workers <= 1 or len(path_list) < 2 or not self._default_rules:
-            from repro.lint.cache import cache_stamp
-            results = []
-            for path in path_list:
-                relpath = (path.relative_to(base).as_posix()
-                           if path.is_relative_to(base) else str(path))
-                run_module = focus is None or relpath in focus
-                stamp = (cache_stamp(path) if self._cache is not None
-                         else None)
-                if self._cache is not None and not run_module:
-                    # facts-only module: serve from the warm cache
-                    cached = self._cache.get(relpath, stamp)
-                    if cached is not None:
-                        results.append((relpath, [], [], None, cached))
-                        continue
-                result = _lint_one(path, base, self.rules, run_module)
-                if self._cache is not None and result[3] is None and \
-                        result[4] is not None:
-                    self._cache.put(relpath, stamp, result[4])
-                results.append(result)
-            if self._cache is not None:
-                self._cache.save()
-            return results
-        import concurrent.futures
-        import multiprocessing
-        chunks: List[List[str]] = [[] for _ in range(workers)]
-        for i, path in enumerate(path_list):
-            chunks[i % workers].append(str(path))
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            context = multiprocessing.get_context()
-        merged: List[ModuleResult] = []
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, mp_context=context) as pool:
-            tasks = [pool.submit(_lint_worker, (str(base), chunk, focus))
-                     for chunk in chunks if chunk]
-            for task in tasks:
-                merged.extend(task.result())
-        merged.sort(key=lambda result: result[0])
-        return merged
+        from repro.lint.cache import cache_stamp
+        results = []
+        for path in path_list:
+            relpath = (path.relative_to(base).as_posix()
+                       if path.is_relative_to(base) else str(path))
+            run_module = focus is None or relpath in focus
+            stamp = (cache_stamp(path) if self._cache is not None
+                     else None)
+            if self._cache is not None and not run_module:
+                # facts-only module: serve from the warm cache
+                cached = self._cache.get(relpath, stamp)
+                if cached is not None:
+                    results.append((relpath, [], [], None, cached))
+                    continue
+            result = _lint_one(path, base, self.rules, run_module)
+            if self._cache is not None and result[3] is None and \
+                    result[4] is not None:
+                self._cache.put(relpath, stamp, result[4])
+            results.append(result)
+        if self._cache is not None:
+            self._cache.save()
+        return results
 
     def _run_project(self, summaries: List[ModuleSummary],
                      report: LintReport,

@@ -5,8 +5,8 @@ the parsed AST into compact, *picklable* facts — name dataflow, call
 sites, dict-key read/write sets, dataclass shapes, references — so the
 whole-program passes (call graph, fixpoint interprocedural taint,
 schema contracts, dead-symbol analysis) can run over the entire tree
-without holding a single AST, and so parallel lint workers can ship
-their module's facts back over a process-pool boundary.
+without holding a single AST, and so the ``--changed`` fact cache
+(:mod:`repro.lint.cache`) can keep them on disk between runs.
 
 Everything here is derived; nothing emits findings.  The project
 passes in :mod:`repro.lint.callgraph`, :mod:`repro.lint.interproc` and

@@ -17,10 +17,9 @@ class RuleSpec:
 class Finding:
     """One precise violation: rule, location, and the human message.
 
-    ``path`` is relative to the lint root so findings (and the
-    baseline keyed on them) are portable across checkouts.  ``symbol``
-    is the enclosing function/class qualname, kept for readable output
-    and for baseline stability across unrelated line drift.
+    ``path`` is relative to the lint root so findings are portable
+    across checkouts.  ``symbol`` is the enclosing function/class
+    qualname, kept for readable output.
     """
 
     rule_id: str
@@ -56,14 +55,6 @@ class LintReport:
         out: Dict[str, List[Finding]] = {}
         for finding in self.findings:
             out.setdefault(finding.rule_id, []).append(finding)
-        return out
-
-    def counts(self) -> Dict[Tuple[str, str], int]:
-        """``(rule_id, path) -> count`` — the baseline's key space."""
-        out: Dict[Tuple[str, str], int] = {}
-        for finding in self.findings:
-            key = (finding.rule_id, finding.path)
-            out[key] = out.get(key, 0) + 1
         return out
 
 

@@ -16,7 +16,6 @@ from repro.lint.rules.deadcode import DeadCodeRule
 from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.durability import DurabilityRule
 from repro.lint.rules.exception_hygiene import ExceptionHygieneRule
-from repro.lint.rules.parallel_safety import ParallelSafetyRule
 from repro.lint.rules.pragma_hygiene import PRAGMA001  # noqa: F401
 from repro.lint.rules.resources import ResourceLifecycleRule
 from repro.lint.rules.schema import SchemaContractRule
@@ -34,7 +33,6 @@ __all__ = [
     "DurabilityRule",
     "ExceptionHygieneRule",
     "InterproceduralTaintRule",
-    "ParallelSafetyRule",
     "ResourceLifecycleRule",
     "SchemaContractRule",
     "TaintSeparationRule",
@@ -49,7 +47,6 @@ def default_rules() -> List[Rule]:
     return [
         TaintSeparationRule(),
         DeterminismRule(),
-        ParallelSafetyRule(),
         DurabilityRule(),
         CacheKeyRule(),
         ExceptionHygieneRule(),

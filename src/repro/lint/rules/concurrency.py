@@ -48,12 +48,17 @@ this whole-program pass keeps it mechanically, on top of the shared
 """
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.lint.contracts import LOOP_AFFINE_METHODS
 from repro.lint.engine import ProjectEmitter, ProjectRule
 from repro.lint.findings import register_rule
-from repro.lint.interproc import FnKey, ResolvedProgram, resolved_program
+from repro.lint.interproc import (
+    FnKey,
+    ResolvedProgram,
+    propagate,
+    resolved_program,
+)
 
 FORK001 = register_rule(
     "FORK001", "concurrency",
@@ -77,26 +82,21 @@ def _guarded(line: int, barriers: Tuple[int, ...]) -> bool:
     return any(b <= line for b in barriers)
 
 
-def _propagate(program: ResolvedProgram,
-               seeded: Dict[FnKey, str],
-               step) -> Dict[FnKey, str]:
-    """Generic reverse-edge fixpoint: ``step(caller, line, witness)``
-    returns the caller's witness when the property propagates through
-    a call at ``line`` to a member function, else None."""
-    queue = deque(sorted(seeded))
-    while queue:
-        key = queue.popleft()
-        for caller in program.callers(key):
-            if caller in seeded:
-                continue
-            for _ci, line, callee in program.edges(caller):
-                if callee != key:
-                    continue
-                witness = step(caller, line, seeded[key])
-                if witness is not None:
-                    seeded[caller] = witness
-                    queue.append(caller)
-                    break
+def _reach(program: ResolvedProgram, seeded: Dict[FnKey, str],
+           passes: Callable[[FnKey, int], bool]) -> Dict[FnKey, str]:
+    """Extend ``seeded`` caller-ward on the shared worklist: a caller
+    inherits a member callee's witness when ``passes(caller, line)``
+    holds for its call at ``line``."""
+    def update(caller: FnKey, callee: FnKey) -> bool:
+        if caller in seeded:
+            return False
+        for _ci, line, target in program.edges(caller):
+            if target == callee and passes(caller, line):
+                seeded[caller] = seeded[callee]
+                return True
+        return False
+
+    propagate(program, sorted(seeded), update)
     return seeded
 
 
@@ -122,13 +122,11 @@ class ConcurrencyRule(ProjectRule):
                                   f" (fork at line {line})"
                     break
 
-        def step(caller: FnKey, line: int, witness: str) -> Optional[str]:
+        def passes(caller: FnKey, line: int) -> bool:
             _, fact = program.facts[caller]
-            if _guarded(line, fact.barrier_lines):
-                return None
-            return witness
+            return not _guarded(line, fact.barrier_lines)
 
-        return _propagate(program, seeded, step)
+        return _reach(program, seeded, passes)
 
     def _live_spawners(self, program: ResolvedProgram) -> Dict[FnKey, str]:
         """FnKey -> witness for functions that may *return* with a
@@ -141,13 +139,11 @@ class ConcurrencyRule(ProjectRule):
                                   f" (thread spawned at line {line})"
                     break
 
-        def step(caller: FnKey, line: int, witness: str) -> Optional[str]:
+        def passes(caller: FnKey, line: int) -> bool:
             _, fact = program.facts[caller]
-            if any(r > line for r in fact.release_lines):
-                return None
-            return witness
+            return not any(r > line for r in fact.release_lines)
 
-        return _propagate(program, seeded, step)
+        return _reach(program, seeded, passes)
 
     def _check_fork_ordering(self, program: ResolvedProgram,
                              emitter: ProjectEmitter) -> None:

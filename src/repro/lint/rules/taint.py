@@ -122,8 +122,11 @@ class InterproceduralTaintRule(ProjectRule):
     """
 
     def run(self, index, emitter: ProjectEmitter) -> None:
-        from repro.lint.interproc import run_taint_analysis
-        for finding in run_taint_analysis(index):
+        from repro.lint.interproc import (
+            resolved_program,
+            run_taint_analysis,
+        )
+        for finding in run_taint_analysis(resolved_program(index)):
             emitter.emit(
                 finding.rule_id, finding.module, finding.line,
                 finding.col, finding.message, symbol=finding.symbol)

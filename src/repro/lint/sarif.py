@@ -3,10 +3,8 @@
 One run, one tool, one result per finding — the minimal valid subset
 code-scanning UIs ingest (GitHub code scanning, VS Code SARIF viewer).
 Rules are emitted once in the driver's ``rules`` array (index-linked
-from each result), findings become ``results`` with a single physical
-location, and baseline state is conveyed through SARIF's own
-``baselineState`` field: a finding already granted in
-``lint_baseline.toml`` is ``unchanged``, a fresh one is ``new``.
+from each result), and findings become ``results`` with a single
+physical location.
 
 Deliberately dependency-free and deterministic: plain dicts, sorted
 rule order, stable finding order (the report is already sorted), so
@@ -14,7 +12,7 @@ the same tree always serializes byte-identically.
 """
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.lint.findings import Finding, LintReport, RULE_REGISTRY
 
@@ -36,8 +34,7 @@ def _rule_descriptor(rule_id: str) -> Dict:
     return descriptor
 
 
-def _result(finding: Finding, rule_index: Dict[str, int],
-            new_ids: Optional[set]) -> Dict:
+def _result(finding: Finding, rule_index: Dict[str, int]) -> Dict:
     result: Dict = {
         "ruleId": finding.rule_id,
         "ruleIndex": rule_index[finding.rule_id],
@@ -54,31 +51,15 @@ def _result(finding: Finding, rule_index: Dict[str, int],
     if finding.symbol:
         result["locations"][0]["logicalLocations"] = [
             {"fullyQualifiedName": finding.symbol}]
-    if new_ids is not None:
-        key = (finding.rule_id, finding.path, finding.line,
-               finding.col, finding.message)
-        result["baselineState"] = ("new" if key in new_ids
-                                   else "unchanged")
     return result
 
 
-def to_sarif(report: LintReport,
-             regressions: Optional[Sequence[Finding]] = None) -> Dict:
-    """The SARIF document (as a plain dict) for one lint report.
-
-    ``regressions`` — the subset of findings not covered by the
-    baseline — drives ``baselineState``; pass None to omit the field
-    entirely (e.g. when linting without a baseline).
-    """
+def to_sarif(report: LintReport) -> Dict:
+    """The SARIF document (as a plain dict) for one lint report."""
     fired = sorted({f.rule_id for f in report.findings})
     rule_index = {rule_id: i for i, rule_id in enumerate(fired)}
-    new_ids = None
-    if regressions is not None:
-        new_ids = {(f.rule_id, f.path, f.line, f.col, f.message)
-                   for f in regressions}
     results: List[Dict] = [
-        _result(finding, rule_index, new_ids)
-        for finding in report.findings]
+        _result(finding, rule_index) for finding in report.findings]
     return {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,
@@ -94,8 +75,6 @@ def to_sarif(report: LintReport,
     }
 
 
-def render_sarif(report: LintReport,
-                 regressions: Optional[Sequence[Finding]] = None) -> str:
+def render_sarif(report: LintReport) -> str:
     """``to_sarif`` as stable, indented JSON text."""
-    return json.dumps(to_sarif(report, regressions), indent=2,
-                      sort_keys=True)
+    return json.dumps(to_sarif(report), indent=2, sort_keys=True)

@@ -8,9 +8,10 @@ ResolvedProgram` substrate.  Per function the engine evaluates the
 :class:`~repro.lint.facts.ValueFact` sketches (bind RHS, arithmetic
 events, sink writes, key flows, returns) to a name -> state map, and
 summarises the return value's unit/kind plus the parameter positions
-that flow into it, iterating caller-ward to fixpoint exactly like the
-taint engine — so a coin amount laundered through two helper calls
-still reaches a ``usd`` slot with its coin unit intact.
+that flow into it, iterating caller-ward to fixpoint on the same
+:class:`~repro.lint.interproc.FixpointEngine` as the taint engine —
+so a coin amount laundered through two helper calls still reaches a
+``usd`` slot with its coin unit intact.
 
 Findings (reported by :class:`repro.lint.rules.units.UnitKindRule`):
 
@@ -29,7 +30,6 @@ Findings (reported by :class:`repro.lint.rules.units.UnitKindRule`):
   (the serve ``IntelIndex`` tables, the aggregation identifier maps).
 """
 
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -38,7 +38,12 @@ from repro.lint.facts import (
     FunctionFact,
     ValueFact,
 )
-from repro.lint.interproc import FnKey, ResolvedProgram
+from repro.lint.interproc import (
+    FixpointEngine,
+    FnKey,
+    ProjectFinding,
+    ResolvedProgram,
+)
 from repro.lint.units import (
     ATTR_KINDS,
     ATTR_UNITS,
@@ -103,18 +108,6 @@ class UnitSummary:
             (other.ret.unit, other.ret.kind, other.ret.params)
 
 
-@dataclass(frozen=True)
-class UnitFinding:
-    """A project-level unit/kind violation, pre-Finding."""
-
-    rule_id: str
-    module: str
-    line: int
-    col: int
-    message: str
-    symbol: str
-
-
 def sink_rule(want: str, got: str) -> str:
     """Which rule a unit mismatch at a seeded sink violates."""
     if want in MONEY_UNITS and got in MONEY_UNITS:
@@ -124,52 +117,16 @@ def sink_rule(want: str, got: str) -> str:
     return "UNIT001"
 
 
-class UnitFlowEngine:
+class UnitFlowEngine(FixpointEngine):
     """Whole-program unit/kind propagation and checking."""
 
     def __init__(self, program: ResolvedProgram) -> None:
-        self.program = program
-        self.summaries: Dict[FnKey, UnitSummary] = {
-            key: UnitSummary() for key in program.facts}
-
-    # -- the fixpoint -------------------------------------------------------
-
-    def solve(self, max_rounds: int = 50) -> None:
-        """Iterate to fixpoint over reverse caller edges."""
-        changed: List[FnKey] = []
-        for key in self.program.facts:
-            new = self._evaluate(key, report=None)
-            if not new.same(self.summaries[key]):
-                self.summaries[key] = new
-                changed.append(key)
-        queue = deque(changed)
-        queued = set(changed)
-        budget = max_rounds * max(1, len(self.program.facts))
-        while queue and budget > 0:
-            key = queue.popleft()
-            queued.discard(key)
-            for caller in self.program.callers(key):
-                budget -= 1
-                new = self._evaluate(caller, report=None)
-                if not new.same(self.summaries[caller]):
-                    self.summaries[caller] = new
-                    if caller not in queued:
-                        queue.append(caller)
-                        queued.add(caller)
-
-    def report(self) -> List[UnitFinding]:
-        """One checking pass over the solved program."""
-        findings: List[UnitFinding] = []
-        for key in self.program.facts:
-            self._evaluate(key, report=findings)
-        findings.sort(key=lambda f: (f.module, f.line, f.col,
-                                     f.rule_id, f.message))
-        return findings
+        super().__init__(program, UnitSummary)
 
     # -- per-function evaluation --------------------------------------------
 
     def _evaluate(self, key: FnKey,
-                  report: Optional[List[UnitFinding]]) -> UnitSummary:
+                  report: Optional[List[ProjectFinding]]) -> UnitSummary:
         summary, fact = self.program.facts[key]
         names: Dict[str, UnitState] = {}
         qual_last = fact.qualname.split(".")[-1]
@@ -187,7 +144,7 @@ class UnitFlowEngine:
         def emit(rule_id: str, line: int, col: int,
                  message: str) -> None:
             if report is not None:
-                report.append(UnitFinding(
+                report.append(ProjectFinding(
                     rule_id=rule_id, module=summary.dotted,
                     line=line, col=max(1, col), message=message,
                     symbol=fact.qualname))
@@ -492,7 +449,8 @@ def _mix_message(rule: str, op: str, left: "UnitState",
             f"({left.witness}; {right.witness})")
 
 
-def run_unit_analysis(program: ResolvedProgram) -> List[UnitFinding]:
+def run_unit_analysis(program: ResolvedProgram
+                      ) -> List[ProjectFinding]:
     """Solve the fixpoint and return every unit/kind violation."""
     engine = UnitFlowEngine(program)
     engine.solve()

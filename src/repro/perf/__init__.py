@@ -1,8 +1,7 @@
 """Performance subsystem: caching, profiling and scanning.
 
 - :mod:`repro.perf.cache` — bounded LRU memos with hit/miss counters
-  for CTPH digests, entropy, unpack results, DNS resolution and pool
-  lookups.
+  for CTPH digests, DNS resolution and pool lookups.
 - :mod:`repro.perf.scan` — the compile-once multi-pattern scan kernel
   (Aho-Corasick literal matching, fused regex alternations, shared
   per-sample scan contexts).
@@ -15,8 +14,6 @@ from repro.perf.cache import (
     LruCache,
     cache_stats,
     cached_ctph,
-    cached_entropy,
-    cached_unpack,
     clear_caches,
     render_cache_table,
 )
@@ -27,8 +24,6 @@ __all__ = [
     "LruCache",
     "cache_stats",
     "cached_ctph",
-    "cached_entropy",
-    "cached_unpack",
     "clear_caches",
     "render_cache_table",
     "PipelineProfiler",

@@ -1,22 +1,19 @@
 """Substrate caches: LRU memos with hit/miss counters.
 
 The pipeline's hot paths recompute pure functions of immutable inputs —
-CTPH digests and entropy of raw binaries, DNS/CNAME resolutions, and
-pool-directory suffix walks.  This module provides one bounded LRU
-implementation plus process-wide memo instances for the content-keyed
-substrates, so repeated work (ablation reruns, bench iterations, the
-stock-tool catalog index) is never redone.  Every cache exposes
+CTPH digests of raw binaries, DNS/CNAME resolutions, and pool-directory
+suffix walks.  This module provides one bounded LRU implementation
+plus process-wide memo instances for the content-keyed substrates, so
+repeated work (ablation reruns, bench iterations, the stock-tool
+catalog index) is never redone.  Every cache exposes
 hit/miss counters; ``cache_stats()`` aggregates them for the profiler
 and the scaling bench.
 """
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from repro.binfmt.entropy import shannon_entropy
-from repro.binfmt.packers import identify_packer, unpack
-from repro.common.errors import BinaryFormatError
 from repro.fuzzyhash.ctph import FuzzyHash, compute
 
 _K = object  # documentation alias: keys must be hashable
@@ -103,14 +100,6 @@ class LruCache:
 #: and cache it, so repeat lookups are cheap).
 CTPH_CACHE = LruCache("ctph", maxsize=8192)
 
-#: Shannon entropy keyed by binary content.
-ENTROPY_CACHE = LruCache("entropy", maxsize=8192)
-
-#: ``(scannable_bytes, unpacked)`` keyed by raw binary content, so the
-#: sanity checker and the static analyzer share one ``unpack()`` walk
-#: per sample instead of each reversing the same packer independently.
-UNPACK_CACHE = LruCache("unpack", maxsize=4096)
-
 #: Caches registered by other perf modules (the scan-context memo in
 #: :mod:`repro.perf.scan`) so ``cache_stats`` / ``clear_caches`` cover
 #: them without import cycles.
@@ -124,40 +113,13 @@ def register_cache(cache: LruCache) -> LruCache:
 
 
 def _all_caches() -> List[LruCache]:
-    return [CTPH_CACHE, ENTROPY_CACHE, UNPACK_CACHE, *_EXTRA_CACHES]
+    return [CTPH_CACHE, *_EXTRA_CACHES]
 
 
 def cached_ctph(data: bytes) -> FuzzyHash:
     """CTPH of ``data``, memoised by content."""
     key = bytes(data)
     return CTPH_CACHE.get_or_compute(key, lambda: compute(key))
-
-
-def cached_entropy(data: bytes) -> float:
-    """Shannon entropy of ``data``, memoised by content."""
-    key = bytes(data)
-    return ENTROPY_CACHE.get_or_compute(key, lambda: shannon_entropy(key))
-
-
-def cached_unpack(raw: bytes) -> Tuple[bytes, bool]:
-    """``(scannable_bytes, unpacked)`` for ``raw``, memoised by content.
-
-    Mirrors what sanity's ``_scannable_bytes`` and the static analyzer
-    each did separately: reverse a fingerprinted packer when possible,
-    fall back to the raw bytes for crypters / corrupt payloads.  The
-    flag is True only when a packer was actually reversed.
-    """
-    key = bytes(raw)
-
-    def compute_unpack() -> Tuple[bytes, bool]:
-        if identify_packer(key) is None:
-            return (key, False)
-        try:
-            return (unpack(key), True)
-        except BinaryFormatError:
-            return (key, False)
-
-    return UNPACK_CACHE.get_or_compute(key, compute_unpack)
 
 
 def cache_stats() -> Dict[str, Dict[str, float]]:

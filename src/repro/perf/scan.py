@@ -45,12 +45,9 @@ try:
 except ImportError:  # pragma: no cover - stdlib-only environments
     _np = None
 
-from repro.perf.cache import (
-    LruCache,
-    UNPACK_CACHE,
-    cached_unpack,
-    register_cache,
-)
+from repro.binfmt.packers import identify_packer, unpack
+from repro.common.errors import BinaryFormatError
+from repro.perf.cache import LruCache, register_cache
 from repro.yarm.engine import Match, RuleSet, _NOf
 
 #: minimum printable-run length captured in the strings blob.  Matches
@@ -224,6 +221,21 @@ class AhoCorasick:
 # --------------------------------------------------------------------------
 
 
+def unpack_scannable(raw: bytes) -> Tuple[bytes, bool]:
+    """``(scannable_bytes, unpacked)`` for one sample's raw bytes.
+
+    Reverse a fingerprinted packer when possible, fall back to the raw
+    bytes for crypters / corrupt payloads.  The flag is True only when
+    a packer was actually reversed.
+    """
+    if identify_packer(raw) is None:
+        return (raw, False)
+    try:
+        return (unpack(raw), True)
+    except BinaryFormatError:
+        return (raw, False)
+
+
 class ScanContext:
     """Memoised derived views of one sample's scannable bytes.
 
@@ -250,7 +262,7 @@ class ScanContext:
     @classmethod
     def for_sample(cls, raw: bytes) -> "ScanContext":
         """Context over a sample's unpacked (scannable) bytes."""
-        data, unpacked = cached_unpack(raw)
+        data, unpacked = unpack_scannable(raw)
         return cls(data, raw=raw, unpacked=unpacked)
 
     @property
@@ -686,7 +698,7 @@ def profiled_scan(profiler):
     the per-stage timings that ``--profile`` prints.
     """
     stats_before = scan_stats()
-    memos = (UNPACK_CACHE, SCAN_CONTEXT_CACHE)
+    memos = (SCAN_CONTEXT_CACHE,)
     memo_before = {cache.name: (cache.hits, cache.misses)
                    for cache in memos}
     try:

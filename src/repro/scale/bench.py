@@ -16,9 +16,9 @@ collects points into the committed artifacts:
   fleets — see :mod:`repro.serve.bench`)
 * ``BENCH_ingest.json`` — checkpointed ingestion lane: batch
   throughput plus the cost of a cold resume from the checkpoint
-* ``BENCH_lint.json`` — reprolint over the real source tree: cold
-  full-tree runs across ``--workers``, plus the warm ``--changed``
-  fast path served from the fact cache
+* ``BENCH_lint.json`` — reprolint over the real source tree: one cold
+  serial full-tree run, plus the warm ``--changed`` fast path served
+  from the fact cache
 
 Every suite write also appends a copy under ``BENCH_history/`` as
 ``<suite>-<NNNN>.json`` — the committed bench trajectory — and stamps
@@ -288,10 +288,10 @@ def measure_ingest_point(scale: float = 0.02, seed: int = 2019,
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def measure_lint_point(mode: str = "cold", workers: int = 1) -> Dict:
-    """One reprolint run over the real source tree.
+def measure_lint_point(mode: str = "cold") -> Dict:
+    """One serial reprolint run over the real source tree.
 
-    ``cold`` lints the full tree from a fresh index (the CI strict
+    ``cold`` lints the full tree from a fresh index (the CI lint
     gate's cost); ``warm`` measures the ``--changed`` fast path — a
     priming run fills the fact cache, then the timed run focuses one
     module and serves every other summary from cache.
@@ -311,7 +311,7 @@ def measure_lint_point(mode: str = "cold", workers: int = 1) -> Dict:
             cache = workdir / "reprolint-cache"
             focus = ["cli.py"]
             LintEngine(cache_path=cache).run(root, focus=focus)
-        engine = LintEngine(workers=workers, cache_path=cache)
+        engine = LintEngine(cache_path=cache)
         t0 = time.perf_counter()
         report = engine.run(root, focus=focus)
         lint_s = time.perf_counter() - t0
@@ -319,7 +319,9 @@ def measure_lint_point(mode: str = "cold", workers: int = 1) -> Dict:
         return {
             "suite": "lint",
             "mode": mode,
-            "workers": workers,
+            # kept so points still pair with the committed
+            # (mode, workers)-keyed BENCH_lint.json entries
+            "workers": 1,
             "modules": modules,
             "findings": len(report.findings),
             "parse_errors": len(report.parse_errors),
@@ -425,23 +427,16 @@ def run_ingest_suite(scale: float = 0.02, seed: int = 2019,
     return {"bench": "ingest", "seed": seed, "points": [point]}
 
 
-def run_lint_suite(workers_list: Optional[List[int]] = None) -> Dict:
-    """Lint lane: cold full-tree across workers, plus the warm path."""
-    workers_list = workers_list or [1, 2, 4]
+def run_lint_suite() -> Dict:
+    """Lint lane: one cold full-tree point plus the warm path."""
     points = []
-    for workers in workers_list:
-        point = run_point_subprocess([
-            "--lint-mode", "cold", "--workers", str(workers)])
+    for mode in ("cold", "warm"):
+        point = run_point_subprocess(["--lint-mode", mode])
         points.append(point)
-        print(f"  lint cold workers={workers}: {point['modules']} "
-              f"modules in {point['lint_s']}s "
-              f"({point['modules_per_s']}/s)", file=sys.stderr)
-    point = run_point_subprocess(["--lint-mode", "warm"])
-    points.append(point)
-    print(f"  lint warm: {point['modules']} focus module(s) in "
-          f"{point['lint_s']}s", file=sys.stderr)
-    return {"bench": "lint", "workers_list": workers_list,
-            "points": points}
+        print(f"  lint {mode}: {point['modules']} modules in "
+              f"{point['lint_s']}s ({point['modules_per_s']}/s)",
+              file=sys.stderr)
+    return {"bench": "lint", "points": points}
 
 
 # -- artifacts: committed JSON + history trail -------------------------------
@@ -597,11 +592,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "scaling suite")
     parser.add_argument("--seed", type=int, default=2019)
     parser.add_argument("--workers", type=int, default=1,
-                        help="serving processes (serve) or lint pool "
-                             "width (lint)")
+                        help="serving processes (serve)")
     parser.add_argument("--workers-list", type=str, default=None,
                         help="comma-separated worker counts for the "
-                             "serve and lint suites (e.g. 1,2)")
+                             "serve suite (e.g. 1,2)")
     parser.add_argument("--prefetch", type=int, default=2,
                         help="chunk prefetch depth for scale points "
                              "(0 disables the generator overlap)")
@@ -643,8 +637,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 batch_days=args.batch_days)))
             return 0
         if args.lint_mode is not None:
-            print(json.dumps(measure_lint_point(
-                args.lint_mode, workers=args.workers)))
+            print(json.dumps(measure_lint_point(args.lint_mode)))
             return 0
 
     suite = args.suite or "all"
@@ -681,10 +674,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                       seed=args.seed,
                                       batch_days=args.batch_days))
     if suite in ("lint", "all"):
-        lint_workers = (workers_list if args.workers_list
-                        else [1, 2, 4])
-        _write_suite(out_dir, "lint",
-                     run_lint_suite(workers_list=lint_workers))
+        _write_suite(out_dir, "lint", run_lint_suite())
     return 0
 
 

@@ -89,7 +89,7 @@ class TestCalibration:
 
 class TestLintPoint:
     def test_cold_point_shape(self):
-        point = measure_lint_point("cold", workers=1)
+        point = measure_lint_point("cold")
         assert point["suite"] == "lint"
         assert point["mode"] == "cold"
         assert point["workers"] == 1

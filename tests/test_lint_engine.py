@@ -1,10 +1,9 @@
-"""reprolint engine tests: per-rule fixtures, pragmas, baselines.
+"""reprolint engine tests: per-rule fixtures, pragmas, self-check.
 
 Each rule family has a positive fixture (every expected rule ID at an
 expected line, located by marker comments so line drift cannot rot the
 assertions) and a negative fixture that must stay silent.  On top:
-pragma suppression, baseline add/expire arithmetic, and the self-check
-that HEAD lints clean.
+pragma suppression and the self-check that HEAD lints clean.
 """
 
 import subprocess
@@ -13,9 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
-    Baseline,
     LintEngine,
-    LintReport,
     RULE_REGISTRY,
     build_project_index,
     changed_files,
@@ -85,25 +82,6 @@ class TestDeterminismRules:
         module.write_text("import time\n\n"
                           "def now():\n    return time.time()\n")
         assert LintEngine().run(tmp_path).findings == []
-
-
-class TestParallelSafetyRules:
-    def test_positive(self):
-        report = lint_fixture("parallel_bad.py")
-        par1 = {line for _, line in found(report, "PAR001")}
-        assert par1 == set(marked_lines("parallel_bad.py", "PAR001"))
-        par2 = {line for _, line in found(report, "PAR002")}
-        assert par2 == set(marked_lines("parallel_bad.py", "PAR002"))
-
-    def test_indirect_submission_traced(self):
-        # Engine.run -> _map(fn=_tally_chunk) -> pool.submit(fn): the
-        # global-mutating task is caught through the indirection.
-        report = lint_fixture("parallel_bad.py")
-        assert any(f.symbol == "_tally_chunk"
-                   for f in report.findings if f.rule_id == "PAR002")
-
-    def test_negative(self):
-        assert lint_fixture("parallel_ok.py").findings == []
 
 
 class TestDurabilityRules:
@@ -232,44 +210,6 @@ class TestPragmas:
             "        return None\n")
         report = LintEngine().run(tmp_path)
         assert [f.rule_id for f in report.findings] == ["EXC001"]
-
-
-# -- baseline ---------------------------------------------------------------
-
-
-class TestBaseline:
-    def test_accepts_exactly_current_findings(self):
-        report = lint_fixture("exc_bad.py")
-        baseline = Baseline.from_report(report)
-        assert baseline.regressions(report) == []
-        assert baseline.expired(report) == []
-
-    def test_new_finding_is_a_regression(self):
-        baseline = Baseline.from_report(lint_fixture("exc_bad.py"))
-        wider = lint_fixture("exc_bad.py", "core/det_bad.py")
-        regressions = baseline.regressions(wider)
-        assert regressions and all(
-            f.path == "core/det_bad.py" for f in regressions)
-
-    def test_fixed_finding_expires_its_grant(self):
-        baseline = Baseline.from_report(
-            lint_fixture("exc_bad.py", "core/det_bad.py"))
-        narrower = lint_fixture("exc_bad.py")
-        expired = baseline.expired(narrower)
-        assert expired
-        assert all(path == "core/det_bad.py"
-                   for (_, path), _, _ in expired)
-        assert baseline.regressions(narrower) == []
-
-    def test_roundtrip_through_toml(self, tmp_path):
-        report = lint_fixture("exc_bad.py", "cache_bad.py")
-        baseline = Baseline.from_report(report)
-        baseline.notes[("EXC001", "exc_bad.py")] = "fixture grant"
-        path = baseline.write(tmp_path / "lint_baseline.toml")
-        loaded = Baseline.load(path)
-        assert loaded.entries == baseline.entries
-        assert loaded.notes == baseline.notes
-        assert loaded.regressions(report) == []
 
 
 # -- whole-program passes ---------------------------------------------------
@@ -456,18 +396,7 @@ class TestPragmaParsing:
         assert "EXC001" in {f.rule_id for f in report.suppressed}
 
 
-# -- parallel workers and --changed focus -----------------------------------
-
-
-class TestParallelEngine:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_workers_match_serial(self, workers):
-        serial = LintEngine().run(FIXTURES)
-        parallel = LintEngine(workers=workers).run(FIXTURES)
-        assert [f.render() for f in serial.findings] == \
-            [f.render() for f in parallel.findings]
-        assert sorted(f.render() for f in serial.suppressed) == \
-            sorted(f.render() for f in parallel.suppressed)
+# -- --changed focus --------------------------------------------------------
 
 
 class TestFocusAndChanged:
@@ -575,7 +504,7 @@ class TestSarif:
         from repro.lint.sarif import render_sarif, to_sarif
 
         report = lint_fixture("units_bad.py")
-        doc = to_sarif(report, regressions=report.findings)
+        doc = to_sarif(report)
         (run,) = doc["runs"]
         rules = [r["id"] for r in run["tool"]["driver"]["rules"]]
         assert rules == sorted(set(rules))  # deduped, stable order
@@ -585,54 +514,10 @@ class TestSarif:
         loc = first["locations"][0]["physicalLocation"]
         assert loc["artifactLocation"]["uri"] == "units_bad.py"
         assert loc["region"]["startLine"] == report.findings[0].line
-        assert first["baselineState"] == "new"
         assert first["ruleId"] == rules[first["ruleIndex"]]
         # text form parses back to the same document
-        assert json.loads(render_sarif(
-            report, report.findings)) == json.loads(
-                json.dumps(doc, sort_keys=True))
-
-    def test_baseline_state_partition(self):
-        from repro.lint.sarif import to_sarif
-
-        report = lint_fixture("units_bad.py")
-        granted = to_sarif(report, regressions=[])
-        states = {r["baselineState"]
-                  for r in granted["runs"][0]["results"]}
-        assert states == {"unchanged"}
-        no_baseline = to_sarif(report, regressions=None)
-        assert all("baselineState" not in r
-                   for r in no_baseline["runs"][0]["results"])
-
-
-# -- baseline edge cases ----------------------------------------------------
-
-
-class TestBaselineEdgeCases:
-    def test_budget_shrink_is_not_a_regression(self):
-        report = lint_fixture("exc_bad.py")
-        baseline = Baseline.from_report(report)
-        reduced = LintReport()
-        reduced.findings = report.findings[:-1]
-        assert baseline.regressions(reduced) == []
-        assert baseline.expired(reduced)
-
-    def test_deleted_path_grant_expires(self):
-        baseline = Baseline.from_report(lint_fixture("exc_bad.py"))
-        assert baseline.regressions(LintReport()) == []
-        expired = baseline.expired(LintReport())
-        assert expired
-        assert {path for (_, path), _, _ in expired} == {"exc_bad.py"}
-
-    def test_rewrite_is_byte_identical(self, tmp_path):
-        report = lint_fixture("exc_bad.py", "cache_bad.py")
-        path = tmp_path / "lint_baseline.toml"
-        Baseline.from_report(report).write(path)
-        first = path.read_bytes()
-        loaded = Baseline.load(path)
-        Baseline.from_report(report, notes=loaded.notes).write(path)
-        assert path.read_bytes() == first
-
+        assert json.loads(render_sarif(report)) == json.loads(
+            json.dumps(doc, sort_keys=True))
 
 # -- self-check -------------------------------------------------------------
 
@@ -641,7 +526,7 @@ class TestSelfCheck:
     def test_head_lints_clean(self, source_tree_lint):
         run = source_tree_lint
         assert run.report.parse_errors == []
-        assert [f.render() for f in run.regressions] == []
+        assert [f.render() for f in run.report.findings] == []
 
     def test_every_registered_rule_has_a_firing_fixture(self):
         report = LintEngine().run(FIXTURES)
@@ -651,7 +536,7 @@ class TestSelfCheck:
 
     def test_rule_registry_is_complete(self):
         families = {spec.family for spec in RULE_REGISTRY.values()}
-        assert families == {"taint", "determinism", "parallel-safety",
+        assert families == {"taint", "determinism",
                             "durability", "cache-keys",
                             "exception-hygiene", "schema",
                             "dead-code", "pragma-hygiene",

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.binfmt.entropy import shannon_entropy
 from repro.common.net import is_ipv4_literal
 from repro.fuzzyhash import ctph
 from repro.perf.cache import (
@@ -15,7 +14,6 @@ from repro.perf.cache import (
     LruCache,
     cache_stats,
     cached_ctph,
-    cached_entropy,
     clear_caches,
 )
 from repro.perf.profiler import PipelineProfiler
@@ -98,14 +96,10 @@ class TestContentMemos:
         assert cached_ctph(data) == ctph.compute(data)
         assert CTPH_CACHE.hits == 1
 
-    def test_cached_entropy_matches_direct(self):
-        data = bytes(range(256)) * 8
-        assert cached_entropy(data) == shannon_entropy(data)
-        assert cached_entropy(data) == shannon_entropy(data)
-
     def test_cache_stats_covers_process_caches(self):
+        import repro.perf.scan  # noqa: F401  (registers scan_context)
         stats = cache_stats()
-        assert set(stats) >= {"ctph", "entropy"}
+        assert set(stats) >= {"ctph", "scan_context"}
 
 
 # ---------------------------------------------------------------------------

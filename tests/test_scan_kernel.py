@@ -19,14 +19,16 @@ from repro.binfmt.strings import extract_strings
 from repro.common.errors import RuleSyntaxError
 from repro.common.rng import DeterministicRNG
 from repro.core.static_analysis import StaticAnalyzer
-from repro.perf.cache import UNPACK_CACHE, cached_unpack, clear_caches
+from repro.perf.cache import clear_caches
 from repro.perf.scan import (
     BLOB_MIN_RUN,
+    SCAN_CONTEXT_CACHE,
     AhoCorasick,
     ScanContext,
     build_blob,
     printable_min_len,
     scan_context,
+    unpack_scannable,
 )
 from repro.wallets.addresses import COINS, WalletFactory
 from repro.wallets.detect import (
@@ -259,25 +261,22 @@ class TestScanContext:
         packed = pack(inner, PACKERS["UPX"])
         clear_caches()
         StaticAnalyzer().analyze(packed)
-        assert (UNPACK_CACHE.misses, UNPACK_CACHE.hits) == (1, 0)
+        assert SCAN_CONTEXT_CACHE.misses == 1
         rules = builtin_miner_rules()
-        # the second consumer reuses the whole memoised context, so the
-        # unpack memo is not even consulted again
-        from repro.perf.scan import SCAN_CONTEXT_CACHE
-        assert rules.scan(scan_context(packed))
-        assert UNPACK_CACHE.misses == 1
+        # the second consumer reuses the whole memoised context, so
+        # the sample is unpacked once for both
+        ctx = scan_context(packed)
+        assert rules.scan(ctx)
+        assert SCAN_CONTEXT_CACHE.misses == 1
         assert SCAN_CONTEXT_CACHE.hits >= 1
-        # a consumer going through the memo directly also shares it
-        assert cached_unpack(packed) == (inner, True)
-        assert (UNPACK_CACHE.misses, UNPACK_CACHE.hits) == (1, 1)
+        assert (ctx.data, ctx.unpacked) == (inner, True)
 
     def test_cached_unpack_flags(self):
         inner = build_binary(ExecutableKind.PE, code=b"\x90" * 64,
                              strings=["some content string"])
         packed = pack(inner, PACKERS["UPX"])
-        clear_caches()
-        assert cached_unpack(packed) == (inner, True)
-        assert cached_unpack(b"plain bytes") == (b"plain bytes", False)
+        assert unpack_scannable(packed) == (inner, True)
+        assert unpack_scannable(b"plain bytes") == (b"plain bytes", False)
 
 
 class TestBlobSafetyAnalysis:
