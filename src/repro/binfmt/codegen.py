@@ -25,25 +25,41 @@ def pseudo_code(rng: DeterministicRNG, size: int) -> bytes:
     if size <= 0:
         return b""
     # This is the hottest loop of world generation (one call per sample
-    # body), so the underlying random.Random methods are bound locally:
-    # the draw sequence is untouched — bernoulli(p) is random() < p and
-    # choice/randint delegate 1:1 — only attribute lookups go away.
+    # body), so the draws are inlined as the getrandbits rejection loops
+    # random.Random.choice and randint run: choice(seq) is
+    # seq[_randbelow(len(seq))], randint(1, 6) is 1 + _randbelow(6), and
+    # _randbelow(n) draws getrandbits(n.bit_length()) until the value is
+    # below n.  The random.Random calls and their order are unchanged, so
+    # are the bytes and the RNG state afterwards.
     _random = rng._random.random
-    _choice = rng._random.choice
-    _randint = rng._random.randint
+    _bits = rng._random.getrandbits
     # Build a small library of basic blocks, then emit them with reuse.
     library: List[bytes] = []
     for _ in range(max(4, size // (_BLOCK * 8))):
-        block = bytearray()
-        for _ in range(_BLOCK):
+        block = bytearray(_BLOCK)
+        for j in range(_BLOCK):
             if _random() < 0.8:
-                block.append(_choice(_COMMON))
+                r = _bits(5)            # choice(_COMMON): 16 opcodes
+                while r >= 16:
+                    r = _bits(5)
+                block[j] = _COMMON[r]
             else:
-                block.append(_choice(_RARE))
+                r = _bits(7)            # choice(_RARE): 64 opcodes
+                while r >= 64:
+                    r = _bits(7)
+                block[j] = _RARE[r]
         library.append(bytes(block))
+    n_blocks = len(library)
+    k = n_blocks.bit_length()
     out = bytearray()
     while len(out) < size:
-        out += _choice(library)
+        r = _bits(k)                    # choice(library)
+        while r >= n_blocks:
+            r = _bits(k)
+        out += library[r]
         if _random() < 0.3:
-            out += b"\x90" * _randint(1, 6)  # nop sled padding
+            r = _bits(3)                # randint(1, 6)
+            while r >= 6:
+                r = _bits(3)
+            out += b"\x90" * (1 + r)  # nop sled padding
     return bytes(out[:size])

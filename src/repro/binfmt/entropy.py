@@ -6,7 +6,8 @@ chosen to be more conservative than prior packed-software detectors.
 """
 
 import math
-from collections import Counter
+
+import numpy as np
 
 #: Paper's obfuscation threshold (§IV-E).
 OBFUSCATION_THRESHOLD = 7.5
@@ -22,10 +23,14 @@ def shannon_entropy(data: bytes) -> float:
     """Shannon entropy in bits per byte; 0.0 for empty input."""
     if not data:
         return 0.0
-    counts = Counter(data)
+    # Count with numpy, but sum the terms in first-occurrence order, the
+    # order collections.Counter(data) yields them: float addition is not
+    # associative, so any other order could move the last bit.
+    _, first, counts = np.unique(np.frombuffer(data, dtype=np.uint8),
+                                 return_index=True, return_counts=True)
     total = len(data)
     entropy = 0.0
-    for count in counts.values():
+    for count in counts[np.argsort(first)].tolist():
         p = count / total
         entropy -= p * math.log2(p)
     return entropy

@@ -88,11 +88,21 @@ class DeterministicRNG:
 
     def hexbytes(self, n: int) -> str:
         """Return ``n`` random bytes rendered as lowercase hex."""
-        return bytes(self._random.getrandbits(8) for _ in range(n)).hex()
+        return self.randbytes(n).hex()
 
     def randbytes(self, n: int) -> bytes:
-        """``n`` random bytes."""
-        return bytes(self._random.getrandbits(8) for _ in range(n))
+        """``n`` random bytes: the top byte of each of ``n`` 32-bit draws.
+
+        Byte ``i`` equals the ``i``-th of ``n`` ``getrandbits(8)`` calls,
+        which keep the top 8 bits of one 32-bit generator output.  One
+        ``getrandbits(32 * n)`` call makes the same ``n`` outputs and
+        lays them out least significant word first, so taking the top
+        byte of every little-endian word yields the same bytes and leaves
+        the generator in the same state.
+        """
+        if n <= 0:
+            return b""
+        return self._random.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
 
     # -- distribution helpers ------------------------------------------
 

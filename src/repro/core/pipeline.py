@@ -49,7 +49,7 @@ from repro.core.records import MinerRecord
 from repro.core.sanity import SanityChecker, SanityVerdict
 from repro.core.static_analysis import StaticAnalyzer
 from repro.corpus.model import SampleRecord, SyntheticWorld
-from repro.perf.cache import CachingResolver
+from repro.perf.cache import CachingResolver, release_caches
 from repro.perf.profiler import PipelineProfiler
 from repro.perf.scan import profiled_scan
 from repro.sandbox.emulator import Sandbox, SandboxEnvironment
@@ -389,8 +389,11 @@ class MeasurementPipeline:
 
     def run(self) -> MeasurementResult:
         """Execute all pipeline stages; returns the measurement result."""
-        with profiled_scan(self.profiler):
-            return self._run_stages()
+        try:
+            with profiled_scan(self.profiler):
+                return self._run_stages()
+        finally:
+            release_caches()
 
     def _run_stages(self) -> MeasurementResult:
         prof = self.profiler

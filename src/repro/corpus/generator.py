@@ -13,10 +13,12 @@ import hashlib
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.binfmt.codegen import pseudo_code
+from repro.binfmt.entropy import shannon_entropy
 from repro.binfmt.format import ExecutableKind, build_binary
-from repro.binfmt.packers import CUSTOM_CRYPTER, PACKERS, pack
+from repro.binfmt.packers import CUSTOM_CRYPTER, PACKERS, identify_packer, pack
 from repro.common.rng import DeterministicRNG
 from repro.common.simtime import (
+    POW_FORK_DATES,
     SIM_END,
     Date,
     add_days,
@@ -414,7 +416,6 @@ class EcosystemGenerator:
         end = natural_end
         if not updates:
             # die at the first PoW fork inside the activity window
-            from repro.common.simtime import POW_FORK_DATES
             for fork in POW_FORK_DATES:
                 if start < fork < natural_end:
                     end = fork
@@ -979,7 +980,6 @@ class EcosystemGenerator:
 
     def _make_vt_report(self, rng: DeterministicRNG, sample: SampleRecord,
                         whitelist: set) -> AvReport:
-        from repro.binfmt.packers import identify_packer
         campaign = None
         if sample.true_campaign_id is not None:
             campaign = self._campaign_by_id(sample.true_campaign_id)
@@ -1002,7 +1002,6 @@ class EcosystemGenerator:
                 label_base = "Heur.Suspicious"
         else:
             packer = identify_packer(sample.raw)
-            from repro.binfmt.entropy import shannon_entropy
             if packer is None and shannon_entropy(sample.raw) > 7.5:
                 positives = rng.randint(4, 12)    # crypters evade many AVs
             elif packer is not None:
@@ -1014,14 +1013,23 @@ class EcosystemGenerator:
                           else "Trojan.Dropper")
         positives = min(positives, len(AV_VENDORS))
         vendors = rng.sample(_AV_VENDOR_LIST, positives)
+        # One iteration per detection, about 18 per sample, so the
+        # draws are inlined: bernoulli(0.35) is random() < 0.35 and
+        # randint(0, 120) is getrandbits(7) drawn until it is at most 120,
+        # the loop random.Random.randint runs.  Same calls, same order.
+        _random = rng._random.random
+        _bits = rng._random.getrandbits
+        ppi_botnet = (campaign.ppi_botnet
+                      if campaign is not None and campaign.uses_ppi else None)
+        seen = sample.first_seen or datetime.date(2019, 2, 1)
         detections = {}
         for vendor in vendors:
             label = f"{label_base}.{rng.hexbytes(2)}"
-            if (campaign is not None and campaign.uses_ppi
-                    and campaign.ppi_botnet and rng.bernoulli(0.35)):
-                label = f"Win32.{campaign.ppi_botnet}.{rng.hexbytes(2)}"
-            seen = sample.first_seen or datetime.date(2019, 2, 1)
-            lag = rng.randint(0, 120)
+            if ppi_botnet and _random() < 0.35:
+                label = f"Win32.{ppi_botnet}.{rng.hexbytes(2)}"
+            lag = _bits(7)
+            while lag > 120:
+                lag = _bits(7)
             detections[vendor] = (label, add_days(seen, lag))
         # first_seen can be missing for recent samples (VT rate limits)
         first_seen = sample.first_seen

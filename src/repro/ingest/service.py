@@ -234,9 +234,13 @@ class IngestionService:
 
     def run(self) -> IngestionResult:
         """Process every (remaining) batch, finalize, and report."""
+        from repro.perf.cache import release_caches
         from repro.perf.scan import profiled_scan
-        with profiled_scan(self.profiler):
-            return self._run_batches()
+        try:
+            with profiled_scan(self.profiler):
+                return self._run_batches()
+        finally:
+            release_caches()
 
     def _run_batches(self) -> IngestionResult:
         batches = self.scheduler.batches()

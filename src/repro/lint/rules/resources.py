@@ -36,7 +36,12 @@ from repro.lint.contracts import RESOURCE_RELEASE_METHODS
 from repro.lint.engine import ProjectEmitter, ProjectRule
 from repro.lint.facts import AcquireFact, FunctionFact, ModuleSummary
 from repro.lint.findings import register_rule
-from repro.lint.interproc import FnKey, ResolvedProgram, resolved_program
+from repro.lint.interproc import (
+    FnKey,
+    ResolvedProgram,
+    propagate,
+    resolved_program,
+)
 
 RES001 = register_rule(
     "RES001", "resource-lifecycle",
@@ -123,24 +128,24 @@ class ResourceLifecycleRule(ProjectRule):
                 if not acq.managed and self._escapes_with(fact, acq):
                     returners[key] = acq.kind
                     break
+
         # transitive: returning another returner's result.
-        changed = True
-        while changed:
-            changed = False
-            for key, (_summary, fact) in program.facts.items():
-                if key in returners:
+        def update(caller: FnKey, callee: FnKey) -> bool:
+            if caller in returners:
+                return False
+            fact = program.facts[caller][1]
+            bound = _bound_names(fact)
+            for ci, _line, target in program.edges(caller):
+                if target != callee:
                     continue
-                bound = _bound_names(fact)
-                for ci, _line, callee in program.edges(key):
-                    if callee not in returners:
-                        continue
-                    name = bound.get(ci)
-                    if ci in fact.ret.calls or (
-                            name is not None
-                            and name in fact.returned_names):
-                        returners[key] = returners[callee]
-                        changed = True
-                        break
+                name = bound.get(ci)
+                if ci in fact.ret.calls or (
+                        name is not None and name in fact.returned_names):
+                    returners[caller] = returners[callee]
+                    return True
+            return False
+
+        propagate(program, sorted(returners), update)
         return returners
 
     @staticmethod

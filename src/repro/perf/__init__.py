@@ -15,6 +15,7 @@ from repro.perf.cache import (
     cache_stats,
     cached_ctph,
     clear_caches,
+    release_caches,
     render_cache_table,
 )
 from repro.perf.profiler import PipelineProfiler, StageTiming
@@ -25,6 +26,7 @@ __all__ = [
     "cache_stats",
     "cached_ctph",
     "clear_caches",
+    "release_caches",
     "render_cache_table",
     "PipelineProfiler",
     "StageTiming",

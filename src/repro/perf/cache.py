@@ -4,10 +4,11 @@ The pipeline's hot paths recompute pure functions of immutable inputs —
 CTPH digests of raw binaries, DNS/CNAME resolutions, and pool-directory
 suffix walks.  This module provides one bounded LRU implementation
 plus process-wide memo instances for the content-keyed substrates, so
-repeated work (ablation reruns, bench iterations, the stock-tool
-catalog index) is never redone.  Every cache exposes
-hit/miss counters; ``cache_stats()`` aggregates them for the profiler
-and the scaling bench.
+work repeated within one run is not redone.  A run drops the memos'
+entries when it returns (``release_caches()``), so nothing of one
+world outlives the run over it.  Every cache exposes hit/miss
+counters; ``cache_stats()`` aggregates them for the profiler and the
+scaling bench.
 """
 
 import threading
@@ -77,6 +78,11 @@ class LruCache:
             self.hits = 0
             self.misses = 0
 
+    def release(self) -> None:
+        """Drop all entries but keep the counters."""
+        with self._lock:
+            self._data.clear()
+
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
@@ -131,6 +137,20 @@ def clear_caches() -> None:
     """Reset the process-wide memos (tests and benches isolate runs)."""
     for cache in _all_caches():
         cache.clear()
+
+
+def release_caches() -> None:
+    """Drop the process-wide memos' entries, keeping their counters.
+
+    Every measurement run calls this when it returns.  The memos are
+    keyed by the run's sample bytes, so entries left behind would keep
+    the binaries and scan views of a world the caller has let go,
+    about 12 MiB at the benchmark scale, and the next world would be
+    built around them: peak RSS would then grow with the number of
+    runs a process makes instead of staying at one run's peak.
+    """
+    for cache in _all_caches():
+        cache.release()
 
 
 def render_cache_table() -> str:

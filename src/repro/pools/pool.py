@@ -153,8 +153,12 @@ class MiningPool(ShareSink):
         account.hashes += hashrate_hs * 86400
         account.last_share = day
         account.last_hashrate = hashrate_hs
-        for i in range(src_ips):
-            account.src_ips.add(f"bulk:{identifier}:{i}")
+        # The bulk path only ever adds the prefix bulk:{id}:0..n-1, so the
+        # last of the day's IPs being present means all of them are, and
+        # re-adding members would leave the set exactly as it is.
+        if f"bulk:{identifier}:{src_ips - 1}" not in account.src_ips:
+            for i in range(src_ips):
+                account.src_ips.add(f"bulk:{identifier}:{i}")
         if self.config.exposes_hashrate_history:
             account.hashrate_history.append((day, hashrate_hs))
         self._maybe_pay(account, day)

@@ -64,6 +64,7 @@ from repro.core.profit import ProfitAnalyzer, WalletProfile
 from repro.core.records import MinerRecord
 from repro.core.sanity import SanityVerdict
 from repro.corpus.model import SampleRecord, SyntheticWorld
+from repro.perf.cache import release_caches
 from repro.scale.columnar import RecordStore
 from repro.scale.shards import ShardedCampaignAggregator
 from repro.scale.stream import ChunkPrefetcher, StreamingCorpus
@@ -320,6 +321,7 @@ class ScalePipeline:
                 + rejected.bytes_written(),
             )
         finally:
+            release_caches()
             deferred.close()
             rejected.close()
             for name in ("deferred.spill", "rejected.spill"):

@@ -15,6 +15,7 @@ from repro.perf.cache import (
     cache_stats,
     cached_ctph,
     clear_caches,
+    release_caches,
 )
 from repro.perf.profiler import PipelineProfiler
 
@@ -63,6 +64,16 @@ class TestLruCache:
         assert cache.hits == 0 and cache.misses == 0
         assert cache.hit_rate == 0.0
 
+    def test_release_keeps_counters(self):
+        cache = LruCache("t")
+        cache.put("a", 1)
+        cache.get("a")
+        cache.get("missing")
+        cache.release()
+        assert len(cache) == 0
+        assert cache.hits == 1 and cache.misses == 1
+        assert cache.get("a") is None
+
     def test_stats_shape(self):
         cache = LruCache("t")
         cache.get_or_compute("k", lambda: 1)
@@ -95,6 +106,26 @@ class TestContentMemos:
         assert CTPH_CACHE.hits == 0
         assert cached_ctph(data) == ctph.compute(data)
         assert CTPH_CACHE.hits == 1
+
+    def test_release_caches_empties_every_memo(self):
+        import repro.perf.scan  # noqa: F401  (registers scan_context)
+        cached_ctph(b"some miner binary contents " * 64)
+        release_caches()
+        stats = cache_stats()
+        assert all(entry["size"] == 0 for entry in stats.values())
+        assert stats["ctph"]["misses"] == 1
+
+    def test_pipeline_run_leaves_no_memo_entries(self):
+        # a run's memos are keyed by its sample bytes; kept past the
+        # run, they would hold a world the caller has let go
+        from repro.core.pipeline import MeasurementPipeline
+        from repro.corpus.generator import generate_world
+        from repro.corpus.model import ScenarioConfig
+        world = generate_world(ScenarioConfig(seed=7, scale=0.002))
+        MeasurementPipeline(world).run()
+        stats = cache_stats()
+        assert stats["scan_context"]["misses"] > 0
+        assert all(entry["size"] == 0 for entry in stats.values())
 
     def test_cache_stats_covers_process_caches(self):
         import repro.perf.scan  # noqa: F401  (registers scan_context)
