@@ -1,46 +1,44 @@
 """End-to-end measurement pipeline (Figure 3 of the paper).
 
-Orchestrates: sanity checks -> static/dynamic extraction -> the
-illicit-wallet exception sweep -> ancillary recovery -> profit analysis
--> proxy identification -> campaign aggregation -> enrichment.
-
-Each step up to proxy identification has one implementation here, a
-plain function that all four drivers call directly: this batch pipeline,
-the out-of-core :class:`~repro.scale.pipeline.ScalePipeline`, the
-checkpointed :class:`~repro.ingest.service.IngestionService` and the
-record-set derivations of :mod:`repro.serve.snapshot`.  Besides the
-per-sample stages (:func:`stage1_analyze`, :func:`stage2_sweep`) these
-are the recovery fixpoint :func:`recover_linked`, the proxy rule
-:func:`find_proxies` over :func:`proxy_candidates`, the funnel tail
-:meth:`PipelineStats.count_kept` + :func:`below_threshold_verdict`, and
-:func:`derive_from_records`; profit polling is
-:meth:`~repro.core.profit.ProfitAnalyzer.profile_many` everywhere.  Each
-driver owns only where its samples come from and where its state lives:
-this one reads an in-memory world and keeps dicts.  A
-:class:`~repro.perf.profiler.PipelineProfiler` times every stage.
+Sanity checks -> static/dynamic extraction -> the illicit-wallet
+exception -> ancillary recovery -> profit analysis -> proxy
+identification -> campaign aggregation -> enrichment, written once.
+:class:`MeasurementFold` is the per-sample half, folding samples in
+windows: :class:`MeasurementPipeline` takes one step over the whole
+world, :class:`~repro.ingest.service.IngestionService` one per feed
+batch.  :class:`MeasurementTail` is the per-record-set half every
+driver ends in, each with its own campaign aggregator: one-shot
+(batch), incremental (ingestion) or sharded (the out-of-core
+:class:`~repro.scale.pipeline.ScalePipeline` and
+:func:`repro.serve.snapshot.result_from_store`).  ``ScalePipeline``
+keeps its own chunk-and-spill loops over the step functions here
+(:func:`stage1_analyze`, :func:`stage2_sweep`, :func:`recover_linked`,
+:func:`analyze_linked_sample`).  A
+:class:`~repro.perf.profiler.PipelineProfiler` times every stage under
+one set of names.
 """
 
+import dataclasses
 import datetime
 from dataclasses import dataclass, field
 from functools import partial
 from typing import (
     Callable,
+    Collection,
     Dict,
     FrozenSet,
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
 
 from repro.common.net import is_ipv4_literal
-from repro.core.aggregation import (
-    Campaign,
-    CampaignAggregator,
-    GroupingPolicy,
-)
+from repro.core.aggregation import Campaign, CampaignAggregator, GroupingPolicy
 from repro.core.dynamic_analysis import DynamicAnalyzer
 from repro.core.enrichment import CampaignEnricher
 from repro.core.extraction import DEFAULT_ANALYSIS_DATE, ExtractionEngine
@@ -228,26 +226,6 @@ def find_proxies(candidates: Iterable[Tuple[str, Iterable[str]]],
     return proxies
 
 
-def derive_from_records(records: List[MinerRecord],
-                        profit: ProfitAnalyzer, aggregator
-                        ) -> Tuple[Dict[str, WalletProfile], Set[str]]:
-    """``(profiles, proxies)`` of a record set, fed into ``aggregator``.
-
-    Pure functions of the records (wallets polled in first-seen order),
-    so a restore lands on the state an uninterrupted run holds without
-    persisting pool responses.  ``aggregator`` is incremental
-    (``add_record`` / ``add_proxy_ips``).
-    """
-    profiles = profit.profile_many(dict.fromkeys(
-        identifier for record in records
-        for identifier in record.identifiers))
-    proxies = find_proxies(proxy_candidates(records), profiles)
-    for record in records:
-        aggregator.add_record(record)
-    aggregator.add_proxy_ips(proxies)
-    return profiles, proxies
-
-
 @dataclass
 class PipelineStats:
     """Bookkeeping for Table III."""
@@ -360,8 +338,264 @@ def iter_result_records(result) -> Iterator[MinerRecord]:
     return iter(result.records)
 
 
+class FoldStep(NamedTuple):
+    """What one :meth:`MeasurementFold.step` did."""
+
+    analyzed: int              # samples run through stage 1
+    records: List[str]         # hashes admitted, in admission order
+    miners: int                # stage-1 miners among ``records``
+    promotions: int            # wallet-exception promotions
+    recovered: int             # dropper-chain recoveries
+
+
+class MeasurementFold:
+    """The per-sample fold: each sample to a verdict, each kept sample
+    to a record.
+
+    Each :meth:`step` takes a window of samples through stage 1, then
+    promotes deferred samples whose wallets a stage-1 miner has
+    confirmed (the illicit-wallet exception), then recovers dropper
+    chains over the samples arrived so far; a link to a sample not yet
+    arrived stays on the ``wanted`` list until it arrives.  Confirmed
+    wallets and arrived samples only grow, so any windowing ends in the
+    state of one window over all.
+    :meth:`finish` gives still-pending samples their final verdict and
+    counts the funnel.  A step's ``journal`` sees each outcome before
+    :meth:`apply` folds it in, so replaying a journal through
+    :meth:`apply` walks the same states.  The fold knows nothing of
+    batches, commits or snapshots.
+    """
+
+    def __init__(self, world: SyntheticWorld, checker: SanityChecker,
+                 engine: ExtractionEngine, profiler: PipelineProfiler
+                 ) -> None:
+        self.world = world
+        self.profiler = profiler
+        self._checker = checker
+        self._engine = engine
+        self.stats = PipelineStats()
+        self.records: Dict[str, MinerRecord] = {}
+        self.verdicts: Dict[str, SanityVerdict] = {}
+        #: identifiers of stage-1 miners (the wallet exception's key)
+        self.confirmed: Set[str] = set()
+        #: deferred sha -> sample index
+        self.pending: Dict[str, int] = {}
+        self._pending_ids: Dict[str, FrozenSet[str]] = {}
+        #: arrived sha -> sample index
+        self.arrived: Dict[str, int] = {}
+        #: linked hashes whose samples have not arrived yet
+        self.wanted: Set[str] = set()
+
+    def arrive(self, indices: Iterable[int]) -> List[str]:
+        """Mark samples as arrived; returns the hashes new to the fold."""
+        samples = self.world.samples
+        fresh = []
+        for index in indices:
+            sha = samples[index].sha256
+            if sha not in self.arrived:
+                fresh.append(sha)
+            self.arrived[sha] = index
+        return fresh
+
+    def step(self, indices: Sequence[int],
+             journal: Optional[Callable[[SampleOutcome], None]] = None,
+             replayed: Collection[str] = (),
+             frontier: Sequence[str] = ()) -> FoldStep:
+        """Fold one window in.  A resumed window names the samples whose
+        stage-1 outcome :meth:`apply` already folded in (``replayed``)
+        and the records admitted that way (``frontier``)."""
+        samples = self.world.samples
+        self.stats.collected += len(indices)
+        arrived_now = self.arrive(indices)
+        added: List[str] = []
+        emit = partial(self._emit, journal, added)
+        todo = [i for i in indices if samples[i].sha256 not in replayed]
+        with self.profiler.stage("sanity + extraction", items=len(todo)):
+            for index in todo:
+                emit(stage1_analyze(samples[index], index, self._checker,
+                                    self._engine))
+        miners = sum(1 for sha in added if self.records[sha].is_miner)
+        promotions = self._promote(emit)
+        recovered = self._recover([*frontier, *added], arrived_now, emit)
+        return FoldStep(len(todo), added, miners, promotions, recovered)
+
+    def apply(self, outcome: SampleOutcome, added: List[str]) -> None:
+        """Fold one outcome into the state; a new record's hash goes on
+        ``added``."""
+        sha = outcome.sha256
+        self.stats.tally(outcome)
+        if outcome.kind == "deferred":
+            self.defer(sha, outcome.index)
+            return
+        self.verdicts[sha] = outcome.verdict
+        if outcome.kind == "miner":
+            self.confirmed.update(outcome.record.identifiers)
+        elif outcome.kind == "exception":
+            self.pending.pop(sha, None)
+            self._pending_ids.pop(sha, None)
+        elif outcome.kind == "recovered":
+            self.stats.sandbox_analyses += 1
+            self.wanted.discard(sha)
+        # nonexec and rejected outcomes carry no record
+        if outcome.record is not None and sha not in self.records:
+            self.records[sha] = outcome.record
+            added.append(sha)
+            if outcome.kind == "recovered":
+                self.profiler.count("ancillaries_recovered")
+
+    def defer(self, sha: str, index: int) -> None:
+        """Park a below-threshold sample with its static identifiers."""
+        self.pending[sha] = index
+        quick = self._engine.extract_static_only(self.world.samples[index])
+        self._pending_ids[sha] = frozenset(quick.identifiers)
+
+    def _emit(self, journal: Optional[Callable[[SampleOutcome], None]],
+              added: List[str], outcome: SampleOutcome) -> None:
+        if journal is not None:
+            journal(outcome)
+        self.apply(outcome, added)
+
+    def _promote(self, emit: Callable[[SampleOutcome], None]) -> int:
+        """Promote deferred samples whose wallets are now confirmed."""
+        with self.profiler.stage("wallet-exception sweep",
+                                 items=len(self.pending)):
+            matches = sorted(
+                (index, sha) for sha, index in self.pending.items()
+                if self._pending_ids[sha] & self.confirmed)
+            confirmed = frozenset(self.confirmed) if matches else frozenset()
+            # a match's static identifiers meet the confirmed set, so
+            # its sweep is always an exception
+            for index, _sha in matches:
+                emit(stage2_sweep(self.world.samples[index], index,
+                                  confirmed, self._engine))
+            return len(matches)
+
+    def _recover(self, seeds: List[str], arrived_now: List[str],
+                 emit: Callable[[SampleOutcome], None]) -> int:
+        """Dropper-chain recovery over the arrived samples.
+
+        The first wave is the links of ``seeds`` plus the wanted
+        samples that arrived just now.
+        """
+        vt = self.world.vt
+        with self.profiler.stage("ancillary recovery"):
+            linked = self.wanted.intersection(arrived_now)
+            for sha in dict.fromkeys(seeds):
+                linked.update(linked_hashes(self.records[sha], vt))
+            return recover_linked(linked, partial(linked_hashes, vt=vt),
+                                  partial(self._admit_linked, emit))
+
+    def _admit_linked(self, emit: Callable[[SampleOutcome], None],
+                      sha: str) -> Optional[MinerRecord]:
+        """Recovery's admission test: an arrived executable malware
+        sample not kept yet.  A linked sample that has not arrived is
+        wanted until it arrives or is admitted."""
+        if sha in self.records:
+            self.wanted.discard(sha)
+            return None
+        index = self.arrived.get(sha)
+        if index is None:
+            if self.world.sample_by_hash(sha) is not None:
+                self.wanted.add(sha)
+            return None
+        self.wanted.discard(sha)
+        sample = self.world.samples[index]
+        if (not self._checker.is_executable(sample.raw)
+                or not self._checker.is_malware(sample.sha256)):
+            return None
+        record, verdict = analyze_linked_sample(sample, self._engine)
+        emit(SampleOutcome(index, sha, "recovered", verdict=verdict,
+                           record=record))
+        return record
+
+    def rebuild_wanted(self) -> None:
+        """Re-derive the wanted list: linked hashes of kept records
+        whose samples exist but have not arrived (an arrived, unadmitted
+        link failed its deterministic checks for good)."""
+        self.wanted = {
+            sha for record in self.records.values()
+            for sha in linked_hashes(record, self.world.vt)
+            if sha not in self.records and sha not in self.arrived
+            and self.world.sample_by_hash(sha) is not None}
+
+    def finish(self, copy: bool = False) -> Tuple[
+            List[MinerRecord], Dict[str, SanityVerdict], PipelineStats]:
+        """Kept records, final verdicts and the funnel.
+
+        The still-pending samples get their below-threshold verdict and
+        the miner/ancillary/per-feed counts are taken over the kept
+        records.  ``copy=True`` leaves the fold's own verdicts and
+        stats untouched (a fold still in progress).
+        """
+        verdicts = dict(self.verdicts) if copy else self.verdicts
+        stats = dataclasses.replace(self.stats) if copy else self.stats
+        for sha in sorted(self.pending, key=self.pending.get):
+            verdicts[sha] = below_threshold_verdict(sha)
+        kept = list(self.records.values())
+        with self.profiler.stage("funnel accounting", items=len(kept)):
+            stats.miners = stats.ancillaries = 0
+            stats.by_source = {}
+            for record in kept:
+                stats.count_kept(
+                    record, self.world.sample_by_hash(record.sha256))
+        return kept, verdicts, stats
+
+
+class MeasurementTail:
+    """Profit analysis -> proxy identification -> aggregation ->
+    enrichment, the end every driver shares.
+
+    :meth:`add` polls the wallets no earlier call brought (sorted) and
+    applies the proxy rule to the records against every profile so
+    far; proxies only grow, so adding records in windows ends where
+    adding them at once does.  :meth:`campaigns` cuts and enriches.
+    """
+
+    def __init__(self, profit: ProfitAnalyzer,
+                 profiler: Optional[PipelineProfiler] = None) -> None:
+        self._profit = profit
+        self.profiler = profiler or PipelineProfiler()
+        self.profiles: Dict[str, WalletProfile] = {}
+        self.proxy_ips: Set[str] = set()
+        self._polled: Set[str] = set()
+        self._kept = 0
+
+    def add(self, records: Iterable[MinerRecord]
+            ) -> Tuple[Dict[str, WalletProfile], Set[str]]:
+        """Profile and proxy-check ``records``; returns the profiles
+        and proxies they added."""
+        identifiers: Set[str] = set()
+        candidates: List[Tuple[str, List[str]]] = []
+        for record in records:
+            self._kept += 1
+            identifiers.update(record.identifiers)
+            candidates.extend(proxy_candidates((record,)))
+        fresh = sorted(identifiers - self._polled)
+        self._polled.update(fresh)
+        with self.profiler.stage("profit analysis", items=len(fresh)):
+            hits = self._profit.profile_many(fresh)
+        self.profiles.update(hits)
+        with self.profiler.stage("proxy identification"):
+            proxies = find_proxies(candidates, self.profiles) - self.proxy_ips
+        self.proxy_ips |= proxies
+        return hits, proxies
+
+    def campaigns(self, aggregate: Callable[[Set[str]], List[Campaign]],
+                  enricher: Optional[CampaignEnricher] = None
+                  ) -> List[Campaign]:
+        """Campaigns from ``aggregate(proxy_ips)``, the driver's own
+        aggregator, enriched when an ``enricher`` is given."""
+        with self.profiler.stage("aggregation", items=self._kept):
+            campaigns = aggregate(self.proxy_ips)
+        if enricher is not None:
+            with self.profiler.stage("enrichment", items=len(campaigns)):
+                enricher.enrich_all(campaigns, self.profiles)
+        return campaigns
+
+
 class MeasurementPipeline:
-    """The full measurement methodology against a (synthetic) world.
+    """The full measurement methodology against a (synthetic) world:
+    one fold step over every sample in index order, then the tail.
 
     ``profiler`` may be supplied to share one across runs; otherwise
     each pipeline owns one, exposed as :attr:`profiler`.
@@ -372,134 +606,34 @@ class MeasurementPipeline:
                  positives_threshold: int = 10,
                  analysis_date: datetime.date = DEFAULT_ANALYSIS_DATE,
                  use_ha_reports: bool = True,
-                 profiler: Optional[PipelineProfiler] = None,
-                 record_store=None) -> None:
+                 profiler: Optional[PipelineProfiler] = None) -> None:
         self.world = world
-        #: optional repro.scale.columnar.RecordStore (duck-typed to
-        #: avoid a core -> scale import cycle); every run appends the
-        #: kept record set as one columnar segment.
-        self.record_store = record_store
         self.profiler = profiler or PipelineProfiler()
         self._policy = policy or GroupingPolicy.full()
         self._checker, self._engine = build_analysis_components(
             world, positives_threshold, analysis_date, use_ha_reports)
         self._profit = ProfitAnalyzer(world.pool_directory)
 
-    # ------------------------------------------------------------------
-
     def run(self) -> MeasurementResult:
         """Execute all pipeline stages; returns the measurement result."""
+        world = self.world
         try:
             with profiled_scan(self.profiler):
-                return self._run_stages()
+                fold = MeasurementFold(world, self._checker, self._engine,
+                                       self.profiler)
+                fold.step(range(len(world.samples)))
+                kept, verdicts, stats = fold.finish()
+                tail = MeasurementTail(self._profit, self.profiler)
+                tail.add(kept)
+                campaigns = tail.campaigns(
+                    lambda proxies: CampaignAggregator(
+                        world.osint, self._policy,
+                        proxy_ips=proxies).aggregate(kept),
+                    CampaignEnricher(world.vt, world.stock_catalog,
+                                     world.sample_by_hash))
+                return MeasurementResult(
+                    records=kept, campaigns=campaigns,
+                    profiles=tail.profiles, verdicts=verdicts,
+                    stats=stats, proxy_ips=tail.proxy_ips)
         finally:
             release_caches()
-
-    def _run_stages(self) -> MeasurementResult:
-        prof = self.profiler
-        samples = self.world.samples
-        stats = PipelineStats(collected=len(samples))
-        verdicts: Dict[str, SanityVerdict] = {}
-        records: Dict[str, MinerRecord] = {}
-        deferred: List[int] = []
-        confirmed: Set[str] = set()
-
-        # -- stage 1: sanity + extraction for confirmed malware ---------
-        with prof.stage("sanity + extraction", items=len(samples)):
-            for index, sample in enumerate(samples):
-                outcome = stage1_analyze(sample, index, self._checker,
-                                         self._engine)
-                stats.tally(outcome)
-                if outcome.kind == "deferred":
-                    deferred.append(index)
-                    continue
-                verdicts[outcome.sha256] = outcome.verdict
-                if outcome.kind == "miner":
-                    records[outcome.sha256] = outcome.record
-                    confirmed.update(outcome.record.identifiers)
-
-        # -- stage 2: illicit-wallet exception sweep ---------------------
-        swept = frozenset(confirmed)
-        with prof.stage("wallet-exception sweep", items=len(deferred)):
-            for index in deferred:
-                outcome = stage2_sweep(samples[index], index, swept,
-                                       self._engine)
-                stats.tally(outcome)
-                verdicts[outcome.sha256] = outcome.verdict
-                if outcome.kind == "exception":
-                    records[outcome.sha256] = outcome.record
-
-        # -- stage 3: ancillary recovery ---------------------------------
-        vt = self.world.vt
-        with prof.stage("ancillary recovery"):
-            linked: Set[str] = set()
-            for record in records.values():
-                linked.update(linked_hashes(record, vt))
-            recover_linked(linked, partial(linked_hashes, vt=vt),
-                           partial(self._admit_linked, records, verdicts,
-                                   stats))
-
-        kept = list(records.values())
-
-        if self.record_store is not None:
-            with prof.stage("record store flush", items=len(kept)):
-                self.record_store.append_segment(kept)
-
-        with prof.stage("funnel accounting", items=len(kept)):
-            for record in kept:
-                stats.count_kept(
-                    record, self.world.sample_by_hash(record.sha256))
-
-        # -- stage 4: profit analysis ------------------------------------
-        identifiers = {
-            identifier for record in kept
-            for identifier in record.identifiers
-        }
-        with prof.stage("profit analysis", items=len(identifiers)):
-            profiles = self._profit.profile_many(sorted(identifiers))
-
-        # -- stage 5: proxy identification --------------------------------
-        with prof.stage("proxy identification"):
-            proxy_ips = find_proxies(proxy_candidates(kept), profiles)
-
-        # -- stage 6: aggregation ------------------------------------------
-        with prof.stage("aggregation", items=len(kept)):
-            aggregator = CampaignAggregator(
-                self.world.osint, self._policy, proxy_ips=proxy_ips)
-            campaigns = aggregator.aggregate(kept)
-
-        # -- stage 7: enrichment --------------------------------------------
-        with prof.stage("enrichment", items=len(campaigns)):
-            enricher = CampaignEnricher(
-                self.world.vt, self.world.stock_catalog,
-                self.world.sample_by_hash,
-            )
-            enricher.enrich_all(campaigns, profiles)
-
-        return MeasurementResult(
-            records=kept,
-            campaigns=campaigns,
-            profiles=profiles,
-            verdicts=verdicts,
-            stats=stats,
-            proxy_ips=proxy_ips,
-        )
-
-    def _admit_linked(self, records: Dict[str, MinerRecord],
-                      verdicts: Dict[str, SanityVerdict],
-                      stats: PipelineStats,
-                      sha: str) -> Optional[MinerRecord]:
-        """Recovery's admission test: any executable malware sample of
-        the world that is not kept yet."""
-        if sha in records:
-            return None
-        sample = self.world.sample_by_hash(sha)
-        if (sample is None or not self._checker.is_executable(sample.raw)
-                or not self._checker.is_malware(sample.sha256)):
-            return None
-        record, verdict = analyze_linked_sample(sample, self._engine)
-        stats.sandbox_analyses += 1
-        records[sha] = record
-        verdicts[sha] = verdict
-        self.profiler.count("ancillaries_recovered")
-        return record

@@ -1,42 +1,33 @@
 """The measurement pipeline over a streamed corpus: flat-RSS stage 1/2.
 
-:class:`ScalePipeline` re-runs the exact methodology of
-:class:`~repro.core.pipeline.MeasurementPipeline` through the same step
-functions of :mod:`repro.core.pipeline` (``stage1_analyze``,
-``stage2_sweep``, ``recover_linked``, ``proxy_candidates`` +
-``find_proxies``, ``PipelineStats.count_kept``) and
-``ProfitAnalyzer.profile_many``.  What it owns is its sample source and
-its state: it consumes :class:`~repro.scale.stream.StreamingCorpus`
-chunks instead of a materialised world, and parks everything that must
-outlive a chunk either on disk or in compact per-sample scalars:
+:class:`ScalePipeline` runs :class:`~repro.core.pipeline.MeasurementPipeline`'s
+methodology over :class:`~repro.scale.stream.StreamingCorpus` chunks and
+ends in the same :class:`~repro.core.pipeline.MeasurementTail`, with a
+:class:`~repro.scale.shards.ShardedCampaignAggregator` over the record
+store.  Its per-sample loops are built from the fold's step functions
+but are its own: recovery searches only the rejected-malware spill, and
+dropper links come from the chunks arrived so far.  What must outlive a
+chunk is parked on disk or in compact per-sample scalars:
 
-* accepted records   -> columnar :class:`~repro.scale.columnar.RecordStore`
+* accepted records -> columnar :class:`~repro.scale.columnar.RecordStore`
   segments (flushed every ``segment_rows`` acceptances);
-* deferred samples   -> a pickle spill, replayed for the stage-2
-  wallet-exception sweep once the confirmed-wallet set is final
-  (exactly the batch ordering: all of stage 1, then stage 2);
-* rejected malware   -> a second spill, the *complete* admission
-  universe of ancillary recovery (a recovered sample must pass
-  ``is_executable`` and ``is_malware`` and not already be kept — at
-  stage 1 that is precisely the ``rejected`` outcome, so spilling
-  anything else would be waste);
-* dropper links      -> an in-memory reverse-parents index, built
-  chunk by chunk: the VT view holds only the reports swapped in for
-  the current chunk or spill and has no ``children_of``;
-* proxy candidates   -> ``(ip, identifiers)`` pairs kept at acceptance,
-  so the proxy rule makes no pass over the store.
+* deferred samples -> a pickle spill, swept for the wallet exception
+  once the confirmed-wallet set is final (the batch order: all of
+  stage 1, then stage 2);
+* rejected malware -> a second spill, the *complete* admission universe
+  of ancillary recovery (at stage 1, passing ``is_executable`` and
+  ``is_malware`` without being kept is exactly ``rejected``);
+* dropper links    -> an in-memory reverse-parents index, built chunk by
+  chunk: the per-chunk VT view has no ``children_of``.
 
-What stays resident is O(samples) only in small constants — the
-accepted/seen hash sets, spill offsets, link sets, per-feed counters —
-about 100–150 bytes per sample against the batch pipeline's ~10 KB of
-live ``SampleRecord``/report objects.  The measured scaling curve lives
-in ``BENCH_scale.json``; the layout rationale in
-``docs/performance.md``.
+Resident state is O(samples) only in small constants (hash sets, spill
+offsets, link sets, per-feed counters), about 100–150 bytes per sample
+against the batch pipeline's ~10 KB; ``BENCH_scale.json`` has the
+measured curve and ``docs/performance.md`` the layout rationale.
 
-Campaign enrichment (stock-tool attribution, packer hist) needs sample
-bodies and the full VT corpus, so the scale path stops after
-aggregation + profit — the equivalence suite therefore compares against
-the batch pipeline's *pre-enrichment* outputs, which are bit-identical.
+Enrichment needs sample bodies and the full VT corpus, so this path
+stops after aggregation: the equivalence suite compares it with the
+batch pipeline's *pre-enrichment* outputs, which are bit-identical.
 """
 
 import datetime
@@ -45,17 +36,17 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.aggregation import Campaign, GroupingPolicy
 from repro.core.pipeline import (
     DEFAULT_ANALYSIS_DATE,
+    MeasurementTail,
     PipelineStats,
     analyze_linked_sample,
     build_analysis_components,
-    find_proxies,
-    proxy_candidates,
     recover_linked,
     stage1_analyze,
     stage2_sweep,
@@ -118,16 +109,13 @@ class _Spill:
         self._handle.seek(offset)
         return pickle.load(self._handle)
 
-    def __contains__(self, sha256: str) -> bool:
-        return sha256 in self._offsets
-
     def __len__(self) -> int:
         return len(self._offsets)
 
-    def items(self) -> Iterator[Tuple[str, _SpillEntry]]:
-        """(sha, entry) pairs in insertion order."""
+    def entries(self) -> Iterator[_SpillEntry]:
+        """Every entry, in insertion order."""
         for sha in list(self._offsets):
-            yield sha, self.get(sha)
+            yield self.get(sha)
 
     def bytes_written(self) -> int:
         self._handle.seek(0, 2)
@@ -135,6 +123,7 @@ class _Spill:
 
     def close(self) -> None:
         self._handle.close()
+        self._path.unlink(missing_ok=True)
 
 
 @dataclass
@@ -216,10 +205,8 @@ class ScalePipeline:
         # O(1)-per-sample resident state
         self._confirmed_wallets: Set[str] = set()
         self._accepted: Set[str] = set()
-        self._identifiers: Set[str] = set()
         self._accum_links: Set[str] = set()
         self._reverse_parents: Dict[str, List[str]] = {}
-        self._proxy_candidates: List[Tuple[str, List[str]]] = []
         self._buffer: List[MinerRecord] = []
         self._segment_counter = 0
 
@@ -247,10 +234,8 @@ class ScalePipeline:
     def _accept(self, record: MinerRecord, sample: SampleRecord,
                 stats: PipelineStats) -> None:
         self._accepted.add(record.sha256)
-        self._identifiers.update(record.identifiers)
         self._accum_links.update(record.parents)
         self._accum_links.update(record.dropped)
-        self._proxy_candidates.extend(proxy_candidates((record,)))
         # the batch funnel counts these over the final kept set; a
         # record's type never changes after acceptance, so counting at
         # acceptance is the same sum.
@@ -284,12 +269,18 @@ class ScalePipeline:
 
     def run(self) -> ScaleResult:
         """Stream the corpus through all measurement stages."""
+        chunks = self.corpus.chunks()
+        if self.prefetch > 0:
+            chunks = ChunkPrefetcher(chunks, depth=self.prefetch)
         stats = PipelineStats()
         verdicts: Dict[str, SanityVerdict] = {}
         deferred = _Spill(self._workdir / "deferred.spill")
         rejected = _Spill(self._workdir / "rejected.spill")
         try:
-            self._stage1(stats, verdicts, deferred, rejected)
+            index = 0
+            for chunk in chunks:
+                index = self._stage1_chunk(chunk, index, stats, verdicts,
+                                           deferred, rejected)
             self._stage2(stats, verdicts, deferred)
             linked: Set[str] = set(self._accum_links)
             for sha in self._accepted:
@@ -299,20 +290,21 @@ class ScalePipeline:
                 partial(self._admit_rejected, rejected, stats, verdicts))
             self._flush_segment()
 
-            profiles = self._profit.profile_many(sorted(self._identifiers))
-            proxy_ips = find_proxies(self._proxy_candidates, profiles)
-            aggregator = ShardedCampaignAggregator(
-                self.corpus.osint, self._policy, proxy_ips=proxy_ips,
-                num_shards=self._num_shards,
-                keep_records=self._keep_campaign_records)
-            campaigns = aggregator.aggregate_source(self.store.iter_records)
+            tail = MeasurementTail(self._profit)
+            tail.add(self.store.iter_records())
+            campaigns = tail.campaigns(
+                lambda proxies: ShardedCampaignAggregator(
+                    self.corpus.osint, self._policy, proxy_ips=proxies,
+                    num_shards=self._num_shards,
+                    keep_records=self._keep_campaign_records,
+                ).aggregate_source(self.store.iter_records))
 
             return ScaleResult(
                 store=self.store,
                 campaigns=campaigns,
-                profiles=profiles,
+                profiles=tail.profiles,
                 stats=stats,
-                proxy_ips=proxy_ips,
+                proxy_ips=tail.proxy_ips,
                 verdicts=verdicts,
                 deferred_spilled=len(deferred),
                 rejected_spilled=len(rejected),
@@ -321,37 +313,15 @@ class ScalePipeline:
                 + rejected.bytes_written(),
             )
         finally:
+            if isinstance(chunks, ChunkPrefetcher):
+                chunks.close()
             release_caches()
             deferred.close()
             rejected.close()
-            for name in ("deferred.spill", "rejected.spill"):
-                spill_path = self._workdir / name
-                if spill_path.exists():
-                    spill_path.unlink()
             if (self._own_workdir
                     and self.store.root != self._workdir / "store"):
                 # caller supplied the store; nothing of theirs lives here
                 shutil.rmtree(self._workdir, ignore_errors=True)
-
-    def _chunk_stream(self):
-        """The corpus chunk iterator, prefetched when configured."""
-        chunks = self.corpus.chunks()
-        if self.prefetch > 0:
-            return ChunkPrefetcher(chunks, depth=self.prefetch)
-        return chunks
-
-    def _stage1(self, stats: PipelineStats,
-                verdicts: Dict[str, SanityVerdict],
-                deferred: _Spill, rejected: _Spill) -> None:
-        index = 0
-        chunks = self._chunk_stream()
-        try:
-            for chunk in chunks:
-                index = self._stage1_chunk(chunk, index, stats, verdicts,
-                                           deferred, rejected)
-        finally:
-            if isinstance(chunks, ChunkPrefetcher):
-                chunks.close()
 
     def _stage1_chunk(self, chunk, index: int, stats: PipelineStats,
                       verdicts: Dict[str, SanityVerdict],
@@ -388,26 +358,22 @@ class ScalePipeline:
     def _stage2(self, stats: PipelineStats,
                 verdicts: Dict[str, SanityVerdict],
                 deferred: _Spill) -> None:
+        """The wallet-exception sweep over the deferred spill, a chunk's
+        worth of samples (and intel) at a time."""
         confirmed = frozenset(self._confirmed_wallets)
-        batch: List[_SpillEntry] = []
-
-        def sweep(entries: List[_SpillEntry]) -> None:
-            self._swap_views(entries)
-            for i, (sample, _report, _ha_report) in enumerate(entries):
+        entries = deferred.entries()
+        while True:
+            window = list(islice(entries, self.corpus.chunk_samples))
+            if not window:
+                return
+            self._swap_views(window)
+            for i, (sample, _report, _ha_report) in enumerate(window):
                 outcome = stage2_sweep(sample, i, confirmed, self._engine)
                 stats.tally(outcome)
                 if self._keep_verdicts:
                     verdicts[outcome.sha256] = outcome.verdict
                 if outcome.kind == "exception":
                     self._accept(outcome.record, sample, stats)
-
-        for _sha, entry in deferred.items():
-            batch.append(entry)
-            if len(batch) >= self.corpus.chunk_samples:
-                sweep(batch)
-                batch = []
-        if batch:
-            sweep(batch)
 
     def _links_of(self, record: MinerRecord) -> List[str]:
         """Dropper-chain neighbours, children from the reverse index."""

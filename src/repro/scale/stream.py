@@ -136,6 +136,7 @@ class StreamingCorpus:
         self.keep_sample_hashes = keep_sample_hashes
         self._generator = EcosystemGenerator(self.config)
         self._generator.build_skeleton()
+        self._streamed = False
 
     # -- skeleton services (what build_analysis_components needs) ----------
 
@@ -186,7 +187,17 @@ class StreamingCorpus:
     # -- the stream --------------------------------------------------------
 
     def chunks(self) -> Iterator[SampleChunk]:
-        """The world, once, in deterministic bounded chunks."""
+        """The world, once, in deterministic bounded chunks.
+
+        The stream draws from the corpus's own generator, so a second
+        stream would be a different world: a second call raises
+        :class:`RuntimeError` (build a new corpus to stream again).
+        """
+        if self._streamed:
+            raise RuntimeError(
+                "StreamingCorpus.chunks() streams the world once; build "
+                "a new StreamingCorpus to stream it again")
+        self._streamed = True
         return self._generator.stream_chunks(
             chunk_samples=self.chunk_samples,
             keep_sample_hashes=self.keep_sample_hashes,

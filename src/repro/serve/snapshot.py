@@ -11,9 +11,9 @@ Two provenances:
   ingestion is still running*.
 * **Columnar record stores** (:class:`repro.scale.columnar.
   RecordStore`) — out-of-core segments.  Campaigns, profiles and
-  proxies are re-derived from the record stream with the step
-  functions of :mod:`repro.core.pipeline` the ingestion service uses
-  on restore.
+  proxies are re-derived from the record stream through the one
+  result tail of :mod:`repro.core.pipeline`, the one the ingestion
+  service restores through.
 
 :class:`CheckpointIndexSource` packages the checkpoint flavour behind
 the ``stamp()`` / ``build()`` protocol the snapshot watcher polls.
@@ -27,9 +27,8 @@ from repro.core.aggregation import GroupingPolicy
 from repro.core.enrichment import CampaignEnricher
 from repro.core.pipeline import (
     MeasurementResult,
+    MeasurementTail,
     PipelineStats,
-    find_proxies,
-    proxy_candidates,
 )
 from repro.core.profit import ProfitAnalyzer
 from repro.corpus.model import SyntheticWorld
@@ -90,11 +89,11 @@ def result_from_store(world: SyntheticWorld, store,
                       num_shards: int = 8) -> ScaleResult:
     """Derive a serving result straight from a columnar record store.
 
-    Profiles, proxies and campaigns are re-derived from the records, as
-    the ingestion service does on restore, without ever holding the
-    record list: profiles and proxies come from two streaming passes
-    over the segments, campaigns from the sharded aggregator, and
-    enrichment runs per campaign through the aggregator's
+    The funnel comes from one streaming pass over the segments, and
+    the rest from :class:`~repro.core.pipeline.MeasurementTail`, the
+    tail every driver ends in, without ever holding the record list:
+    profiles and proxies from a second pass, campaigns from the sharded
+    aggregator, and enrichment per campaign through the aggregator's
     ``campaign_hook`` — before each campaign's records are dropped.
     Peak memory is the index tables plus one aggregation shard, not
     the corpus.  The result is store-backed like the out-of-core
@@ -102,23 +101,22 @@ def result_from_store(world: SyntheticWorld, store,
     streams an index build straight from the segments; its campaigns
     carry no records.
     """
-    identifiers: Dict[str, None] = {}
     stats = PipelineStats()
     for record in store.iter_records():
         stats.count_kept(record)
-        identifiers.update(dict.fromkeys(record.identifiers))
-    profiles = ProfitAnalyzer(world.pool_directory).profile_many(identifiers)
-    proxies = find_proxies(proxy_candidates(store.iter_records()), profiles)
+    tail = MeasurementTail(ProfitAnalyzer(world.pool_directory))
+    tail.add(store.iter_records())
     enricher = CampaignEnricher(world.vt, world.stock_catalog,
                                 world.sample_by_hash)
-    aggregator = ShardedCampaignAggregator(
-        world.osint, GroupingPolicy.full(), proxy_ips=proxies,
-        num_shards=num_shards, keep_records=False,
-        campaign_hook=lambda c: enricher.enrich(c, profiles))
-    campaigns = aggregator.aggregate_source(store.iter_records)
+    campaigns = tail.campaigns(
+        lambda proxies: ShardedCampaignAggregator(
+            world.osint, GroupingPolicy.full(), proxy_ips=proxies,
+            num_shards=num_shards, keep_records=False,
+            campaign_hook=lambda c: enricher.enrich(c, tail.profiles),
+        ).aggregate_source(store.iter_records))
     return ScaleResult(store=store, campaigns=campaigns,
-                       profiles=profiles, stats=stats,
-                       proxy_ips=proxies)
+                       profiles=tail.profiles, stats=stats,
+                       proxy_ips=tail.proxy_ips)
 
 
 class CheckpointIndexSource:

@@ -180,3 +180,32 @@ class TestJournalReplayCursor:
                                committed=[(5, [])])
         assert replay.cursor == 6
         assert JournalReplay(snapshot={"cursor": 9}).cursor == 9
+
+
+class TestServiceLifetime:
+    def test_restored_service_is_freed_without_the_cycle_collector(
+            self, tmp_path):
+        """A read-only restore (the serving layer's rebuild) must not
+        leave the service in a reference cycle: its whole measurement
+        state would then outlive the call until a full collection, and
+        every full collection in the serving process would walk it."""
+        import gc
+        import weakref
+
+        from repro.corpus.generator import generate_world
+        from repro.corpus.model import ScenarioConfig
+        from repro.ingest import IngestionService
+
+        world = generate_world(ScenarioConfig(seed=7, scale=0.003))
+        IngestionService(world, tmp_path, batch_days=90, fsync=False).run()
+        gc.disable()
+        try:
+            service = IngestionService(world, tmp_path, batch_days=90,
+                                       resume=True, fsync=False)
+            service.restore_state()
+            service.current_result()
+            alive = weakref.ref(service)
+            del service
+            assert alive() is None
+        finally:
+            gc.enable()

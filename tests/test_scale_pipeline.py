@@ -1,4 +1,4 @@
-"""Out-of-core pipeline ≡ batch pipeline, plus record-store routing.
+"""Out-of-core pipeline ≡ batch pipeline.
 
 The stream withholds a few fixture-linked campaigns until late in the
 feed, so acceptance *order* differs from the batch world order; every
@@ -10,9 +10,8 @@ import dataclasses
 
 import pytest
 
-from repro.core.pipeline import MeasurementPipeline
+from repro.corpus.generator import generate_world
 from repro.corpus.model import ScenarioConfig
-from repro.ingest import IngestionService
 from repro.scale.columnar import RecordStore
 from repro.scale.pipeline import ScalePipeline
 from repro.scale.stream import StreamingCorpus
@@ -113,45 +112,17 @@ class TestScalePipelineOptions:
         assert store.num_segments >= 1
         assert len(store) == result.stats.all_executables_kept
 
-
-class TestRecordStoreRouting:
-    def test_batch_pipeline_flushes_kept_records(self, small_world,
-                                                 tmp_path):
-        store = RecordStore(tmp_path / "store")
-        result = MeasurementPipeline(small_world,
-                                     record_store=store).run()
-        assert store.num_segments == 1
-        assert {r.sha256: r for r in store.iter_records()} == \
-            {r.sha256: r for r in result.records}
-
-    def test_ingest_writes_batch_aligned_segments(self, small_world,
-                                                  tmp_path):
-        store = RecordStore(tmp_path / "store")
-        service = IngestionService(small_world,
-                                   tmp_path / "checkpoint",
-                                   batch_days=120, record_store=store)
-        ingest = service.run()
-        assert store.num_segments > 1
-        assert {sha for r in store.iter_records()
-                for sha in [r.sha256]} == \
-            {r.sha256 for r in ingest.result.records}
-
-    def test_ingest_skips_existing_segments(self, small_world,
-                                            tmp_path):
-        """Crash-replay safety: a segment written before the commit is
-        not rewritten (and does not crash) when the batch re-runs."""
-        store = RecordStore(tmp_path / "store")
-        probe = IngestionService(small_world, tmp_path / "probe",
-                                 batch_days=120, record_store=store)
-        probe.run()
-        first = store.segment_paths()[0]
-        stamp = first.stat().st_mtime_ns
-        # re-ingesting into the same store must skip every existing
-        # segment instead of raising FileExistsError
-        again = IngestionService(small_world, tmp_path / "checkpoint",
-                                 batch_days=120, record_store=store)
-        again.run()
-        assert first.stat().st_mtime_ns == stamp
+    def test_second_run_raises(self, tmp_path):
+        """The corpus streams its world once; a second run on the same
+        pipeline must fail loudly, not measure a different world."""
+        config = ScenarioConfig(seed=2019, scale=0.004)
+        corpus = StreamingCorpus(config, chunk_samples=512)
+        pipeline = ScalePipeline(corpus, workdir=tmp_path / "work")
+        first = pipeline.run()
+        assert first.stats.collected == len(generate_world(config).samples)
+        with pytest.raises(RuntimeError, match="once"):
+            pipeline.run()
+        assert not (tmp_path / "work" / "deferred.spill").exists()
 
 
 class TestBenchHarness:

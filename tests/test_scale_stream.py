@@ -113,6 +113,17 @@ class TestStreamingCorpus:
             # the generator's in-memory world stays empty while streaming
             assert corpus._generator.samples == []
 
+    def test_second_chunks_call_raises(self):
+        """The stream draws from the corpus's generator: a second
+        stream would be a different world, so it is refused."""
+        corpus = StreamingCorpus(ScenarioConfig(seed=2019, scale=0.004),
+                                 chunk_samples=512)
+        first = [s.sha256 for chunk in corpus.chunks()
+                 for s in chunk.samples]
+        assert len(first) == len(set(first)) > 0
+        with pytest.raises(RuntimeError, match="once"):
+            corpus.chunks()
+
     def test_keep_sample_hashes_false_drops_ground_truth_lists(self):
         corpus = StreamingCorpus(_CONFIG, chunk_samples=512,
                                  keep_sample_hashes=False)
