@@ -12,24 +12,35 @@ to disk; everything after the last commit is an in-flight batch whose
 journaled outcomes are reused on resume (already-analysed hashes are
 not re-analysed) but whose window is reprocessed.
 
+Both files are written through the C JSON encoder
+(:func:`repro.ingest.codec.encode`).  A snapshot streams its keys in
+sorted order and each element of a list value on its own, so its bytes
+are those of ``json.dumps(state, sort_keys=True)`` without the whole
+state ever being one string; an element handed in already encoded
+(:class:`~repro.ingest.codec.Encoded`) is copied as it is, which lets
+the service encode a record once rather than at every compaction.
+
 Snapshots (``snapshot.json``) are compactions, written to a temp file,
 fsync'd, then atomically renamed over the previous one; the journal is
-rotated afterwards.  A crash between the two leaves duplicate journal
-entries for batches the snapshot already covers — the loader drops
-entries below the snapshot cursor, so every crash point is safe:
+rotated afterwards (a write that fails removes its temp file and
+leaves both in place).  A crash between the two leaves duplicate
+journal entries for batches the snapshot already covers — the loader
+drops entries below the snapshot cursor, so every crash point is safe:
 
 * before the commit line: the batch replays from its journaled outcomes
 * after commit, before snapshot: state rebuilds from snapshot + journal
 * after snapshot, before rotation: stale journal entries are ignored
+* mid-line: the torn tail is cut off before the next append, so later
+  lines never glue onto it
 """
 
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import IO, Any, Dict, List, Optional, Tuple
 
-from repro.ingest.codec import FORMAT_VERSION
+from repro.ingest.codec import FORMAT_VERSION, Encoded, encode
 
 JOURNAL_NAME = "journal.jsonl"
 SNAPSHOT_NAME = "snapshot.json"
@@ -73,23 +84,35 @@ class CheckpointStore:
         self.snapshot_path = self.directory / SNAPSHOT_NAME
         self._fsync = fsync
         self._journal_fh = None
+        #: journal size up to its last intact line, as :meth:`load` saw it
+        self._intact_size: Optional[int] = None
 
     # -- write path --------------------------------------------------------
 
     def _journal(self):
         if self._journal_fh is None:
-            self._journal_fh = open(self.journal_path, "a",
-                                    encoding="utf-8")
+            fh = open(self.journal_path, "a", encoding="utf-8")
+            if self._intact_size is not None and \
+                    fh.tell() > self._intact_size:
+                # a torn tail: the next line must not glue onto it
+                fh.truncate(self._intact_size)
+                if self._fsync:
+                    os.fsync(fh.fileno())
+            self._intact_size = None
+            self._journal_fh = fh
         return self._journal_fh
 
-    def append_outcome(self, batch_id: int,
-                       payload: Dict[str, Any]) -> None:
-        """Journal one per-sample outcome (buffered; synced at commit)."""
+    def append_outcome(self, batch_id: int, payload: Any) -> None:
+        """Journal one per-sample outcome (buffered; synced at commit).
+
+        ``payload`` is anything :func:`~repro.ingest.codec.encode`
+        takes: a :class:`~repro.core.pipeline.SampleOutcome` or its
+        decoded dict.
+        """
         self._write_line({"type": "outcome", "batch": batch_id,
                           "data": payload})
 
-    def commit_batch(self, batch_id: int,
-                     metrics: Dict[str, Any]) -> None:
+    def commit_batch(self, batch_id: int, metrics: Any) -> None:
         """Write the batch's commit marker and force it to disk."""
         self._write_line({"type": "commit", "batch": batch_id,
                           "v": FORMAT_VERSION, "metrics": metrics})
@@ -99,24 +122,31 @@ class CheckpointStore:
             os.fsync(fh.fileno())
 
     def _write_line(self, obj: Dict[str, Any]) -> None:
-        self._journal().write(json.dumps(obj, sort_keys=True) + "\n")
+        self._journal().write(encode(obj) + "\n")
 
     def write_snapshot(self, state: Dict[str, Any]) -> None:
         """Atomically replace the snapshot, then rotate the journal.
 
         The snapshot hits disk (tmp file + fsync + rename + directory
         fsync) *before* the journal is truncated, so no crash point can
-        lose a committed batch.
+        lose a committed batch.  If the write fails, the temp file is
+        removed and the previous snapshot and journal stay as they were.
+        Elements of a list value may be :class:`Encoded` text, which is
+        copied as it is.
         """
         state = dict(state)
         state["v"] = FORMAT_VERSION
         tmp = self.snapshot_path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(state, fh, sort_keys=True)
-            fh.flush()
-            if self._fsync:
-                os.fsync(fh.fileno())
-        os.replace(tmp, self.snapshot_path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                _write_state(fh, state)
+                fh.flush()
+                if self._fsync:
+                    os.fsync(fh.fileno())
+            os.replace(tmp, self.snapshot_path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         self._sync_directory()
         self._rotate_journal()
 
@@ -125,11 +155,15 @@ class CheckpointStore:
             self._journal_fh.close()
             self._journal_fh = None
         tmp = self.journal_path.with_suffix(".jsonl.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.flush()
-            if self._fsync:
-                os.fsync(fh.fileno())
-        os.replace(tmp, self.journal_path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.flush()
+                if self._fsync:
+                    os.fsync(fh.fileno())
+            os.replace(tmp, self.journal_path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         self._sync_directory()
 
     def _sync_directory(self) -> None:
@@ -179,7 +213,8 @@ class CheckpointStore:
         Journal entries for batches the snapshot already covers are
         skipped (they survive a crash between snapshot and rotation);
         a torn final line — the classic power-cut artefact — ends the
-        replay cleanly at the last intact record.
+        replay cleanly at the last intact record, and the next append
+        first cuts the journal back to that record.
         """
         replay = JournalReplay()
         if self.snapshot_path.exists():
@@ -192,13 +227,19 @@ class CheckpointStore:
         floor = (int(replay.snapshot.get("cursor", 0))
                  if replay.snapshot is not None else 0)
         pending: Dict[int, List[Dict[str, Any]]] = {}
+        intact = 0
         if self.journal_path.exists():
-            with open(self.journal_path, encoding="utf-8") as fh:
+            with open(self.journal_path, "rb") as fh:
                 for line in fh:
+                    # a line is whole only with its newline, which is
+                    # written in the same call as the rest of it
+                    if not line.endswith(b"\n"):
+                        break  # torn tail after a crash mid-write
                     try:
                         entry = json.loads(line)
-                    except json.JSONDecodeError:
+                    except ValueError:
                         break  # torn tail after a crash mid-write
+                    intact += len(line)
                     batch_id = int(entry.get("batch", -1))
                     if batch_id < floor:
                         continue  # compacted into the snapshot already
@@ -210,5 +251,27 @@ class CheckpointStore:
                             (batch_id, pending.pop(batch_id, [])))
                         replay.commits.append(
                             (batch_id, entry.get("metrics", {})))
+        if self._journal_fh is None:  # an open journal is ours: intact
+            self._intact_size = intact
         replay.partial = pending
         return replay
+
+
+def _write_state(fh: IO[str], state: Dict[str, Any]) -> None:
+    """``json.dump(state, fh, sort_keys=True)``, streamed: a list value
+    is written one element at a time, an :class:`Encoded` one as it is."""
+    fh.write("{")
+    for position, key in enumerate(sorted(state)):
+        fh.write(f"{', ' if position else ''}{encode(key)}: ")
+        value = state[key]
+        if isinstance(value, list):
+            fh.write("[")
+            for index, item in enumerate(value):
+                if index:
+                    fh.write(", ")
+                fh.write(item if isinstance(item, Encoded)
+                         else encode(item))
+            fh.write("]")
+        else:
+            fh.write(encode(value))
+    fh.write("}")

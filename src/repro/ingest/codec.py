@@ -1,15 +1,22 @@
-"""JSON codecs for the durable ingestion state.
+"""JSON codec for the durable ingestion state.
 
 Everything the checkpoint journal and snapshots persist round-trips
-through these functions: :class:`~repro.core.records.MinerRecord`,
-:class:`~repro.core.sanity.SanityVerdict`, per-sample outcomes and the
-funnel stats.  Encoding is plain-JSON (no pickle) so journals stay
-inspectable with standard tools and stable across interpreter versions;
-dates travel as ISO strings.
+through this module: :class:`~repro.core.records.MinerRecord`,
+:class:`~repro.core.sanity.SanityVerdict`, per-sample outcomes, the
+funnel stats and the per-batch metrics.  Encoding is plain JSON (no
+pickle) so journals stay inspectable with standard tools and stable
+across interpreter versions.
+
+:func:`encode` is ``json.dumps(value, sort_keys=True)`` with one
+``default=`` hook: dates travel as ISO strings and a dataclass as the
+dict of its fields, so the C encoder walks the whole value in one
+call.  The ``decode_*`` functions invert it.
 """
 
 import dataclasses
-from typing import Any, Dict, Optional
+import functools
+import json
+from typing import Any, Dict, Optional, Tuple
 
 from repro.common.simtime import Date, parse_date
 from repro.core.pipeline import PipelineStats, SampleOutcome
@@ -20,65 +27,49 @@ from repro.core.sanity import SanityVerdict
 FORMAT_VERSION = 1
 
 
-def _encode_value(value: Any) -> Any:
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def _default(value: Any) -> Any:
     if isinstance(value, Date):
         return value.isoformat()
-    if isinstance(value, tuple):
-        return list(value)
-    return value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        # getattr, not vars(): CPython keeps instance attributes inline
+        # until __dict__ is read, and reading it gives every record and
+        # verdict a dict of its own for the rest of its life
+        return {name: getattr(value, name)
+                for name in _field_names(type(value))}
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _encode_dataclass(obj: Any) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
-    for field in dataclasses.fields(obj):
-        value = getattr(obj, field.name)
-        if isinstance(value, list):
-            out[field.name] = [_encode_value(v) for v in value]
-        else:
-            out[field.name] = _encode_value(value)
-    return out
+#: ``json.dumps(value, sort_keys=True, default=_default)``, built once.
+encode = json.JSONEncoder(sort_keys=True, default=_default).encode
 
 
-def encode_record(record: MinerRecord) -> Dict[str, Any]:
-    """One miner record as a JSON-safe dict (Table I, field for field)."""
-    return _encode_dataclass(record)
+class Encoded(str):
+    """JSON text that a checkpoint write copies as it is."""
+
+    __slots__ = ()
 
 
 def decode_record(data: Dict[str, Any]) -> MinerRecord:
-    """Inverse of :func:`encode_record`."""
+    """One miner record (Table I, field for field) from its JSON form."""
     data = dict(data)
     if data.get("first_seen") is not None:
         data["first_seen"] = parse_date(data["first_seen"])
     return MinerRecord(**data)
 
 
-def encode_verdict(verdict: SanityVerdict) -> Dict[str, Any]:
-    """One sanity verdict as a JSON-safe dict."""
-    return _encode_dataclass(verdict)
-
-
 def decode_verdict(data: Dict[str, Any]) -> SanityVerdict:
-    """Inverse of :func:`encode_verdict`."""
+    """One sanity verdict from its JSON form."""
     return SanityVerdict(**data)
 
 
-def encode_outcome(outcome: SampleOutcome) -> Dict[str, Any]:
-    """One per-sample analysis outcome as a JSON-safe journal payload."""
-    return {
-        "index": outcome.index,
-        "sha256": outcome.sha256,
-        "kind": outcome.kind,
-        "verdict": (encode_verdict(outcome.verdict)
-                    if outcome.verdict is not None else None),
-        "record": (encode_record(outcome.record)
-                   if outcome.record is not None else None),
-        "has_network": outcome.has_network,
-        "used_static": outcome.used_static,
-    }
-
-
 def decode_outcome(data: Dict[str, Any]) -> SampleOutcome:
-    """Inverse of :func:`encode_outcome`."""
+    """One per-sample analysis outcome from its journal payload."""
     return SampleOutcome(
         index=data["index"],
         sha256=data["sha256"],
@@ -92,21 +83,11 @@ def decode_outcome(data: Dict[str, Any]) -> SampleOutcome:
     )
 
 
-def encode_stats(stats) -> Dict[str, Any]:
-    """The funnel stats (:class:`PipelineStats`) as a JSON-safe dict."""
-    return _encode_dataclass(stats)
-
-
 def decode_stats(data: Dict[str, Any]) -> PipelineStats:
-    """Inverse of :func:`encode_stats`."""
+    """The funnel stats (:class:`PipelineStats`) from their JSON form."""
     return PipelineStats(**data)
 
 
-def encode_date(day: Optional[Date]) -> Optional[str]:
-    """ISO string of a date, passing None through."""
-    return day.isoformat() if day is not None else None
-
-
 def decode_date(text: Optional[str]) -> Optional[Date]:
-    """Inverse of :func:`encode_date`."""
+    """A date from its ISO string, passing None through."""
     return parse_date(text) if text is not None else None

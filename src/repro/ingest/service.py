@@ -22,7 +22,7 @@ import dataclasses
 import datetime
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.aggregation import (
     Campaign,
@@ -42,16 +42,13 @@ from repro.core.records import MinerRecord
 from repro.corpus.model import SyntheticWorld
 from repro.ingest.checkpoint import CheckpointStore, JournalReplay
 from repro.ingest.codec import (
+    Encoded,
     decode_date,
     decode_outcome,
     decode_record,
     decode_stats,
     decode_verdict,
-    encode_date,
-    encode_outcome,
-    encode_record,
-    encode_stats,
-    encode_verdict,
+    encode,
 )
 from repro.ingest.feed import FeedBatch, FeedScheduler
 from repro.perf.profiler import PipelineProfiler
@@ -62,7 +59,8 @@ _STAGE1_KINDS = frozenset({"nonexec", "deferred", "rejected", "miner"})
 
 @dataclass
 class BatchMetrics:
-    """Per-batch ingestion telemetry (journaled with the commit)."""
+    """Per-batch ingestion telemetry (journaled with the commit, dates
+    as ISO strings)."""
 
     batch_id: int
     start: Optional[datetime.date]
@@ -78,16 +76,9 @@ class BatchMetrics:
     profit_delta_xmr: float = 0.0
     wall_s: float = 0.0
 
-    def to_json(self) -> Dict:
-        """JSON-safe dict for the journal's commit line."""
-        out = self.__dict__.copy()
-        out["start"] = encode_date(self.start)
-        out["end"] = encode_date(self.end)
-        return out
-
     @classmethod
     def from_json(cls, data: Dict) -> "BatchMetrics":
-        """Inverse of :meth:`to_json`."""
+        """The metrics from their journaled JSON form."""
         data = dict(data)
         data["start"] = decode_date(data.get("start"))
         data["end"] = decode_date(data.get("end"))
@@ -155,6 +146,22 @@ def diff_measurements(expected: MeasurementResult,
     return diffs
 
 
+def _texts(objects: Dict[str, Any],
+           memo: Dict[str, Tuple[Any, Encoded]]) -> List[Encoded]:
+    """The JSON text of each value, in key order.  A value is encoded
+    only when it is new under its key: the fold never replaces a record
+    and replaces a verdict rather than mutating it, so an unchanged
+    value's text from an earlier snapshot still stands."""
+    texts = []
+    for key in sorted(objects):
+        value = objects[key]
+        entry = memo.get(key)
+        if entry is None or entry[0] is not value:
+            entry = memo[key] = (value, Encoded(encode(value)))
+        texts.append(entry[1])
+    return texts
+
+
 class IngestionService:
     """Long-running incremental ingestion over a feed replay.
 
@@ -200,6 +207,9 @@ class IngestionService:
         self._replayed_stage1: Set[str] = set()
         self._resume_frontier: List[str] = []
         self.batch_metrics: List[BatchMetrics] = []
+        #: sha -> (record or verdict, its JSON text) as last snapshotted
+        self._record_texts: Dict[str, Tuple[Any, Encoded]] = {}
+        self._verdict_texts: Dict[str, Tuple[Any, Encoded]] = {}
 
     # ------------------------------------------------------------------
     # main loop
@@ -243,7 +253,7 @@ class IngestionService:
         step = self.fold.step(
             batch.indices,
             journal=lambda outcome: self.store.append_outcome(
-                batch.batch_id, encode_outcome(outcome)),
+                batch.batch_id, outcome),
             replayed=self._replayed_stage1, frontier=self._resume_frontier)
         self._replayed_stage1 = set()
         self._resume_frontier = []
@@ -263,7 +273,7 @@ class IngestionService:
 
         # -- durability boundary ------------------------------------------
         self._fault("pre-commit", batch.batch_id)
-        self.store.commit_batch(batch.batch_id, metrics.to_json())
+        self.store.commit_batch(batch.batch_id, metrics)
         self._fault("post-commit", batch.batch_id)
         self._cursor = batch.batch_id + 1
         if self._cursor % self.snapshot_every == 0:
@@ -349,14 +359,12 @@ class IngestionService:
             # sorted by hash so the snapshot is a pure function of the
             # state, not of arrival order (two runs reaching the same
             # state write byte-identical snapshots)
-            "records": [encode_record(fold.records[sha])
-                        for sha in sorted(fold.records)],
-            "verdicts": [encode_verdict(fold.verdicts[sha])
-                         for sha in sorted(fold.verdicts)],
-            "stats": encode_stats(fold.stats),
+            "records": _texts(fold.records, self._record_texts),
+            "verdicts": _texts(fold.verdicts, self._verdict_texts),
+            "stats": fold.stats,
             "confirmed": sorted(fold.confirmed),
             "pending": sorted(fold.pending.items(), key=lambda kv: kv[1]),
-            "batches": [m.to_json() for m in self.batch_metrics],
+            "batches": self.batch_metrics,
         }
 
     def _restore(self, replay: JournalReplay,

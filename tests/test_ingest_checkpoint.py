@@ -1,7 +1,8 @@
-"""Unit tests for the checkpoint store and the durable-state codecs."""
+"""Unit tests for the checkpoint store and the durable-state codec."""
 
 import datetime
 import json
+import os
 
 import pytest
 
@@ -14,12 +15,11 @@ from repro.ingest.checkpoint import (
     JournalReplay,
 )
 from repro.ingest.codec import (
+    Encoded,
     decode_outcome,
     decode_record,
     decode_stats,
-    encode_outcome,
-    encode_record,
-    encode_stats,
+    encode,
 )
 
 
@@ -49,23 +49,22 @@ def make_outcome(sha="a" * 8, kind="miner"):
 class TestCodecs:
     def test_record_roundtrip(self):
         record = make_record()
-        assert decode_record(encode_record(record)) == record
+        assert decode_record(json.loads(encode(record))) == record
 
     def test_record_roundtrip_through_json(self):
         record = make_record()
-        wire = json.dumps(encode_record(record), sort_keys=True)
+        wire = encode(record)
         assert decode_record(json.loads(wire)) == record
 
     def test_undated_record_roundtrip(self):
         record = make_record()
         record.first_seen = None
-        assert decode_record(encode_record(record)) == record
+        assert decode_record(json.loads(encode(record))) == record
 
     def test_outcome_roundtrip(self):
         for kind in ("miner", "rejected", "deferred", "nonexec"):
             outcome = make_outcome(kind=kind)
-            back = decode_outcome(
-                json.loads(json.dumps(encode_outcome(outcome))))
+            back = decode_outcome(json.loads(encode(outcome)))
             assert back == outcome
 
     def test_stats_roundtrip(self):
@@ -73,8 +72,7 @@ class TestCodecs:
         stats.collected = 11
         stats.executables = 7
         stats.by_source = {"VT": 9, "HA": 2}
-        assert decode_stats(
-            json.loads(json.dumps(encode_stats(stats)))) == stats
+        assert decode_stats(json.loads(encode(stats))) == stats
 
 
 class TestCheckpointStore:
@@ -89,10 +87,10 @@ class TestCheckpointStore:
 
     def test_committed_batch_roundtrip(self, tmp_path):
         store = CheckpointStore(tmp_path / "ck", fsync=False)
-        payloads = [encode_outcome(make_outcome(sha=f"s{i}"))
-                    for i in range(3)]
-        for payload in payloads:
-            store.append_outcome(0, payload)
+        outcomes = [make_outcome(sha=f"s{i}") for i in range(3)]
+        payloads = [json.loads(encode(outcome)) for outcome in outcomes]
+        for outcome in outcomes:
+            store.append_outcome(0, outcome)
         store.commit_batch(0, {"batch_id": 0, "samples": 3})
         store.close()
         replay = CheckpointStore(tmp_path / "ck", fsync=False).load()
@@ -121,6 +119,98 @@ class TestCheckpointStore:
         replay = store.load()
         assert replay.cursor == 1
         assert replay.partial == {}
+
+    def test_commit_after_torn_tail_is_visible(self, tmp_path):
+        """The first append after a load cuts the torn fragment off, so
+        the next line does not glue onto it and stay unreadable."""
+        store = CheckpointStore(tmp_path / "ck", fsync=False)
+        store.append_outcome(0, {"sha256": "x"})
+        store.commit_batch(0, {})
+        store.close()
+        with open(store.journal_path, "a", encoding="utf-8") as fh:
+            fh.write('{"type": "outcome", "batch": 1, "da')  # power cut
+        resumed = CheckpointStore(tmp_path / "ck", fsync=True)
+        assert resumed.load().cursor == 1
+        resumed.append_outcome(1, {"sha256": "y"})
+        resumed.commit_batch(1, {})
+        resumed.close()
+        replay = CheckpointStore(tmp_path / "ck", fsync=False).load()
+        assert replay.committed == [(0, [{"sha256": "x"}]),
+                                    (1, [{"sha256": "y"}])]
+        assert replay.cursor == 2
+
+    def test_line_without_newline_is_torn(self, tmp_path):
+        """A write tears before its newline as easily as inside it; a
+        commit line that parses but has no newline never committed."""
+        store = CheckpointStore(tmp_path / "ck", fsync=False)
+        store.commit_batch(0, {})
+        store.close()
+        with open(store.journal_path, "a", encoding="utf-8") as fh:
+            fh.write('{"type": "commit", "batch": 1, "metrics": {}}')
+        assert store.load().cursor == 1
+        store.commit_batch(1, {})
+        store.close()
+        assert store.load().cursor == 2
+        assert store.journal_path.read_text().count("\n") == 2
+
+    def test_snapshot_bytes_are_json_dumps(self, tmp_path):
+        """The streamed snapshot is byte for byte ``json.dumps`` of the
+        state, with pre-encoded list elements copied as they are."""
+        store = CheckpointStore(tmp_path / "ck", fsync=False)
+        record = make_record()
+        state = {"records": [Encoded(encode(record))], "empty": [],
+                 "stats": PipelineStats(collected=2),
+                 "pending": [("s1", 4)], "cursor": 3, "name": "é"}
+        store.write_snapshot(state)
+        expected = json.dumps(
+            {"records": [json.loads(encode(record))], "empty": [],
+             "stats": json.loads(encode(PipelineStats(collected=2))),
+             "pending": [["s1", 4]], "cursor": 3, "name": "é",
+             "v": FORMAT_VERSION}, sort_keys=True)
+        assert store.snapshot_path.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("fault", ["unserialisable", "oserror"])
+    def test_failed_snapshot_leaves_previous_intact(self, tmp_path,
+                                                    monkeypatch, fault):
+        store = CheckpointStore(tmp_path / "ck", fsync=False)
+        store.write_snapshot({"cursor": 1})
+        before = store.snapshot_path.read_bytes()
+        store.append_outcome(1, {"sha256": "x"})
+        store.commit_batch(1, {})
+        if fault == "unserialisable":
+            state, error = {"cursor": 2, "confirmed": {"W1"}}, TypeError
+        else:
+            def broken_replace(src, dst):
+                raise OSError("disk full")
+            monkeypatch.setattr(os, "replace", broken_replace)
+            state, error = {"cursor": 2}, OSError
+        with pytest.raises(error):
+            store.write_snapshot(state)
+        monkeypatch.undo()
+        store.close()
+        assert sorted(p.name for p in store.directory.iterdir()) == \
+            ["journal.jsonl", "snapshot.json"]
+        assert store.snapshot_path.read_bytes() == before
+        replay = store.load()
+        assert replay.snapshot["cursor"] == 1
+        assert replay.committed == [(1, [{"sha256": "x"}])]
+
+    def test_failed_rotation_leaves_no_temp_file(self, tmp_path,
+                                                 monkeypatch):
+        store = CheckpointStore(tmp_path / "ck", fsync=False)
+        store.commit_batch(0, {})
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if str(src).endswith(".jsonl.tmp"):
+                raise OSError("disk full")
+            real_replace(src, dst)
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError):
+            store.write_snapshot({"cursor": 1})
+        assert sorted(p.name for p in store.directory.iterdir()) == \
+            ["journal.jsonl", "snapshot.json"]
+        assert store.load().cursor == 1
 
     def test_snapshot_rotates_journal(self, tmp_path):
         store = CheckpointStore(tmp_path / "ck", fsync=False)

@@ -115,6 +115,32 @@ class TestCrashResume:
                                    resume=True).run()
         assert diff_measurements(expected, resumed.result) == []
 
+    def test_commits_after_a_torn_tail_survive_the_next_crash(
+            self, tmp_path):
+        """A resumed run writes past a torn journal tail: the batches
+        it commits before crashing again are not redone on the next
+        resume."""
+        world = generate_world(ScenarioConfig(seed=2019, scale=0.004))
+        checkpoint = tmp_path / "ck"
+        for resume, batch in ((False, 3), (True, 6)):
+            service = IngestionService(world, checkpoint, batch_days=30,
+                                       fsync=False, resume=resume,
+                                       fault_hook=crash_at("post-commit",
+                                                           batch))
+            with pytest.raises(_Crash):
+                service.run()
+            if not resume:
+                with open(service.store.journal_path, "a",
+                          encoding="utf-8") as fh:
+                    fh.write('{"type": "outcome", "batch": 4, "da')
+        replay = CheckpointStore(checkpoint, fsync=False).load()
+        assert [batch_id for batch_id, _ in replay.committed] == \
+            list(range(7))
+        assert replay.cursor == 7
+        resumed = IngestionService(world, checkpoint, batch_days=30,
+                                   fsync=False, resume=True).run()
+        assert resumed.resumed_from == 7
+
     def test_resume_of_finished_run_is_idempotent(self, world, expected,
                                                   tmp_path):
         checkpoint = tmp_path / "ck"
