@@ -1,12 +1,14 @@
 """reprolint — AST/dataflow invariant checking for the pipeline.
 
 The measurement's correctness contracts (enrichment never groups,
-grouping ignores donation wallets, streamed == batch, checkpoints are
-crash-safe, memo keys are complete, failures are loud) are enforced
-mechanically: per-module rule families over a single compile-once
-pass of each module, plus whole-program passes (call graph +
-interprocedural taint, record-schema contracts, dead-symbol
-reachability) over the per-module fact summaries.  See
+streamed == batch, memo keys are complete, failures are loud) are
+enforced mechanically: per-module rule families over a single
+compile-once pass of each module, plus whole-program passes (call
+graph, record-schema contracts, dead-symbol reachability,
+concurrency, units) over the per-module fact summaries.  Contracts a
+run can check (crash-safe checkpoint writes, released handles,
+enrichment never reaching the grouping result) are runtime tests
+instead.  See
 ``docs/static-analysis.md`` for the rule catalogue and pragma syntax.
 
 High-level entry points:

@@ -4,8 +4,8 @@ The whole-program passes need *facts* for every module, but facts only
 change when the file changes.  This cache pickles the per-module
 :class:`~repro.lint.facts.ModuleSummary` objects keyed by a
 ``(mtime_ns, size)`` stamp so an incremental lint re-parses only the
-files under focus; everything else feeds the call graph, taint
-fixpoint and schema passes straight from the cache.
+files under focus; everything else feeds the call graph, schema,
+concurrency and unit passes straight from the cache.
 
 Only modules *outside* the reporting focus are ever served from the
 cache — focus files are always re-parsed, which also keeps their
@@ -28,7 +28,8 @@ from repro.lint.units import seed_fingerprint
 #: 3: unit/kind flow facts (UNIT/KIND) — extraction also filters its
 #:    sink and key events through the seed tables, so the cache keys
 #:    on their fingerprint too (see ``_cache_key``).
-CACHE_VERSION = 3
+#: 4: the taint-flow, resource and fork-state facts are gone.
+CACHE_VERSION = 4
 
 
 def _cache_key() -> Tuple[int, str]:

@@ -4,10 +4,8 @@
 one resolvable namespace: dotted call-site text resolves through import
 aliases, package ``__init__`` re-export chains, ``self.`` method
 dispatch and locally-constructed instance types to a concrete project
-function (or class, or a call into an enrichment module).  Resolution
-is *conservative*: anything dynamic resolves to ``None`` and the taint
-engine treats it as an opaque pass-through rather than pretending to
-know the callee.
+function or class.  Resolution is *conservative*: anything dynamic
+resolves to ``None`` rather than pretending to know the callee.
 
 The same index answers the dead-symbol question (which module-level
 functions are unreachable from the CLI entrypoints) and renders the
@@ -17,7 +15,6 @@ human-readable graph for ``repro lint --graph``.
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.lint.contracts import TAINTED_MODULES
 from repro.lint.facts import CallFact, FunctionFact, ModuleSummary
 
 #: resolution chain depth cap (re-export hops, alias chains).
@@ -28,16 +25,11 @@ _MAX_HOPS = 8
 class Resolution:
     """What a call site's callee text resolves to."""
 
-    kind: str                    # "function" | "class" | "tainted"
+    kind: str                    # "function" | "class"
     module: Optional[str] = None  # ModuleSummary.dotted key
     qualname: Optional[str] = None
     #: fully-qualified display text ("repro.osint.stock_tools.match")
     origin: Optional[str] = None
-
-
-def _under_tainted(origin: str) -> bool:
-    return any(origin == t or origin.startswith(t + ".")
-               for t in TAINTED_MODULES)
 
 
 class ProjectIndex:
@@ -83,38 +75,25 @@ class ProjectIndex:
         return None
 
     def resolve_qualified(self, origin: str,
-                          hops: int = _MAX_HOPS,
-                          label_taint: bool = True,
-                          ) -> Optional[Resolution]:
+                          hops: int = _MAX_HOPS) -> Optional[Resolution]:
         """Resolve fully-qualified ``origin`` text to a symbol.
 
-        Splits ``pkg.mod.sym`` at every boundary, follows re-export
-        aliases through package ``__init__`` modules, and labels
-        anything under an enrichment module as tainted regardless of
-        resolvability — enrichment outputs are tainted by contract.
-        ``label_taint=False`` skips that labeling and resolves the
-        actual symbol (the liveness pass needs real edges *into*
-        enrichment modules; the taint engine needs the label).
+        Splits ``pkg.mod.sym`` at every boundary and follows re-export
+        aliases through package ``__init__`` modules.
         """
         if hops <= 0:
             return None
-        if label_taint and _under_tainted(origin):
-            return Resolution(kind="tainted", origin=origin)
         parts = origin.split(".")
         for split in range(len(parts) - 1, 0, -1):
             module = self.find_module(".".join(parts[:split]))
             if module is None:
                 continue
-            rest = parts[split:]
-            return self._resolve_in_module(module, rest, hops,
-                                           label_taint)
+            return self._resolve_in_module(module, parts[split:], hops)
         return None
 
     def _resolve_in_module(self, module: ModuleSummary,
                            rest: List[str],
-                           hops: int,
-                           label_taint: bool = True,
-                           ) -> Optional[Resolution]:
+                           hops: int) -> Optional[Resolution]:
         head = rest[0]
         if head in module.classes:
             if len(rest) == 1:
@@ -135,7 +114,7 @@ class ProjectIndex:
         if alias is not None:
             # re-export: from .parallel import Engine in __init__.py
             return self.resolve_qualified(
-                ".".join([alias] + rest[1:]), hops - 1, label_taint)
+                ".".join([alias] + rest[1:]), hops - 1)
         return None
 
     # -- call-site resolution ----------------------------------------------
@@ -273,8 +252,7 @@ class ProjectIndex:
                 # alias to the defining module explicitly.
                 origin = summary.import_aliases.get(name)
                 if origin is not None:
-                    res = self.resolve_qualified(origin,
-                                                 label_taint=False)
+                    res = self.resolve_qualified(origin)
                     if res is not None and res.kind == "function" \
                             and "." not in res.qualname:
                         mark(res.module, res.qualname)
@@ -313,12 +291,12 @@ class ProjectIndex:
             origin = summary.import_aliases.get(name)
             if origin is None:
                 return []
-            res = self.resolve_qualified(origin, label_taint=False)
+            res = self.resolve_qualified(origin)
         else:
             origin = summary.import_aliases.get(head)
             dotted = (".".join([origin] + parts[1:])
                       if origin is not None else name)
-            res = self.resolve_qualified(dotted, label_taint=False)
+            res = self.resolve_qualified(dotted)
         if res is not None and res.kind == "function" and \
                 "." not in res.qualname:
             return [(res.module, res.qualname)]
@@ -366,13 +344,13 @@ def render_concurrency(index: ProjectIndex) -> str:
     """The thread/fork/coroutine fact summary for ``--graph``.
 
     One line per concurrency-relevant site — thread spawns (with their
-    targets), fork points, coroutines, blocking calls and resource
-    acquisitions — so the CI artifact shows exactly which surfaces the
-    FORK/ASYNC/THR/RES passes reason about.
+    targets), fork points, coroutines and blocking calls — so the CI
+    artifact shows exactly which surfaces the FORK/ASYNC/THR passes
+    reason about.
     """
     lines: List[str] = ["# concurrency facts "
-                        "(thread / fork / coroutine / resource sites)"]
-    spawns = forks = coroutines = blocking = acquires = 0
+                        "(thread / fork / coroutine sites)"]
+    spawns = forks = coroutines = blocking = 0
     for summary in index.summaries:
         rows: List[str] = []
         for qualname in sorted(summary.functions):
@@ -392,19 +370,11 @@ def render_concurrency(index: ProjectIndex) -> str:
             for line, callee in fact.blocking_calls:
                 blocking += 1
                 rows.append(f"  blocking {qualname}:{line} {callee}()")
-            for acq in fact.acquires:
-                acquires += 1
-                state = "with" if acq.managed else \
-                    ("self" if acq.stored_attr else
-                     acq.name or "unbound")
-                rows.append(f"  acquire {qualname}:{acq.line} "
-                            f"{acq.kind} [{state}]")
         if rows:
             lines.append(summary.dotted)
             lines.extend(rows)
     lines.append(f"# {spawns} thread spawns, {forks} fork points, "
-                 f"{coroutines} coroutines, {blocking} blocking sites, "
-                 f"{acquires} resource acquisitions")
+                 f"{coroutines} coroutines, {blocking} blocking sites")
     return "\n".join(lines) + "\n"
 
 
@@ -417,8 +387,7 @@ def render_graph(index: ProjectIndex) -> str:
             continue
         lines.append(f"{module}.{qualname}")
         for res in targets:
-            tag = {"function": "->", "class": "=>",
-                   "tainted": "!>"}[res.kind]
+            tag = "->" if res.kind == "function" else "=>"
             lines.append(f"  {tag} {res.origin}")
     unresolved = sum(1 for targets in edges.values()
                      if not targets)

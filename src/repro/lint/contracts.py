@@ -4,9 +4,9 @@ Every rule family checks some slice of the same small set of
 methodology contracts (paper §III-E and the streaming-equivalence
 guarantee); this module is the single home for the names those
 contracts are anchored on, so the per-module rules and the
-whole-program passes (call graph, interprocedural taint, schema
-checking) cannot drift apart on what counts as "enrichment", "edge
-construction" or "the durable sink".
+whole-program passes (call graph, concurrency, schema and unit
+checking) cannot drift apart on what counts as "enrichment" or "edge
+construction".
 """
 
 #: defining or importing either of these marks a grouping module —
@@ -17,7 +17,7 @@ GROUPING_FUNCTIONS = frozenset({"record_attachments", "build_campaign"})
 
 #: modules whose outputs are enrichment-only (prefix matched): values
 #: produced by them are *informative* annotations and must never feed
-#: campaign grouping or the durable checkpoint state.
+#: campaign grouping.
 TAINTED_MODULES = frozenset({
     "repro.core.enrichment",
     "repro.osint.stock_tools",
@@ -29,17 +29,10 @@ TAINTED_MODULES = frozenset({
 
 #: attributes owned by the enrichment stage (on records or campaigns).
 #: Reads of these — as ``.attr`` or as constant ``["attr"]`` keys on
-#: record-shaped dicts — are taint sources.
+#: record-shaped dicts — inside a grouping module are TAINT002.
 TAINTED_ATTRIBUTES = frozenset({
     "uses_ppi", "ppi_botnets", "stock_tools", "stock_tool_matches",
     "obfuscated", "packers", "packer", "entropy",
-})
-
-#: CheckpointStore write APIs: everything journaled or snapshotted
-#: must be a pure function of the corpus, so enrichment-tainted values
-#: reaching these calls (via any path) are TAINT003 violations.
-CHECKPOINT_SINK_METHODS = frozenset({
-    "append_outcome", "commit_batch", "write_snapshot",
 })
 
 #: module stems that anchor dead-symbol reachability: the CLI layer.
@@ -57,15 +50,6 @@ THREAD_SPAWN_CALLS = frozenset({"Thread", "Timer"})
 #: because a bare ``fork`` attribute is too ambiguous.
 FORK_POINT_CALLS = frozenset({"ProcessPoolExecutor", "Pool", "Process"})
 FORK_POINT_TEXTS = frozenset({"os.fork"})
-
-#: method names that establish a fork-safety barrier: every thread the
-#: caller owns is parked at a lock-free point for the duration (the
-#: sanctioned pattern is ``with prefetcher.quiesced(): engine forks``,
-#: or an engine constructed with a ``fork_barrier=`` hook that wraps
-#: its own pool creation).  A fork-ward call preceded by one of these
-#: in the same function is considered safe by FORK001.
-FORK_BARRIER_CALLS = frozenset({"quiesced", "fork_barrier",
-                                "_fork_barrier"})
 
 #: method names that retire a live thread (or drain its owner).  A
 #: thread spawned at line S is considered live until the first such
@@ -240,23 +224,3 @@ FUNCTION_RETURN_CONTRACTS = {
 CONSTANT_UNITS = {
     "AVERAGE_XMR_USD": "usd_per_coin",
 }
-
-# -- resource lifecycle (RES family) ---------------------------------------
-
-#: acquisition calls that hand back an OS-backed resource needing
-#: explicit release.  Same matching split as the blocking sets.
-RESOURCE_FACTORY_TEXTS = frozenset({
-    "open", "mmap.mmap", "socket.socket", "socket.create_connection",
-    "os.pipe",
-})
-RESOURCE_FACTORY_CALLS = frozenset({
-    "NamedTemporaryFile", "TemporaryFile", "SpooledTemporaryFile",
-})
-
-#: method names that release a held resource (RES001's close half,
-#: and the class-level escape check: storing a resource on ``self`` is
-#: fine iff the owning class defines one of these).
-RESOURCE_RELEASE_METHODS = frozenset({
-    "close", "release", "shutdown", "stop", "terminate",
-    "__exit__", "__del__",
-})

@@ -7,15 +7,15 @@ applicable rule (mirroring the scan kernel's one-pass philosophy: the
 per-module cost is one parse + one walk regardless of how many rule
 families ship).  The same parse also distils the module into a
 picklable fact summary (:mod:`repro.lint.facts`); after every module
-is in, the *project rules* — interprocedural taint, schema contracts,
-dead-symbol reachability, fork/thread/asyncio safety and resource
-lifecycle — run over the joined
-:class:`~repro.lint.callgraph.ProjectIndex` without touching an AST
-again.  The concurrency and resource families are whole-program by
+is in, the *project rules* — schema contracts, dead-symbol
+reachability, fork/thread/asyncio safety and unit/kind flow — run
+over the joined :class:`~repro.lint.callgraph.ProjectIndex` without
+touching an AST again.  The concurrency family is whole-program by
 construction: a blocking call is only a defect if a coroutine can
 *reach* it, a thread spawn only matters at a *later* fork point, so
-their facts flow through the same resolved call graph
-(:func:`repro.lint.interproc.resolved_program`) the taint pass uses.
+its facts flow through the resolved call graph
+(:func:`repro.lint.interproc.resolved_program`) the unit pass uses
+too.
 
 Modules are linted one after another in path order.  ``focus``
 narrows *reporting* to a subset of files (``repro lint --changed``)
@@ -80,8 +80,7 @@ class Rule:
 
     ``visit`` is called once per AST node during the engine's single
     traversal; ``finish`` once per module afterwards, for rules that
-    need whole-module context (e.g. tracing a submitted callable back
-    through call sites).
+    need whole-module context.
     """
 
     def applies(self, module: ModuleInfo) -> bool:

@@ -3,14 +3,14 @@
 The lint engine parses each module exactly once; this module distils
 the parsed AST into compact, *picklable* facts — name dataflow, call
 sites, dict-key read/write sets, dataclass shapes, references — so the
-whole-program passes (call graph, fixpoint interprocedural taint,
-schema contracts, dead-symbol analysis) can run over the entire tree
+whole-program passes (call graph, schema contracts, dead-symbol
+analysis, concurrency, unit/kind flow) can run over the entire tree
 without holding a single AST, and so the ``--changed`` fact cache
 (:mod:`repro.lint.cache`) can keep them on disk between runs.
 
 Everything here is derived; nothing emits findings.  The project
 passes in :mod:`repro.lint.callgraph`, :mod:`repro.lint.interproc` and
-the SCHEMA/DEAD rules consume these summaries.
+the rules under :mod:`repro.lint.rules` consume these summaries.
 """
 
 import ast
@@ -21,19 +21,12 @@ from repro.lint.contracts import (
     BLOCKING_CALL_PREFIXES,
     BLOCKING_CALL_TEXTS,
     BLOCKING_METHODS,
-    CHECKPOINT_SINK_METHODS,
     COROUTINE_SCHEDULE_CALLS,
     ENTRYPOINT_STEMS,
     EXECUTOR_HOP_CALLS,
-    FORK_BARRIER_CALLS,
     FORK_POINT_CALLS,
     FORK_POINT_TEXTS,
-    GROUPING_FUNCTIONS,
     LOOP_MARSHAL_CALLS,
-    RESOURCE_FACTORY_CALLS,
-    RESOURCE_FACTORY_TEXTS,
-    RESOURCE_RELEASE_METHODS,
-    TAINTED_ATTRIBUTES,
     THREAD_RELEASE_CALLS,
     THREAD_SAFE_TYPES,
     THREAD_SPAWN_CALLS,
@@ -138,10 +131,6 @@ class KeyFlowFact:
 class ArgFact:
     """One positional (or keyword) argument at a call site."""
 
-    reads: FrozenSet[str] = frozenset()
-    #: human description of a taint source inside the expression
-    #: (".packer@12"), or None when the expression is source-free.
-    direct: Optional[str] = None
     #: indices (into the function's call list) nested in this arg.
     calls: Tuple[int, ...] = ()
     #: the argument is exactly a bare name (dict-flow tracking).
@@ -163,25 +152,14 @@ class CallFact:
     callee: Optional[str]
     args: Tuple[ArgFact, ...] = ()
     kwargs: Tuple[Tuple[Optional[str], ArgFact], ...] = ()
-    #: names read by the base of an attribute call (``enricher`` for
-    #: ``enricher.enrich_all(...)``); empty for plain-name calls.
-    base_reads: FrozenSet[str] = frozenset()
-    base_direct: Optional[str] = None
-    #: the call's method name is a CheckpointStore write API.
-    is_sink: bool = False
-    #: rewritten from ``pool.submit(f, ...)`` — ``callee`` is the
-    #: submitted callable and ``args`` the forwarded arguments, so the
-    #: taint engine treats the submission as a direct call.
-    submitted: bool = False
 
 
 @dataclass(frozen=True)
 class BindFact:
     """Merged dataflow for one local name (or the return value)."""
 
-    reads: FrozenSet[str] = frozenset()
+    #: indices of the calls whose values flow into the name.
     calls: Tuple[int, ...] = ()
-    direct: Optional[str] = None
     #: the name's one assignment is exactly one call (its index); the
     #: schema pass may then treat the name as that call's result.
     is_call: Optional[int] = None
@@ -215,23 +193,6 @@ class NameUse:
         """Every key ever written is known."""
         return (self.dict_inits > 0 and self.other_inits == 0
                 and not self.open_writes)
-
-
-@dataclass(frozen=True)
-class AcquireFact:
-    """One resource-acquisition site (``open``, ``mmap`` ...)."""
-
-    line: int
-    col: int
-    kind: str                    # "open", "mmap.mmap", "socket.socket" ...
-    #: local name the resource is bound to, or None when unbound.
-    name: Optional[str] = None
-    #: acquired directly as a ``with`` context expression.
-    managed: bool = False
-    #: the acquisition is the value of a ``self.attr = ...`` store.
-    stored_attr: bool = False
-    #: index into the function's call list (interprocedural matching).
-    call_index: Optional[int] = None
 
 
 @dataclass
@@ -283,15 +244,13 @@ class FunctionFact:
     thread_targets: Tuple[Tuple[str, int], ...] = ()
     #: lines of direct fork points (``ProcessPoolExecutor``/``os.fork``).
     fork_points: Tuple[int, ...] = ()
-    #: lines of fork-barrier calls (``.quiesced()``/``fork_barrier()``).
-    barrier_lines: Tuple[int, ...] = ()
     #: lines of thread-release calls (``.close``/``.join``/``.stop``).
     release_lines: Tuple[int, ...] = ()
     #: (line, description) of syntactically blocking, non-awaited calls.
     blocking_calls: Tuple[Tuple[int, str], ...] = ()
-    #: (name, line, assigned-None) per simple local assignment, in
-    #: source order — the FORK002 set-before-fork ordering substrate.
-    assign_events: Tuple[Tuple[str, int, bool], ...] = ()
+    #: names and attribute chains used as ``with`` context expressions
+    #: (``with self._lock:`` guards, for THR001).
+    with_names: FrozenSet[str] = frozenset()
     # -- kind/unit facts (UNIT/KIND rule families) -------------------------
     #: outermost arithmetic / comparison expressions in the body.
     arith_events: Tuple[ValueFact, ...] = ()
@@ -304,22 +263,6 @@ class FunctionFact:
     key_flows: Tuple[KeyFlowFact, ...] = ()
     #: sketch of every ``return`` expression (interprocedural units).
     ret_values: Tuple[ValueFact, ...] = ()
-    # -- resource-lifecycle facts (RES family) -----------------------------
-    acquires: Tuple[AcquireFact, ...] = ()
-    #: names a release method is called on anywhere in the body.
-    closed_names: FrozenSet[str] = frozenset()
-    #: subset of closed_names whose release sits in a ``finally``.
-    finally_closed_names: FrozenSet[str] = frozenset()
-    #: names later used as ``with name:`` context expressions.
-    with_names: FrozenSet[str] = frozenset()
-    #: call indices used directly as ``with`` context expressions.
-    with_call_indices: FrozenSet[int] = frozenset()
-    #: call indices whose value is stored onto an attribute
-    #: (``self.sock = make_socket()``) — ownership moves to the object.
-    attr_store_call_indices: FrozenSet[int] = frozenset()
-    #: names whose value escapes the function: returned, yielded,
-    #: stored on an attribute, or passed whole to another call.
-    escaping_names: FrozenSet[str] = frozenset()
 
     def param_index(self, name: str) -> Optional[int]:
         """Positional index of parameter ``name``, or None."""
@@ -359,10 +302,7 @@ class ModuleSummary:
     module_reads: FrozenSet[str] = frozenset()
     #: strings listed in ``__all__`` (declared public API).
     exported: FrozenSet[str] = frozenset()
-    is_grouping: bool = False
     is_entrypoint: bool = False
-    #: module-level simple assignments: name -> first line.
-    module_assigns: Dict[str, int] = field(default_factory=dict)
     #: module-level names initialised to a *mutable* value (dict/list/
     #: set displays or constructors) that is not a sanctioned
     #: cross-thread type — the THR001 candidate set.
@@ -449,28 +389,6 @@ def _assignment_pairs(nodes) -> List[Tuple[List[str], ast.expr]]:
     return pairs
 
 
-def _call_shape(call: ast.Call) -> Tuple[Optional[str], List[ast.expr],
-                                         List[Tuple[Optional[str],
-                                                    ast.expr]],
-                                         Optional[ast.expr], bool]:
-    """(callee text, positional args, kwargs, base expr, submitted)."""
-    func = call.func
-    submitted = False
-    args = list(call.args)
-    if isinstance(func, ast.Attribute) and func.attr == "submit" and args:
-        # pool.submit(f, ...) — model as a direct call to f.
-        submitted = True
-        callee = dotted_name(args[0])
-        return (callee, args[1:],
-                [(kw.arg, kw.value) for kw in call.keywords],
-                func.value, submitted)
-    callee = dotted_name(func)
-    base = func.value if isinstance(func, ast.Attribute) else None
-    return (callee, args,
-            [(kw.arg, kw.value) for kw in call.keywords], base,
-            submitted)
-
-
 class _FunctionSummarizer:
     """Builds one :class:`FunctionFact` from one function node."""
 
@@ -500,39 +418,15 @@ class _FunctionSummarizer:
 
     # -- shared sub-extractors --------------------------------------------
 
-    def _expr_facts(self, expr: ast.AST) -> Tuple[FrozenSet[str],
-                                                  Optional[str],
-                                                  Tuple[int, ...]]:
-        """One walk of ``expr``: (name reads, taint source, call indices).
-
-        The taint source is the first enrichment-owned attribute load
-        or constant subscript read of the same keys (the
-        field-sensitive half of the taint lattice).  Fusing the three
-        extractions into a single walk matters: expressions are
-        visited many times per function, and this is the summarizer's
-        hot path.
-        """
-        reads: Set[str] = set()
-        direct: Optional[str] = None
+    def _expr_calls(self, expr: ast.AST) -> Tuple[int, ...]:
+        """Indices of the calls nested anywhere in ``expr``."""
         calls: List[int] = []
         for node in ast.walk(expr):
-            if isinstance(node, ast.Name):
-                if isinstance(node.ctx, ast.Load):
-                    reads.add(node.id)
-            elif isinstance(node, ast.Call):
+            if isinstance(node, ast.Call):
                 ci = self.call_index.get(id(node))
                 if ci is not None:
                     calls.append(ci)
-            elif direct is None and isinstance(node, ast.Attribute):
-                if isinstance(node.ctx, ast.Load) and \
-                        node.attr in TAINTED_ATTRIBUTES:
-                    direct = f".{node.attr} read at line {node.lineno}"
-            elif direct is None and isinstance(node, ast.Subscript):
-                if isinstance(node.ctx, ast.Load):
-                    key = _const_str(node.slice)
-                    if key in TAINTED_ATTRIBUTES:
-                        direct = f"['{key}'] read at line {node.lineno}"
-        return frozenset(reads), direct, tuple(calls)
+        return tuple(calls)
 
     def _arg_fact(self, expr: ast.expr) -> ArgFact:
         is_name = expr.id if isinstance(expr, ast.Name) else None
@@ -540,10 +434,8 @@ class _FunctionSummarizer:
                    if isinstance(expr, ast.Call) else None)
         if is_name is not None:
             self.recognized.add(id(expr))
-        reads, direct, calls = self._expr_facts(expr)
         return ArgFact(
-            reads=reads, direct=direct,
-            calls=calls, is_name=is_name,
+            calls=self._expr_calls(expr), is_name=is_name,
             is_call=is_call, value=self._value_fact(expr))
 
     def _value_fact(self, expr: ast.AST,
@@ -619,7 +511,6 @@ class _FunctionSummarizer:
         self._collect_name_uses(fact)
         self._collect_attr_reads(fact)
         self._collect_concurrency(fact)
-        self._collect_resources(fact)
         self._collect_units(fact)
         # liveness references made inside nested defs and lambdas
         # count for the enclosing function, so after the (cached)
@@ -646,64 +537,46 @@ class _FunctionSummarizer:
     def _collect_calls(self, fact: FunctionFact) -> None:
         starstar: List[Tuple[str, str, int]] = []
         for node in self.call_nodes:
-            callee, args, kwargs, base, submitted = _call_shape(node)
-            base_facts = (self._expr_facts(base)
-                          if base is not None else None)
-            for kw_name, kw_value in kwargs:
-                if kw_name is None and \
-                        isinstance(kw_value, ast.Name) and \
-                        callee is not None:
-                    starstar.append((callee, kw_value.id, node.lineno))
+            callee = dotted_name(node.func)
+            for kw in node.keywords:
+                if kw.arg is None and isinstance(kw.value, ast.Name) \
+                        and callee is not None:
+                    starstar.append((callee, kw.value.id, node.lineno))
             fact.calls.append(CallFact(
                 line=node.lineno, col=node.col_offset + 1,
                 callee=callee,
-                args=tuple(self._arg_fact(a) for a in args),
-                kwargs=tuple((name, self._arg_fact(value))
-                             for name, value in kwargs),
-                base_reads=(base_facts[0] if base is not None
-                            else frozenset()),
-                base_direct=(base_facts[1]
-                             if base is not None else None),
-                is_sink=(isinstance(node.func, ast.Attribute)
-                         and node.func.attr in CHECKPOINT_SINK_METHODS),
-                submitted=submitted))
+                args=tuple(self._arg_fact(a) for a in node.args),
+                kwargs=tuple((kw.arg, self._arg_fact(kw.value))
+                             for kw in node.keywords)))
         fact.starstar_calls = tuple(starstar)
 
     def _collect_binds(self, fact: FunctionFact) -> None:
         merged: Dict[str, Dict] = {}
         for names, value in self.assign_pairs:
-            reads, direct, calls = self._expr_facts(value)
+            calls = self._expr_calls(value)
             exact_call = (self.call_index.get(id(value))
                           if isinstance(value, ast.Call) else None)
             ctor = (dotted_name(value.func)
                     if isinstance(value, ast.Call) else None)
             for name in names:
                 slot = merged.setdefault(
-                    name, {"reads": set(), "calls": set(),
-                           "direct": None, "exact": [], "assigns": 0})
-                slot["reads"] |= reads
+                    name, {"calls": set(), "exact": [], "assigns": 0})
                 slot["calls"] |= set(calls)
                 slot["assigns"] += 1
                 if exact_call is not None and len(names) == 1:
                     slot["exact"].append(exact_call)
-                if direct is not None and slot["direct"] is None:
-                    slot["direct"] = direct
                 if ctor is not None and len(names) == 1:
                     fact.local_types[name] = ctor
         fact.binds = {
             name: BindFact(
-                reads=frozenset(slot["reads"]),
                 calls=tuple(sorted(slot["calls"])),
-                direct=slot["direct"],
                 is_call=(slot["exact"][0]
                          if slot["assigns"] == 1
                          and len(slot["exact"]) == 1 else None))
             for name, slot in merged.items()}
 
     def _collect_returns(self, fact: FunctionFact) -> None:
-        reads: Set[str] = set()
         calls: Set[int] = set()
-        direct: Optional[str] = None
         returned_names: Set[str] = set()
         dict_keys: Dict[str, int] = {}
         closed = True
@@ -713,12 +586,7 @@ class _FunctionSummarizer:
                 continue
             saw_value = True
             value = node.value
-            value_reads, value_direct, value_calls = \
-                self._expr_facts(value)
-            reads |= value_reads
-            calls |= set(value_calls)
-            if direct is None:
-                direct = value_direct
+            calls.update(self._expr_calls(value))
             if isinstance(value, ast.Name):
                 returned_names.add(value.id)
                 closed = False  # resolved later from the name's use
@@ -728,8 +596,7 @@ class _FunctionSummarizer:
                     closed = False
                 else:
                     dict_keys.update(keys)
-        fact.ret = BindFact(reads=frozenset(reads),
-                            calls=tuple(sorted(calls)), direct=direct)
+        fact.ret = BindFact(calls=tuple(sorted(calls)))
         fact.returned_names = frozenset(returned_names)
         fact.has_return_value = saw_value
         fact.returns_dict_keys = (dict_keys
@@ -1015,7 +882,7 @@ class _FunctionSummarizer:
         fact.ret_annotation = _annotation_text(self.func.returns)
         global_names: Set[str] = set()
         awaited: Set[int] = set()
-        assign_events: List[Tuple[str, int, bool]] = []
+        with_names: Set[str] = set()
         for node in self.scope_nodes:
             if isinstance(node, ast.Global):
                 global_names.update(node.names)
@@ -1024,24 +891,15 @@ class _FunctionSummarizer:
                 ci = self.call_index.get(id(node.value))
                 if ci is not None:
                     awaited.add(ci)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign,
-                                   ast.AugAssign)):
-                value = node.value
-                if value is None:
-                    continue
-                targets = (node.targets
-                           if isinstance(node, ast.Assign)
-                           else [node.target])
-                is_none = (isinstance(value, ast.Constant)
-                           and value.value is None)
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        assign_events.append(
-                            (target.id, node.lineno, is_none))
+            elif isinstance(node, ast.withitem) and \
+                    isinstance(node.context_expr,
+                               (ast.Name, ast.Attribute)):
+                chain = dotted_name(node.context_expr)
+                if chain is not None:  # "self._lock" guard texts
+                    with_names.add(chain)
         fact.global_names = frozenset(global_names)
         fact.awaited_calls = frozenset(awaited)
-        fact.assign_events = tuple(
-            sorted(assign_events, key=lambda e: e[1]))
+        fact.with_names = frozenset(with_names)
 
         spawns: List[int] = []
         targets: List[Tuple[str, int]] = []
@@ -1060,7 +918,6 @@ class _FunctionSummarizer:
         fact.thread_targets = tuple(targets)
 
         forks: List[int] = []
-        barriers: List[int] = []
         releases: List[int] = []
         blocking: List[Tuple[int, str]] = []
         sched_args: Set[int] = set()
@@ -1094,117 +951,23 @@ class _FunctionSummarizer:
             if callee is None:
                 continue
             last = callee.split(".")[-1]
-            if not call.submitted and (last in FORK_POINT_CALLS
-                                       or callee in FORK_POINT_TEXTS):
+            if last in FORK_POINT_CALLS or callee in FORK_POINT_TEXTS:
                 forks.append(call.line)
-            if last in FORK_BARRIER_CALLS:
-                barriers.append(call.line)
-            if "." in callee and last in THREAD_RELEASE_CALLS and \
-                    not call.submitted:
+            if "." in callee and last in THREAD_RELEASE_CALLS:
                 releases.append(call.line)
-            if ci in awaited or call.submitted or \
-                    ci in sched_args or ci in hop_args:
-                # awaited, pool-submitted, scheduler-wrapped and
-                # executor-hopped calls never block the loop
+            if ci in awaited or ci in sched_args or ci in hop_args:
+                # awaited, scheduler-wrapped and executor-hopped
+                # calls never block the loop
                 continue
             if callee in BLOCKING_CALL_TEXTS or \
                     callee.split(".")[0] in BLOCKING_CALL_PREFIXES or \
                     ("." in callee and last in BLOCKING_METHODS):
                 blocking.append((call.line, callee))
         fact.fork_points = tuple(forks)
-        fact.barrier_lines = tuple(sorted(barriers))
         fact.release_lines = tuple(sorted(releases))
         fact.blocking_calls = tuple(blocking)
         fact.sched_arg_calls = frozenset(sched_args)
         fact.hop_arg_calls = frozenset(hop_args)
-
-    # -- resource-lifecycle facts ------------------------------------------
-
-    def _collect_resources(self, fact: FunctionFact) -> None:
-        with_call_ids: Set[int] = set()
-        with_names: Set[str] = set()
-        attr_store_ids: Set[int] = set()
-        escaping: Set[str] = set(fact.returned_names)
-        bound_name: Dict[int, str] = {}
-        for names, value in self.assign_pairs:
-            if isinstance(value, ast.Call) and len(names) == 1:
-                bound_name[id(value)] = names[0]
-        for node in self.scope_nodes:
-            if isinstance(node, ast.withitem):
-                ctx = node.context_expr
-                if isinstance(ctx, ast.Call):
-                    with_call_ids.add(id(ctx))
-                elif isinstance(ctx, ast.Name):
-                    with_names.add(ctx.id)
-                elif isinstance(ctx, ast.Attribute):
-                    chain = dotted_name(ctx)
-                    if chain is not None:  # "self._lock" guard texts
-                        with_names.add(chain)
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                    and isinstance(node.targets[0], ast.Attribute):
-                if isinstance(node.value, ast.Call):
-                    attr_store_ids.add(id(node.value))
-                elif isinstance(node.value, ast.Name):
-                    escaping.add(node.value.id)
-            elif isinstance(node, (ast.Yield, ast.YieldFrom)) and \
-                    isinstance(node.value, ast.Name):
-                escaping.add(node.value.id)
-        for call in fact.calls:
-            for arg in call.args:
-                if arg.is_name is not None:
-                    escaping.add(arg.is_name)
-            for _, arg in call.kwargs:
-                if arg.is_name is not None:
-                    escaping.add(arg.is_name)
-
-        closed: Set[str] = set()
-        for node in self.call_nodes:
-            func = node.func
-            if isinstance(func, ast.Attribute) and \
-                    isinstance(func.value, ast.Name) and \
-                    func.attr in RESOURCE_RELEASE_METHODS:
-                closed.add(func.value.id)
-        finally_closed: Set[str] = set()
-        for node in self.scope_nodes:
-            if not isinstance(node, ast.Try) or not node.finalbody:
-                continue
-            for stmt in node.finalbody:
-                for sub in ast.walk(stmt):
-                    if isinstance(sub, ast.Call) and \
-                            isinstance(sub.func, ast.Attribute) and \
-                            isinstance(sub.func.value, ast.Name) and \
-                            sub.func.attr in RESOURCE_RELEASE_METHODS:
-                        finally_closed.add(sub.func.value.id)
-
-        acquires: List[AcquireFact] = []
-        for node in self.call_nodes:
-            callee = dotted_name(node.func)
-            if callee is None:
-                continue
-            last = callee.split(".")[-1]
-            if callee in RESOURCE_FACTORY_TEXTS:
-                kind = callee
-            elif last in RESOURCE_FACTORY_CALLS:
-                kind = last
-            else:
-                continue
-            acquires.append(AcquireFact(
-                line=node.lineno, col=node.col_offset + 1, kind=kind,
-                name=bound_name.get(id(node)),
-                managed=id(node) in with_call_ids,
-                stored_attr=id(node) in attr_store_ids,
-                call_index=self.call_index.get(id(node))))
-        fact.acquires = tuple(acquires)
-        fact.closed_names = frozenset(closed)
-        fact.finally_closed_names = frozenset(finally_closed)
-        fact.with_names = frozenset(with_names)
-        fact.with_call_indices = frozenset(
-            ci for ci in (self.call_index.get(i)
-                          for i in with_call_ids) if ci is not None)
-        fact.attr_store_call_indices = frozenset(
-            ci for ci in (self.call_index.get(i)
-                          for i in attr_store_ids) if ci is not None)
-        fact.escaping_names = frozenset(escaping)
 
 
 # --------------------------------------------------------------------------
@@ -1295,16 +1058,14 @@ _MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp,
                      ast.ListComp, ast.SetComp)
 
 
-def _module_assignments(tree: ast.Module) -> Tuple[Dict[str, int],
-                                                   Dict[str, int]]:
-    """(all module-level simple assigns, the mutable subset) by name.
+def _module_mutables(tree: ast.Module) -> Dict[str, int]:
+    """Module-level names initialised to a mutable value, by first line.
 
-    The mutable subset feeds THR001: names initialised to a plain
-    dict/list/set (display or constructor) are unsafe to share between
-    a thread target and the main path; the sanctioned channel types
+    This feeds THR001: names initialised to a plain dict/list/set
+    (display or constructor) are unsafe to share between a thread
+    target and the main path; the sanctioned channel types
     (:data:`THREAD_SAFE_TYPES`) are excluded.
     """
-    assigns: Dict[str, int] = {}
     mutables: Dict[str, int] = {}
     for node in tree.body:
         if isinstance(node, ast.Assign):
@@ -1325,21 +1086,10 @@ def _module_assignments(tree: ast.Module) -> Tuple[Dict[str, int],
                 last = callee.split(".")[-1]
                 mutable = (last in _MUTABLE_CTORS
                            and last not in THREAD_SAFE_TYPES)
-        for target in targets:
-            assigns.setdefault(target.id, node.lineno)
-            if mutable:
+        if mutable:
+            for target in targets:
                 mutables.setdefault(target.id, node.lineno)
-    return assigns, mutables
-
-
-def _is_grouping(module: ModuleInfo) -> bool:
-    """Mirror of the TAINT applicability test, without the rule import."""
-    if GROUPING_FUNCTIONS.intersection(module.module_functions):
-        return True
-    return any(
-        (origin := module.origin_of(name)) is not None
-        and origin.endswith("." + name)
-        for name in GROUPING_FUNCTIONS)
+    return mutables
 
 
 def summarize_module(module: ModuleInfo) -> ModuleSummary:
@@ -1355,11 +1105,9 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
                           in module.module_functions.items()},
         module_reads=_module_level_reads(module.tree),
         exported=_exported_names(module.tree),
-        is_grouping=_is_grouping(module),
         is_entrypoint=module.parts[-1] in ENTRYPOINT_STEMS,
+        module_mutables=_module_mutables(module.tree),
     )
-    summary.module_assigns, summary.module_mutables = \
-        _module_assignments(module.tree)
     for name, func in module.module_functions.items():
         summary.functions[name] = _FunctionSummarizer(
             func, name).summarize()

@@ -14,15 +14,10 @@ from repro.lint.rules.cache_keys import CacheKeyRule
 from repro.lint.rules.concurrency import ConcurrencyRule
 from repro.lint.rules.deadcode import DeadCodeRule
 from repro.lint.rules.determinism import DeterminismRule
-from repro.lint.rules.durability import DurabilityRule
 from repro.lint.rules.exception_hygiene import ExceptionHygieneRule
 from repro.lint.rules.pragma_hygiene import PRAGMA001  # noqa: F401
-from repro.lint.rules.resources import ResourceLifecycleRule
 from repro.lint.rules.schema import SchemaContractRule
-from repro.lint.rules.taint import (
-    InterproceduralTaintRule,
-    TaintSeparationRule,
-)
+from repro.lint.rules.taint import TaintSeparationRule
 from repro.lint.rules.units import UnitKindRule
 
 __all__ = [
@@ -30,10 +25,7 @@ __all__ = [
     "ConcurrencyRule",
     "DeadCodeRule",
     "DeterminismRule",
-    "DurabilityRule",
     "ExceptionHygieneRule",
-    "InterproceduralTaintRule",
-    "ResourceLifecycleRule",
     "SchemaContractRule",
     "TaintSeparationRule",
     "UnitKindRule",
@@ -47,7 +39,6 @@ def default_rules() -> List[Rule]:
     return [
         TaintSeparationRule(),
         DeterminismRule(),
-        DurabilityRule(),
         CacheKeyRule(),
         ExceptionHygieneRule(),
     ]
@@ -56,10 +47,8 @@ def default_rules() -> List[Rule]:
 def default_project_rules() -> List[ProjectRule]:
     """One instance of every shipped whole-program pass."""
     return [
-        InterproceduralTaintRule(),
         SchemaContractRule(),
         DeadCodeRule(),
         ConcurrencyRule(),
-        ResourceLifecycleRule(),
         UnitKindRule(),
     ]

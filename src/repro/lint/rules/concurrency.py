@@ -1,11 +1,10 @@
 """FORK/ASYNC/THR — concurrency discipline over the multi-core code.
 
-PRs 6-8 made the pipeline genuinely parallel: a fork pool for
-extraction, a bounded prefetcher thread, an asyncio serving loop with
-lock-free hot swap, and a forked server fleet.  Each of those is only
-correct under an ordering discipline the code keeps by convention;
-this whole-program pass keeps it mechanically, on top of the shared
-:class:`~repro.lint.interproc.ResolvedProgram` substrate.
+The repository runs a bounded prefetcher thread, an asyncio serving
+loop with lock-free hot swap, and a forked server fleet.  Each of
+those is only correct under an ordering discipline the code keeps by
+convention; this whole-program pass keeps it mechanically, on top of
+the shared :class:`~repro.lint.interproc.ResolvedProgram` substrate.
 
 * **FORK001** — no live threads at a fork point.  A forked child
   inherits only the forking thread; any other thread's locks (the
@@ -13,18 +12,9 @@ this whole-program pass keeps it mechanically, on top of the shared
   the child, which then deadlocks at first touch.  The pass finds,
   per function, a thread-spawning call (direct ``Thread(...)`` or a
   call into a function that *returns* with a live thread) followed by
-  an unguarded fork-ward call (direct pool/``os.fork`` or a call
+  a fork-ward call (direct pool/``os.fork`` or a call
   whose callee transitively forks) with no release (``close``/
-  ``join``/``stop``/``shutdown``) in between.  A fork-barrier call
-  (:data:`~repro.lint.contracts.FORK_BARRIER_CALLS` — the
-  ``with prefetcher.quiesced():`` pattern) before the fork-ward line
-  sanctions it.
-* **FORK002** — forked-worker state follows the ``_POOL_STATE``
-  pattern: a module global the submitted worker reads must be
-  assigned (non-None) *before* the fork line and never re-assigned
-  after it — children hold the pre-fork snapshot, so a later mutation
-  silently diverges parent and workers.  Clearing to ``None`` in a
-  ``finally`` is sanctioned.
+  ``join``/``stop``/``shutdown``) in between.
 * **ASYNC001** — no blocking call (``time.sleep``, raw socket I/O,
   ``open``, ``subprocess``) reachable from a coroutine body through
   sync calls without an executor hop; one blocked coroutine stalls
@@ -62,10 +52,7 @@ from repro.lint.interproc import (
 
 FORK001 = register_rule(
     "FORK001", "concurrency",
-    "live thread at a fork point (quiesce or release it first)")
-FORK002 = register_rule(
-    "FORK002", "concurrency",
-    "forked-worker state set or mutated after the fork point")
+    "live thread at a fork point (release it first)")
 ASYNC001 = register_rule(
     "ASYNC001", "concurrency",
     "blocking call reachable inside a coroutine without an executor hop")
@@ -75,11 +62,6 @@ ASYNC002 = register_rule(
 THR001 = register_rule(
     "THR001", "concurrency",
     "module-level mutable state shared between a thread and the main path")
-
-
-def _guarded(line: int, barriers: Tuple[int, ...]) -> bool:
-    """A fork-ward call is sanctioned by any barrier at/above it."""
-    return any(b <= line for b in barriers)
 
 
 def _reach(program: ResolvedProgram, seeded: Dict[FnKey, str],
@@ -101,32 +83,24 @@ def _reach(program: ResolvedProgram, seeded: Dict[FnKey, str],
 
 
 class ConcurrencyRule(ProjectRule):
-    """FORK001/FORK002/ASYNC001/ASYNC002/THR001 over the program."""
+    """FORK001/ASYNC001/ASYNC002/THR001 over the program."""
 
     def run(self, index, emitter: ProjectEmitter) -> None:
         program = resolved_program(index)
         self._check_fork_ordering(program, emitter)
-        self._check_fork_state(program, emitter)
         self._check_async(program, emitter)
         self._check_shared_state(program, emitter)
 
     # -- FORK001 -----------------------------------------------------------
 
     def _fork_reachers(self, program: ResolvedProgram) -> Dict[FnKey, str]:
-        """FnKey -> witness for functions that may fork, unguarded."""
+        """FnKey -> witness for functions that may fork."""
         seeded: Dict[FnKey, str] = {}
         for key, (summary, fact) in program.facts.items():
-            for line in fact.fork_points:
-                if not _guarded(line, fact.barrier_lines):
-                    seeded[key] = f"{summary.dotted}.{fact.qualname}" \
-                                  f" (fork at line {line})"
-                    break
-
-        def passes(caller: FnKey, line: int) -> bool:
-            _, fact = program.facts[caller]
-            return not _guarded(line, fact.barrier_lines)
-
-        return _reach(program, seeded, passes)
+            if fact.fork_points:
+                seeded[key] = f"{summary.dotted}.{fact.qualname}" \
+                              f" (fork at line {fact.fork_points[0]})"
+        return _reach(program, seeded, lambda _caller, _line: True)
 
     def _live_spawners(self, program: ResolvedProgram) -> Dict[FnKey, str]:
         """FnKey -> witness for functions that may *return* with a
@@ -154,15 +128,12 @@ class ConcurrencyRule(ProjectRule):
                 (line, f"thread spawned at line {line}")
                 for line in fact.thread_spawns]
             fork_events: List[Tuple[int, str]] = [
-                (line, "fork point")
-                for line in fact.fork_points
-                if not _guarded(line, fact.barrier_lines)]
+                (line, "fork point") for line in fact.fork_points]
             for _ci, line, callee in program.edges(key):
                 if callee in spawners and callee != key:
                     spawn_events.append(
                         (line, f"call into {spawners[callee]}"))
-                if callee in forkers and callee != key and \
-                        not _guarded(line, fact.barrier_lines):
+                if callee in forkers and callee != key:
                     fork_events.append(
                         (line, f"call into {forkers[callee]}"))
             if not spawn_events or not fork_events:
@@ -178,51 +149,9 @@ class ConcurrencyRule(ProjectRule):
                         FORK001.rule_id, summary.dotted, fork_line, 1,
                         f"fork-ward call ({fork_desc}) with a live "
                         f"thread ({live[0]}) — a forked child inherits "
-                        f"the thread's locks mid-state; release the "
-                        f"thread first or quiesce it "
-                        f"(`with prefetcher.quiesced():`)",
+                        f"the thread's locks mid-state; join, stop or "
+                        f"close the thread before forking",
                         symbol=fact.qualname)
-
-    # -- FORK002 -----------------------------------------------------------
-
-    def _check_fork_state(self, program: ResolvedProgram,
-                          emitter: ProjectEmitter) -> None:
-        for key, (summary, fact) in program.facts.items():
-            if not fact.fork_points:
-                continue
-            fork_line = min(fact.fork_points)
-            worker_reads: Dict[str, str] = {}
-            for ci, call in enumerate(fact.calls):
-                if not call.submitted:
-                    continue
-                callee = program.callee_key(program.resolve(key, ci))
-                if callee is None:
-                    continue
-                wsummary, wfact = program.facts[callee]
-                for name in sorted(wfact.reads_all
-                                   & set(wsummary.module_assigns)):
-                    if name not in fact.global_names:
-                        continue  # the forker never assigns it
-                    worker_reads.setdefault(name, wfact.qualname)
-            for name, worker in sorted(worker_reads.items()):
-                events = [(line, is_none)
-                          for n, line, is_none in fact.assign_events
-                          if n == name]
-                before = any(line <= fork_line and not is_none
-                             for line, is_none in events)
-                after = sorted(line for line, is_none in events
-                               if line > fork_line and not is_none)
-                if not after:
-                    continue
-                what = ("mutated" if before else "first set")
-                emitter.emit(
-                    FORK002.rule_id, summary.dotted, after[0], 1,
-                    f"worker state '{name}' (read by forked "
-                    f"{worker}()) is {what} after the fork point at "
-                    f"line {fork_line} — children hold the pre-fork "
-                    f"snapshot; set it before forking and only clear "
-                    f"it to None afterwards",
-                    symbol=fact.qualname)
 
     # -- ASYNC001 + ASYNC002 -----------------------------------------------
 
@@ -254,8 +183,7 @@ class ConcurrencyRule(ProjectRule):
                 for ci, _line, callee in program.edges(key):
                     if callee in seen:
                         continue
-                    if ci in fact.hop_arg_calls or \
-                            fact.calls[ci].submitted:
+                    if ci in fact.hop_arg_calls:
                         continue  # runs off the loop
                     if program.facts[callee][1].is_async:
                         continue  # its own root

@@ -19,6 +19,12 @@ takes on edge construction.
   attribute (``uses_ppi``, ``stock_tools``, ``packer`` ...).  Writes
   and dataclass field declarations are fine — campaigns carry the
   annotations; they must not be grouped by them.
+
+What a run can check is checked at run time instead:
+``tests/test_enrichment_separation.py`` scrambles every
+enrichment-owned record field and asserts the campaign partition does
+not move, and ``tests/test_checkpoint_fingerprint.py`` pins the same
+checkpoint bytes with enrichment replaced by a no-op.
 """
 
 import ast
@@ -29,14 +35,13 @@ from repro.lint.contracts import (
     TAINTED_ATTRIBUTES,
     TAINTED_MODULES,
 )
-from repro.lint.engine import Emitter, ProjectEmitter, ProjectRule, Rule
+from repro.lint.engine import Emitter, Rule
 from repro.lint.findings import register_rule
-from repro.lint.symbols import FUNCTION_NODES, ModuleInfo
+from repro.lint.symbols import ModuleInfo
 
 __all__ = [
     "GROUPING_FUNCTIONS", "TAINTED_ATTRIBUTES", "TAINTED_MODULES",
-    "TaintSeparationRule", "InterproceduralTaintRule",
-    "is_grouping_module",
+    "TaintSeparationRule", "is_grouping_module",
 ]
 
 TAINT001 = register_rule(
@@ -45,9 +50,6 @@ TAINT001 = register_rule(
 TAINT002 = register_rule(
     "TAINT002", "taint",
     "grouping code reads an enrichment-owned attribute")
-TAINT003 = register_rule(
-    "TAINT003", "taint",
-    "enrichment-tainted value reaches the checkpoint store")
 
 
 def is_grouping_module(module: ModuleInfo) -> bool:
@@ -107,26 +109,3 @@ class TaintSeparationRule(Rule):
                     f"grouping module imports '{name}' — enrichment "
                     "outputs must not feed edge construction")
                 return
-
-
-class InterproceduralTaintRule(ProjectRule):
-    """TAINT002 (any call depth) + TAINT003 via the fixpoint engine.
-
-    The per-module rule above catches *direct* enrichment reads in
-    grouping code; this pass catches the laundered ones — a helper
-    chain (possibly crossing a ``pool.submit`` boundary) whose return
-    value carries enrichment taint into a grouping module, and any
-    path by which a tainted value reaches the checkpoint store
-    (:mod:`repro.lint.interproc` documents the lattice and the
-    deliberate mutation-tracking gap).
-    """
-
-    def run(self, index, emitter: ProjectEmitter) -> None:
-        from repro.lint.interproc import (
-            resolved_program,
-            run_taint_analysis,
-        )
-        for finding in run_taint_analysis(resolved_program(index)):
-            emitter.emit(
-                finding.rule_id, finding.module, finding.line,
-                finding.col, finding.message, symbol=finding.symbol)

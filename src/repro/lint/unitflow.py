@@ -8,9 +8,8 @@ ResolvedProgram` substrate.  Per function the engine evaluates the
 :class:`~repro.lint.facts.ValueFact` sketches (bind RHS, arithmetic
 events, sink writes, key flows, returns) to a name -> state map, and
 summarises the return value's unit/kind plus the parameter positions
-that flow into it, iterating caller-ward to fixpoint on the same
-:class:`~repro.lint.interproc.FixpointEngine` as the taint engine —
-so a coin amount laundered through two helper calls still reaches a
+that flow into it, iterating caller-ward to fixpoint on
+:class:`~repro.lint.interproc.FixpointEngine` — so a coin amount laundered through two helper calls still reaches a
 ``usd`` slot with its coin unit intact.
 
 Findings (reported by :class:`repro.lint.rules.units.UnitKindRule`):

@@ -21,9 +21,10 @@ chunk is parked on disk or in compact per-sample scalars:
   chunk: the per-chunk VT view has no ``children_of``.
 
 Resident state is O(samples) only in small constants (hash sets, spill
-offsets, link sets, per-feed counters), about 100–150 bytes per sample
-against the batch pipeline's ~10 KB; ``BENCH_scale.json`` has the
-measured curve and ``docs/performance.md`` the layout rationale.
+offsets, link sets, per-feed counters): ``BENCH_scale.json`` measures
+168.5 MiB peak RSS at 11,202 samples and 384.6 MiB at 115,260, about
+2.1 KiB per added sample, against the batch pipeline's ~10 KB;
+``docs/performance.md`` has the layout rationale.
 
 Enrichment needs sample bodies and the full VT corpus, so this path
 stops after aggregation: the equivalence suite compares it with the
@@ -276,6 +277,7 @@ class ScalePipeline:
         verdicts: Dict[str, SanityVerdict] = {}
         deferred = _Spill(self._workdir / "deferred.spill")
         rejected = _Spill(self._workdir / "rejected.spill")
+        finished = False
         try:
             index = 0
             for chunk in chunks:
@@ -299,7 +301,7 @@ class ScalePipeline:
                     keep_records=self._keep_campaign_records,
                 ).aggregate_source(self.store.iter_records))
 
-            return ScaleResult(
+            result = ScaleResult(
                 store=self.store,
                 campaigns=campaigns,
                 profiles=tail.profiles,
@@ -312,15 +314,20 @@ class ScalePipeline:
                 spill_bytes=deferred.bytes_written()
                 + rejected.bytes_written(),
             )
+            finished = True
+            return result
         finally:
             if isinstance(chunks, ChunkPrefetcher):
                 chunks.close()
             release_caches()
             deferred.close()
             rejected.close()
-            if (self._own_workdir
-                    and self.store.root != self._workdir / "store"):
-                # caller supplied the store; nothing of theirs lives here
+            if self._own_workdir and (
+                    not finished
+                    or self.store.root != self._workdir / "store"):
+                # a failed run leaves nothing behind; a finished one
+                # keeps the store its result reads, unless the caller
+                # supplied the store and nothing of theirs lives here
                 shutil.rmtree(self._workdir, ignore_errors=True)
 
     def _stage1_chunk(self, chunk, index: int, stats: PipelineStats,

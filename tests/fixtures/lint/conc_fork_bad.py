@@ -1,4 +1,4 @@
-"""FORK positive fixture: live threads and late worker state at forks."""
+"""FORK positive fixture: live threads at fork points."""
 
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -35,17 +35,3 @@ def fork_via_helpers(items, bucket):
     _start_feeder(bucket)
     return _build_pool()  # FORK001 through both helpers
 
-
-def fork_then_set_state(items):
-    global _POOL_STATE
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        _POOL_STATE = dict.fromkeys(items, 0)  # FORK002 set after fork
-        return pool.submit(_scale_chunk, items).result()
-
-
-def refork_with_mutation(items):
-    global _POOL_STATE
-    _POOL_STATE = dict.fromkeys(items, 0)
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        pool.submit(_scale_chunk, items)
-    _POOL_STATE = dict.fromkeys(items, 1)  # FORK002 mutated after fork

@@ -1,4 +1,4 @@
-"""FORK negative fixture: quiesced forks and pre-fork worker state."""
+"""FORK negative fixture: forks with no thread live across them."""
 
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -14,12 +14,12 @@ def _scale_chunk(items):
     return [_POOL_STATE[i] for i in items]
 
 
-def fork_with_parked_producer(prefetcher, items):
+def fork_before_spawn(items):
+    pool = ProcessPoolExecutor(max_workers=2)  # no thread yet
     feeder = threading.Thread(target=_consume, args=(items,))
     feeder.start()
-    with prefetcher.quiesced():  # the sanctioned fork barrier
-        pool = ProcessPoolExecutor(max_workers=2)
     feeder.join()
+    pool.shutdown()
     return pool
 
 
@@ -30,12 +30,3 @@ def fork_after_join(items):
     with ProcessPoolExecutor(max_workers=2) as pool:
         return pool.submit(_consume, items).result()
 
-
-def fork_with_prestate(items):
-    global _POOL_STATE
-    _POOL_STATE = dict.fromkeys(items, 0)  # set before forking
-    try:
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            return pool.submit(_scale_chunk, items).result()
-    finally:
-        _POOL_STATE = None  # clearing to None is sanctioned

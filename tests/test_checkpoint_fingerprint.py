@@ -15,12 +15,21 @@ The service's clock is stubbed so every ``BatchMetrics.wall_s`` is 0.
 A change to the checkpoint layout must bump ``FORMAT_VERSION`` and
 re-pin the constant; a speed-up of the write path must leave it as it
 is.
+
+The run is made twice: with real enrichment, and with
+``CampaignEnricher.enrich`` replaced by a no-op.  Both must give the
+same constant: a checkpoint is a function of the corpus alone, so no
+enrichment annotation (paper §III-E) may reach the journal or a
+snapshot.
 """
 
 import hashlib
 import types
 
+import pytest
+
 import repro.ingest.service as service_module
+from repro.core.enrichment import CampaignEnricher
 from repro.corpus.generator import generate_world
 from repro.corpus.model import ScenarioConfig
 from repro.ingest import IngestionService
@@ -55,6 +64,11 @@ def checkpoint_fingerprint(tmp_path, monkeypatch) -> str:
     return digest.hexdigest()
 
 
-def test_smoke_checkpoint_fingerprint_is_pinned(tmp_path, monkeypatch):
+@pytest.mark.parametrize("enrichment", ["real", "noop"])
+def test_smoke_checkpoint_fingerprint_is_pinned(tmp_path, monkeypatch,
+                                                enrichment):
+    if enrichment == "noop":
+        monkeypatch.setattr(CampaignEnricher, "enrich",
+                            lambda self, campaign, profiles=None: None)
     assert checkpoint_fingerprint(tmp_path, monkeypatch) == \
         CHECKPOINT_FINGERPRINT

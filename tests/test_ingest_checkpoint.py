@@ -3,9 +3,12 @@
 import datetime
 import json
 import os
+import stat
+from pathlib import Path
 
 import pytest
 
+import repro.ingest.checkpoint as checkpoint_module
 from repro.core.pipeline import PipelineStats, SampleOutcome
 from repro.core.records import MinerRecord
 from repro.core.sanity import SanityVerdict
@@ -262,6 +265,65 @@ class TestCheckpointStore:
         store.write_snapshot({"cursor": 1})
         store.close()
         assert store.load().cursor == 1
+
+    def test_durable_write_order(self, tmp_path, monkeypatch):
+        """With ``fsync=True``, a commit line is on disk when its fsync
+        runs; a snapshot and the journal rotation each write a
+        ``.tmp``, fsync it whole, rename it and then fsync the
+        directory; and no truncating ``open`` names a final path."""
+        events = []
+        opened = {}
+        real_open, real_fsync, real_replace = open, os.fsync, os.replace
+
+        def spy_open(path, mode="r", *args, **kwargs):
+            handle = real_open(path, mode, *args, **kwargs)
+            opened[os.fstat(handle.fileno()).st_ino] = Path(path)
+            events.append(("open", Path(path).name, mode))
+            return handle
+
+        def spy_fsync(fd):
+            status = os.fstat(fd)
+            if stat.S_ISDIR(status.st_mode):
+                events.append(("fsync", "dir"))
+            else:
+                path = opened[status.st_ino]
+                events.append(("fsync", path.name, path.read_bytes()))
+            real_fsync(fd)
+
+        def spy_replace(src, dst):
+            events.append(("replace", Path(src).name, Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(checkpoint_module, "open", spy_open,
+                            raising=False)
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        store = CheckpointStore(tmp_path / "ck", fsync=True)
+        store.append_outcome(0, {"sha256": "x"})
+        store.commit_batch(0, {"batch_id": 0})
+        commit = list(events)
+        events.clear()
+        store.write_snapshot({"cursor": 1})
+        store.close()
+
+        assert [e[:2] for e in commit] == \
+            [("open", "journal.jsonl"), ("fsync", "journal.jsonl")]
+        last_line = commit[-1][2].splitlines()[-1]
+        assert json.loads(last_line)["type"] == "commit"
+        assert [e[:2] if e[0] == "fsync" else e for e in events] == [
+            ("open", "snapshot.json.tmp", "w"),
+            ("fsync", "snapshot.json.tmp"),
+            ("replace", "snapshot.json.tmp", "snapshot.json"),
+            ("fsync", "dir"),
+            ("open", "journal.jsonl.tmp", "w"),
+            ("fsync", "journal.jsonl.tmp"),
+            ("replace", "journal.jsonl.tmp", "journal.jsonl"),
+            ("fsync", "dir")]
+        assert events[1][2] == store.snapshot_path.read_bytes()
+        truncating = [name for kind, name, *rest in commit + events
+                      if kind == "open" and "w" in rest[0]]
+        assert truncating and \
+            all(name.endswith(".tmp") for name in truncating)
 
 
 class TestJournalReplayCursor:

@@ -84,32 +84,11 @@ class TestDeterminismRules:
         assert LintEngine().run(tmp_path).findings == []
 
 
-class TestDurabilityRules:
-    def test_positive(self):
-        report = lint_fixture("ingest/durable_bad.py")
-        assert {line for _, line in found(report, "DUR001")} == \
-            set(marked_lines("ingest/durable_bad.py", "DUR001"))
-        assert {line for _, line in found(report, "DUR002")} == \
-            set(marked_lines("ingest/durable_bad.py", "DUR002"))
-
-    def test_negative(self):
-        assert lint_fixture("ingest/durable_ok.py").findings == []
-
-    def test_out_of_scope_directory(self, tmp_path):
-        module = tmp_path / "reports" / "writer.py"
-        module.parent.mkdir()
-        module.write_text("def dump(path, text):\n"
-                          "    open(path, 'w').write(text)\n")
-        assert LintEngine().run(tmp_path).findings == []
-
-
 class TestConcurrencyRules:
     def test_fork_positive(self):
         report = lint_fixture("conc_fork_bad.py")
         assert {line for _, line in found(report, "FORK001")} == \
             set(marked_lines("conc_fork_bad.py", "FORK001"))
-        assert {line for _, line in found(report, "FORK002")} == \
-            set(marked_lines("conc_fork_bad.py", "FORK002"))
 
     def test_async_positive(self):
         report = lint_fixture("conc_async_bad.py")
@@ -138,24 +117,6 @@ class TestConcurrencyRules:
                                       "conc_thread_ok.py"])
     def test_negative(self, name):
         assert lint_fixture(name).findings == []
-
-
-class TestResourceRules:
-    def test_positive(self):
-        report = lint_fixture("scale/res_bad.py")
-        assert {line for _, line in found(report, "RES001")} == \
-            set(marked_lines("scale/res_bad.py", "RES001"))
-
-    def test_negative(self):
-        assert lint_fixture("scale/res_ok.py").findings == []
-
-    def test_out_of_scope_directory(self, tmp_path):
-        # ownership is enforced in the handle-owning subsystems only
-        module = tmp_path / "reports" / "writer.py"
-        module.parent.mkdir()
-        module.write_text("def probe(path):\n"
-                          "    open(path, 'rb')\n")
-        assert LintEngine().run(tmp_path).findings == []
 
 
 class TestCacheKeyRules:
@@ -213,34 +174,6 @@ class TestPragmas:
 
 
 # -- whole-program passes ---------------------------------------------------
-
-
-class TestInterproceduralTaint:
-    def test_three_hop_chain_through_pool_flagged(self):
-        report = lint_fixture("taintdeep/grouping.py",
-                              "taintdeep/helpers.py")
-        assert found(report, "TAINT002") == [
-            ("taintdeep/grouping.py", line)
-            for line in marked_lines("taintdeep/grouping.py",
-                                     "TAINT002")]
-        (finding,) = report.findings
-        assert "relay_via_pool" in finding.message
-
-    def test_sanitized_variant_is_clean(self):
-        report = lint_fixture("taintdeep/grouping_ok.py",
-                              "taintdeep/helpers.py")
-        assert report.findings == []
-
-    def test_helpers_alone_are_clean(self):
-        # the chain is only a violation once grouping code consumes it
-        assert lint_fixture("taintdeep/helpers.py").findings == []
-
-    def test_checkpoint_sink_direct_and_laundered(self):
-        report = lint_fixture("ckpt_bad.py")
-        assert {line for _, line in found(report, "TAINT003")} == \
-            set(marked_lines("ckpt_bad.py", "TAINT003"))
-        # the untainted write must stay silent
-        assert len(report.findings) == 2
 
 
 class TestSchemaRules:
@@ -324,6 +257,16 @@ class TestUnitKindRules:
         assert SummaryCache(
             tmp_path / "cache.bin").get("mod.py", stamp) is not None
 
+        # a cache written under another fact schema is dropped whole.
+        import repro.lint.cache as cache_module
+        monkeypatch.setattr(cache_module, "CACHE_VERSION",
+                            cache_module.CACHE_VERSION + 1)
+        assert SummaryCache(
+            tmp_path / "cache.bin").get("mod.py", stamp) is None
+        monkeypatch.undo()
+        assert SummaryCache(
+            tmp_path / "cache.bin").get("mod.py", stamp) is not None
+
         # editing a seed table re-fingerprints and drops the cache,
         # even though the module file itself is untouched.
         import repro.lint.units as units
@@ -351,8 +294,8 @@ class TestGraphRender:
         from repro.lint.callgraph import render_contracts, render_graph
         index = build_project_index(FIXTURES)
         graph = render_graph(index)
-        assert "taintdeep.grouping.build_campaign" in graph
-        assert "-> taintdeep.helpers.relay_via_pool" in graph
+        assert "unitdeep.sink.summarize" in graph
+        assert "-> unitdeep.helpers.uncovered_remainder" in graph
         contracts = render_contracts(index)
         assert "schema_bad.make_flow" in contracts
         assert "produces" in contracts and "requires" in contracts
@@ -401,23 +344,23 @@ class TestPragmaParsing:
 
 class TestFocusAndChanged:
     def test_focus_narrows_reporting_but_keeps_program(self):
-        paths = [FIXTURES / "taintdeep/grouping.py",
-                 FIXTURES / "taintdeep/helpers.py"]
+        paths = [FIXTURES / "unitdeep/sink.py",
+                 FIXTURES / "unitdeep/helpers.py"]
         out_of_focus = LintEngine().run(
-            FIXTURES, paths=paths, focus=["taintdeep/helpers.py"])
+            FIXTURES, paths=paths, focus=["unitdeep/helpers.py"])
         assert out_of_focus.findings == []
         in_focus = LintEngine().run(
-            FIXTURES, paths=paths, focus=["taintdeep/grouping.py"])
-        assert [f.rule_id for f in in_focus.findings] == ["TAINT002"]
+            FIXTURES, paths=paths, focus=["unitdeep/sink.py"])
+        assert [f.rule_id for f in in_focus.findings] == ["UNIT002"]
 
     def test_changed_files_outside_git(self, tmp_path):
         assert changed_files(tmp_path) is None
 
     def test_summary_cache_serves_unchanged_modules(self, tmp_path):
-        paths = [FIXTURES / "taintdeep/grouping.py",
-                 FIXTURES / "taintdeep/helpers.py"]
+        paths = [FIXTURES / "unitdeep/sink.py",
+                 FIXTURES / "unitdeep/helpers.py"]
         cache = tmp_path / "reprolint-cache"
-        focus = ["taintdeep/grouping.py"]
+        focus = ["unitdeep/sink.py"]
         cold = LintEngine(cache_path=cache).run(
             FIXTURES, paths=paths, focus=focus)
         assert cache.exists()
@@ -425,24 +368,24 @@ class TestFocusAndChanged:
             FIXTURES, paths=paths, focus=focus)
         assert [f.render() for f in warm.findings] == \
             [f.render() for f in cold.findings]
-        assert [f.rule_id for f in warm.findings] == ["TAINT002"]
+        assert [f.rule_id for f in warm.findings] == ["UNIT002"]
 
     def test_summary_cache_invalidates_on_edit(self, tmp_path):
-        pkg = tmp_path / "taintdeep"
+        pkg = tmp_path / "unitdeep"
         pkg.mkdir()
-        for name in ("grouping.py", "helpers.py"):
+        for name in ("sink.py", "helpers.py"):
             pkg.joinpath(name).write_text(
-                (FIXTURES / "taintdeep" / name).read_text())
+                (FIXTURES / "unitdeep" / name).read_text())
         cache = tmp_path / "reprolint-cache"
-        focus = ["taintdeep/grouping.py"]
+        focus = ["unitdeep/sink.py"]
         first = LintEngine(cache_path=cache).run(tmp_path, focus=focus)
-        assert [f.rule_id for f in first.findings] == ["TAINT002"]
+        assert [f.rule_id for f in first.findings] == ["UNIT002"]
         # neutralise the out-of-focus helper; its cached facts must
         # not survive the edit (mtime/size stamp changes).
         helpers = pkg / "helpers.py"
         helpers.write_text(
             helpers.read_text().replace(
-                "campaign.stock_tools", "campaign.first_seen"))
+                "record.total_paid", "record.nthreads"))
         second = LintEngine(cache_path=cache).run(tmp_path,
                                                   focus=focus)
         assert second.findings == []
@@ -536,9 +479,7 @@ class TestSelfCheck:
 
     def test_rule_registry_is_complete(self):
         families = {spec.family for spec in RULE_REGISTRY.values()}
-        assert families == {"taint", "determinism",
-                            "durability", "cache-keys",
+        assert families == {"taint", "determinism", "cache-keys",
                             "exception-hygiene", "schema",
                             "dead-code", "pragma-hygiene",
-                            "concurrency", "resource-lifecycle",
-                            "units"}
+                            "concurrency", "units"}

@@ -7,9 +7,12 @@ consumers — aggregation, profiling, reporting — are order-canonical).
 """
 
 import dataclasses
+import tempfile
+import threading
 
 import pytest
 
+import repro.scale.pipeline as scale_pipeline
 from repro.corpus.generator import generate_world
 from repro.corpus.model import ScenarioConfig
 from repro.scale.columnar import RecordStore
@@ -123,6 +126,31 @@ class TestScalePipelineOptions:
         with pytest.raises(RuntimeError, match="once"):
             pipeline.run()
         assert not (tmp_path / "work" / "deferred.spill").exists()
+
+    def test_failed_run_leaves_nothing_behind(self, tmp_path,
+                                              monkeypatch):
+        """An error while chunk 2 is analysed removes the run's own
+        workdir, store included, and stops the prefetch thread."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        real = scale_pipeline.stage1_analyze
+
+        def failing(sample, index, *args):
+            if index >= 2 * 256:
+                raise RuntimeError("injected failure in chunk 2")
+            return real(sample, index, *args)
+
+        monkeypatch.setattr(scale_pipeline, "stage1_analyze", failing)
+        threads = set(threading.enumerate())
+        corpus = StreamingCorpus(ScenarioConfig(seed=2019, scale=0.004),
+                                 chunk_samples=256)
+        pipeline = ScalePipeline(corpus)
+        assert len(list(tmp_path.glob("repro-scale-*"))) == 1
+        with pytest.raises(RuntimeError, match="chunk 2"):
+            pipeline.run()
+        assert list(tmp_path.glob("repro-scale-*")) == []
+        assert list(tmp_path.rglob("*.spill")) == []
+        assert [t for t in threading.enumerate()
+                if t not in threads and t.is_alive()] == []
 
 
 class TestBenchHarness:
