@@ -261,7 +261,6 @@ def cmd_ingest(args) -> int:
 
 def cmd_scale(args) -> int:
     """Run the out-of-core streaming pipeline and print its funnel."""
-    from repro.common.memory import peak_rss_mib, rss_supported
     from repro.scale.columnar import RecordStore
     from repro.scale.pipeline import ScalePipeline
     from repro.scale.stream import StreamingCorpus
@@ -273,6 +272,15 @@ def cmd_scale(args) -> int:
     pipeline = ScalePipeline(corpus, store=store, num_shards=args.shards,
                              prefetch=args.prefetch)
     result = pipeline.run()
+    try:
+        _print_scale_result(result, args.store)
+    finally:
+        result.close()
+    return 0
+
+
+def _print_scale_result(result, store_dir) -> None:
+    from repro.common.memory import peak_rss_mib, rss_supported
     stats = result.stats
     print(f"collected:   {stats.collected}")
     print(f"executables: {stats.executables}")
@@ -288,9 +296,8 @@ def cmd_scale(args) -> int:
           f"({result.spill_bytes / (1024 * 1024):.1f} MiB on disk)")
     if rss_supported():
         print(f"peak RSS:    {peak_rss_mib():.1f} MiB")
-    if args.store:
-        print(f"store:       {args.store}")
-    return 0
+    if store_dir:
+        print(f"store:       {store_dir}")
 
 
 async def _serve_main(service, source, host: str, port: int,

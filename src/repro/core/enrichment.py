@@ -5,16 +5,32 @@ PPI botnet membership (third-party infrastructure shared by unrelated
 customers), stock-mining-tool attribution via exact-hash and fuzzy-hash
 matching, obfuscation status (>= 80% of samples packed/high-entropy),
 activity period and pool usage.
+
+Stock-tool attribution is a fact about one sample, not a campaign:
+:func:`stock_tool_fact` computes it for one sha, and every driver fills
+a table of them (:func:`add_stock_tool_facts`) over its kept records
+before it enriches.  :class:`CampaignEnricher` only folds over that
+table, so enrichment reads no sample body and runs no CTPH.
 """
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Set
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.core.aggregation import Campaign
 from repro.core.profit import WalletProfile
+from repro.core.records import MinerRecord
 from repro.corpus.model import SampleRecord
 from repro.intel.vt import VtService
-from repro.osint.feeds import PPI_BOTNETS
+from repro.osint.feeds import ppi_botnets_named
 from repro.osint.stock_tools import StockToolCatalog
 
 #: a campaign is "obfuscated" when this fraction of samples is (§IV-E).
@@ -23,18 +39,68 @@ OBFUSCATED_CAMPAIGN_RATIO = 0.8
 #: the paper's conservative fuzzy-hash distance for tool attribution.
 STOCK_TOOL_DISTANCE = 0.1
 
+#: one sha's stock-tool attribution: ``(framework, version)`` or None
+StockToolFact = Optional[Tuple[str, str]]
+
+
+def stock_tool_fact(sha: str, catalog: StockToolCatalog,
+                    sample_lookup: Callable[[str], Optional[SampleRecord]]
+                    ) -> StockToolFact:
+    """Attribute one sample (or dropped binary) to a stock framework.
+
+    Exact SHA-256 hits are free; otherwise the body's CTPH is compared
+    against the whole catalog with the 0.1 threshold.  A sha with no
+    body, or a body outside the catalog's size envelope, has no fact:
+    CTPH cannot score inputs whose block sizes are more than one octave
+    apart anyway.
+    """
+    exact = catalog.by_hash(sha)
+    if exact is not None:
+        return exact.framework, exact.version
+    sample = sample_lookup(sha)
+    if sample is None:
+        return None
+    size_lo, size_hi = catalog.size_range()
+    if not size_lo <= len(sample.raw) <= size_hi:
+        return None
+    match = catalog.match(sample.raw, threshold=STOCK_TOOL_DISTANCE)
+    return (match[0].framework, match[0].version) if match else None
+
+
+def stock_tool_candidates(record: MinerRecord) -> Tuple[str, ...]:
+    """The shas a record puts up for attribution: every sample it
+    brings into its campaign (its own, since a sample can itself be a
+    stock tool fetched from GitHub, and its parents', which are
+    campaign samples whether kept or not) and the binaries it
+    dropped."""
+    return (record.sha256, *record.parents, *record.dropped)
+
+
+def add_stock_tool_facts(
+        facts: Dict[str, StockToolFact], records: Iterable[MinerRecord],
+        catalog: StockToolCatalog,
+        sample_lookup: Callable[[str], Optional[SampleRecord]]
+) -> Dict[str, StockToolFact]:
+    """Add the fact of every :func:`stock_tool_candidates` sha of
+    ``records`` that ``facts`` does not hold yet; returns ``facts``."""
+    for record in records:
+        for sha in stock_tool_candidates(record):
+            if sha not in facts:
+                facts[sha] = stock_tool_fact(sha, catalog, sample_lookup)
+    return facts
+
 
 class CampaignEnricher:
-    """Adds the informative (non-grouping) annotations to campaigns."""
+    """Adds the informative (non-grouping) annotations to campaigns.
 
-    def __init__(self, vt: VtService, catalog: StockToolCatalog,
-                 sample_lookup, fh_threshold: float = STOCK_TOOL_DISTANCE) -> None:
-        """``sample_lookup(sha256) -> SampleRecord | None`` provides raw
-        bytes for fuzzy matching of dropped binaries."""
+    ``stock_tools`` maps every :func:`stock_tool_candidates` sha of the
+    records it enriches to its :data:`StockToolFact`.
+    """
+
+    def __init__(self, vt: VtService,
+                 stock_tools: Mapping[str, StockToolFact]) -> None:
         self._vt = vt
-        self._catalog = catalog
-        self._lookup = sample_lookup
-        self._threshold = fh_threshold
+        self._stock_tools = stock_tools
 
     def enrich(self, campaign: Campaign,
                profiles: Optional[Dict[str, WalletProfile]] = None) -> None:
@@ -57,53 +123,26 @@ class CampaignEnricher:
         found: Set[str] = set()
         for sha in campaign.sample_hashes:
             report = self._vt.get_report(sha)
-            if report is None:
-                continue
-            for label in report.labels():
-                for botnet in PPI_BOTNETS:
-                    if botnet.matches_label(label):
-                        found.add(botnet.name)
+            if report is not None:
+                found |= ppi_botnets_named(report.labels())
         campaign.ppi_botnets = sorted(found)
         campaign.uses_ppi = bool(found)
 
     def _tag_stock_tools(self, campaign: Campaign) -> None:
-        """Attribute dropped binaries to stock frameworks.
-
-        Exact SHA-256 hits are free; otherwise the dropped file's CTPH is
-        compared against the whole catalog with the 0.1 threshold.
-        """
-        frameworks: Set[str] = set()
-        candidates: Set[str] = set()
+        """Attribute the campaign's samples and dropped binaries to
+        stock frameworks, from their facts."""
+        candidates: Set[str] = set(campaign.sample_hashes)
         for record in campaign.records:
             candidates.update(record.dropped)
-        # samples themselves can *be* stock tools fetched from GitHub
-        candidates.update(campaign.sample_hashes)
-        size_lo, size_hi = self._catalog_size_range()
+        frameworks: Set[str] = set()
         matches: List[tuple] = []
         for sha in sorted(candidates):
-            exact = self._catalog.by_hash(sha)
-            if exact is not None:
-                frameworks.add(exact.framework)
-                matches.append((exact.framework, exact.version, sha))
-                continue
-            sample = self._lookup(sha)
-            if sample is None:
-                continue
-            # fuzzy matching only pays off for binaries in the size
-            # neighbourhood of real tool builds; CTPH cannot score
-            # inputs whose block sizes are >1 octave apart anyway.
-            if not size_lo <= len(sample.raw) <= size_hi:
-                continue
-            match = self._catalog.match(sample.raw,
-                                        threshold=self._threshold)
-            if match is not None:
-                frameworks.add(match[0].framework)
-                matches.append((match[0].framework, match[0].version, sha))
+            fact = self._stock_tools[sha]
+            if fact is not None:
+                frameworks.add(fact[0])
+                matches.append((fact[0], fact[1], sha))
         campaign.stock_tools = sorted(frameworks)
         campaign.stock_tool_matches = matches
-
-    def _catalog_size_range(self):
-        return self._catalog.size_range()
 
     def _tag_obfuscation(self, campaign: Campaign) -> None:
         packers: Counter = Counter()

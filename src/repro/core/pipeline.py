@@ -40,7 +40,7 @@ from typing import (
 from repro.common.net import is_ipv4_literal
 from repro.core.aggregation import Campaign, CampaignAggregator, GroupingPolicy
 from repro.core.dynamic_analysis import DynamicAnalyzer
-from repro.core.enrichment import CampaignEnricher
+from repro.core.enrichment import CampaignEnricher, add_stock_tool_facts
 from repro.core.extraction import DEFAULT_ANALYSIS_DATE, ExtractionEngine
 from repro.core.profit import ProfitAnalyzer, WalletProfile
 from repro.core.records import MinerRecord
@@ -623,14 +623,17 @@ class MeasurementPipeline:
                                        self.profiler)
                 fold.step(range(len(world.samples)))
                 kept, verdicts, stats = fold.finish()
+                with self.profiler.stage("stock-tool facts",
+                                         items=len(kept)):
+                    facts = add_stock_tool_facts(
+                        {}, kept, world.stock_catalog, world.sample_by_hash)
                 tail = MeasurementTail(self._profit, self.profiler)
                 tail.add(kept)
                 campaigns = tail.campaigns(
                     lambda proxies: CampaignAggregator(
                         world.osint, self._policy,
                         proxy_ips=proxies).aggregate(kept),
-                    CampaignEnricher(world.vt, world.stock_catalog,
-                                     world.sample_by_hash))
+                    CampaignEnricher(world.vt, facts))
                 return MeasurementResult(
                     records=kept, campaigns=campaigns,
                     profiles=tail.profiles, verdicts=verdicts,

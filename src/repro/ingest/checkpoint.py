@@ -40,7 +40,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Dict, List, Optional, Tuple
 
-from repro.ingest.codec import FORMAT_VERSION, Encoded, encode
+from repro.ingest.codec import (
+    FORMAT_VERSION,
+    READABLE_VERSIONS,
+    Encoded,
+    encode,
+)
 
 JOURNAL_NAME = "journal.jsonl"
 SNAPSHOT_NAME = "snapshot.json"
@@ -221,9 +226,10 @@ class CheckpointStore:
             with open(self.snapshot_path, encoding="utf-8") as fh:
                 replay.snapshot = json.load(fh)
             version = replay.snapshot.get("v")
-            if version != FORMAT_VERSION:
+            if version not in READABLE_VERSIONS:
                 raise ValueError(
-                    f"snapshot format v{version} != v{FORMAT_VERSION}")
+                    f"snapshot format v{version} is not one of "
+                    f"{sorted(READABLE_VERSIONS)}")
         floor = (int(replay.snapshot.get("cursor", 0))
                  if replay.snapshot is not None else 0)
         pending: Dict[int, List[Dict[str, Any]]] = {}

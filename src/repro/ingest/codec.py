@@ -23,8 +23,13 @@ from repro.core.pipeline import PipelineStats, SampleOutcome
 from repro.core.records import MinerRecord
 from repro.core.sanity import SanityVerdict
 
-#: bump when the journal/snapshot layout changes incompatibly.
-FORMAT_VERSION = 1
+#: stamped on every journal commit and snapshot; bump when the layout
+#: changes.  v2 adds the finalized snapshot's ``stock_tool_facts``.
+FORMAT_VERSION = 2
+
+#: snapshot versions the loader reads: a v1 snapshot has no fact table,
+#: so its facts are computed when a result is materialised.
+READABLE_VERSIONS = frozenset({1, 2})
 
 
 @functools.lru_cache(maxsize=None)

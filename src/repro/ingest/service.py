@@ -29,7 +29,12 @@ from repro.core.aggregation import (
     CampaignAggregator,
     GroupingPolicy,
 )
-from repro.core.enrichment import CampaignEnricher
+from repro.core.enrichment import (
+    CampaignEnricher,
+    StockToolFact,
+    add_stock_tool_facts,
+    stock_tool_candidates,
+)
 from repro.core.pipeline import (
     DEFAULT_ANALYSIS_DATE,
     MeasurementFold,
@@ -210,6 +215,9 @@ class IngestionService:
         #: sha -> (record or verdict, its JSON text) as last snapshotted
         self._record_texts: Dict[str, Tuple[Any, Encoded]] = {}
         self._verdict_texts: Dict[str, Tuple[Any, Encoded]] = {}
+        #: candidate sha -> stock-tool fact, filled when a result is
+        #: materialised and kept by the finalized snapshot
+        self._stock_tools: Dict[str, StockToolFact] = {}
 
     # ------------------------------------------------------------------
     # main loop
@@ -300,8 +308,11 @@ class IngestionService:
     def finalize(self) -> MeasurementResult:
         """Close out the run: final verdicts, enrichment, snapshot.
 
-        Idempotent — resuming an already-complete checkpoint re-derives
-        the same result without reprocessing any sample.
+        The finalized snapshot also keeps the stock-tool fact table, so
+        a later restore enriches without running CTPH.  Idempotent —
+        resuming an already-complete checkpoint re-derives the same
+        result, and rewrites the same snapshot, without reprocessing
+        any sample.
         """
         result = self._materialize(copy=False)
         with self.profiler.stage("ingest: snapshot"):
@@ -333,12 +344,17 @@ class IngestionService:
 
     def _materialize(self, copy: bool) -> MeasurementResult:
         """The fold's finish plus the tail's campaigns and enrichment;
-        ``copy=False`` completes the running verdicts and funnel."""
+        ``copy=False`` completes the running verdicts and funnel.  Only
+        the kept records' candidate shas the fact table lacks are
+        attributed: none after restoring a finalized snapshot."""
         kept, verdicts, stats = self.fold.finish(copy=copy)
+        with self.profiler.stage("stock-tool facts", items=len(kept)):
+            add_stock_tool_facts(self._stock_tools, kept,
+                                 self.world.stock_catalog,
+                                 self.world.sample_by_hash)
         campaigns = self.tail.campaigns(
             lambda _proxies: self._agg.campaigns(),
-            CampaignEnricher(self.world.vt, self.world.stock_catalog,
-                             self.world.sample_by_hash))
+            CampaignEnricher(self.world.vt, self._stock_tools))
         return MeasurementResult(
             records=kept, campaigns=campaigns,
             profiles=dict(self.tail.profiles), verdicts=dict(verdicts),
@@ -350,7 +366,7 @@ class IngestionService:
 
     def _snapshot_state(self, finalized: bool = False) -> Dict:
         fold = self.fold
-        return {
+        state = {
             "cursor": self._cursor,
             "finalized": finalized,
             "batch_days": self.scheduler.batch_days,
@@ -366,6 +382,14 @@ class IngestionService:
             "pending": sorted(fold.pending.items(), key=lambda kv: kv[1]),
             "batches": self.batch_metrics,
         }
+        if finalized:
+            # the positive facts only: every other candidate of the
+            # records has none.  Mid-run snapshots carry no table, so
+            # a periodic snapshot stays a function of the fold's state.
+            state["stock_tool_facts"] = {
+                sha: fact for sha, fact in self._stock_tools.items()
+                if fact is not None}
+        return state
 
     def _restore(self, replay: JournalReplay,
                  batches: List[FeedBatch]) -> None:
@@ -394,6 +418,8 @@ class IngestionService:
             self.batch_metrics = [BatchMetrics.from_json(m)
                                   for m in snapshot["batches"]]
             self._cursor = int(snapshot["cursor"])
+            if "stock_tool_facts" in snapshot:  # a finalized v2 snapshot
+                self._restore_stock_tools(snapshot["stock_tool_facts"])
         # samples delivered by every batch up to the cursor
         for batch in batches[:self._cursor]:
             fold.arrive(batch.indices)
@@ -417,3 +443,12 @@ class IngestionService:
             fold.apply(outcome, self._resume_frontier)
         # derived state is recomputed, not persisted: deterministic
         self._link(list(fold.records.values()))
+
+    def _restore_stock_tools(self, positives: Dict[str, List[str]]) -> None:
+        """The fact table of the snapshot's records: the listed facts,
+        and none for every other candidate sha."""
+        table = self._stock_tools
+        for record in self.fold.records.values():
+            table.update(dict.fromkeys(stock_tool_candidates(record)))
+        for sha, (framework, version) in positives.items():
+            table[sha] = (framework, version)

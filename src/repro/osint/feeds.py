@@ -1,7 +1,7 @@
 """Known-operation and PPI-botnet indicator feeds."""
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 
 @dataclass
@@ -52,6 +52,18 @@ PPI_BOTNETS: List[PpiBotnet] = [
     PpiBotnet("Ramnit", ("ramnit",)),
     PpiBotnet("Nitol", ("nitol",)),
 ]
+
+
+def ppi_botnets_named(labels: Iterable[str]) -> Set[str]:
+    """Names of the PPI families any of one sample's AV labels names.
+
+    The labels are lower-cased once, joined by newlines: no token holds
+    a newline, so a token is in the joined text exactly when it is in
+    one label, which is :meth:`PpiBotnet.matches_label` over each.
+    """
+    lowered = "\n".join(labels).lower()
+    return {botnet.name for botnet in PPI_BOTNETS
+            if any(token in lowered for token in botnet.label_tokens)}
 
 
 class OsintFeeds:

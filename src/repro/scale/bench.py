@@ -87,8 +87,13 @@ def measure_scale_point(scale: float, seed: int = 2019,
     t1 = time.perf_counter()
     result = pipeline.run()
     run_s = time.perf_counter() - t1
-    store_bytes = sum(p.stat().st_size
-                      for p in result.store.segment_paths())
+    try:
+        store_bytes = sum(p.stat().st_size
+                          for p in result.store.segment_paths())
+        records = len(result.store)
+        segments = result.store.num_segments
+    finally:
+        result.close()
     samples = result.stats.collected
     return {
         "suite": "scale",
@@ -98,7 +103,7 @@ def measure_scale_point(scale: float, seed: int = 2019,
         "chunk_samples": chunk_samples,
         "num_shards": num_shards,
         "samples": samples,
-        "records": len(result.store),
+        "records": records,
         "campaigns": len(result.campaigns),
         "skeleton_s": round(skeleton_s, 3),
         "run_s": round(run_s, 3),
@@ -107,7 +112,7 @@ def measure_scale_point(scale: float, seed: int = 2019,
         "peak_rss_mib": round(peak_rss_mib() or 0.0, 1),
         "store_mib": round(store_bytes / (1024 * 1024), 2),
         "spill_mib": round(result.spill_bytes / (1024 * 1024), 2),
-        "segments": result.store.num_segments,
+        "segments": segments,
         "deferred": result.deferred_spilled,
         "rejected": result.rejected_spilled,
         "recovered": result.recovered,

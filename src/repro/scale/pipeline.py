@@ -148,10 +148,20 @@ class ScaleResult:
     rejected_spilled: int = 0
     recovered: int = 0
     spill_bytes: int = 0
+    #: the run's own temp workdir, which holds ``store`` (None when the
+    #: caller supplied the workdir or the store)
+    workdir: Optional[Path] = None
 
     def records(self) -> List[MinerRecord]:
         """Materialise every stored record (small worlds only)."""
         return list(self.store.iter_records())
+
+    def close(self) -> None:
+        """Remove the run's own workdir, store included; the store's
+        records cannot be read after this.  A no-op otherwise."""
+        if self.workdir is not None:
+            shutil.rmtree(self.workdir, ignore_errors=True)
+            self.workdir = None
 
 
 class ScalePipeline:
@@ -277,6 +287,8 @@ class ScalePipeline:
         verdicts: Dict[str, SanityVerdict] = {}
         deferred = _Spill(self._workdir / "deferred.spill")
         rejected = _Spill(self._workdir / "rejected.spill")
+        owns_store = (self._own_workdir
+                      and self.store.root == self._workdir / "store")
         finished = False
         try:
             index = 0
@@ -313,6 +325,7 @@ class ScalePipeline:
                 recovered=recovered,
                 spill_bytes=deferred.bytes_written()
                 + rejected.bytes_written(),
+                workdir=self._workdir if owns_store else None,
             )
             finished = True
             return result
@@ -322,12 +335,11 @@ class ScalePipeline:
             release_caches()
             deferred.close()
             rejected.close()
-            if self._own_workdir and (
-                    not finished
-                    or self.store.root != self._workdir / "store"):
+            if self._own_workdir and not (finished and owns_store):
                 # a failed run leaves nothing behind; a finished one
-                # keeps the store its result reads, unless the caller
-                # supplied the store and nothing of theirs lives here
+                # keeps the store its result reads (until the result's
+                # close), unless the caller supplied the store and
+                # nothing of theirs lives here
                 shutil.rmtree(self._workdir, ignore_errors=True)
 
     def _stage1_chunk(self, chunk, index: int, stats: PipelineStats,

@@ -24,7 +24,11 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.aggregation import GroupingPolicy
-from repro.core.enrichment import CampaignEnricher
+from repro.core.enrichment import (
+    CampaignEnricher,
+    StockToolFact,
+    add_stock_tool_facts,
+)
 from repro.core.pipeline import (
     MeasurementResult,
     MeasurementTail,
@@ -89,25 +93,28 @@ def result_from_store(world: SyntheticWorld, store,
                       num_shards: int = 8) -> ScaleResult:
     """Derive a serving result straight from a columnar record store.
 
-    The funnel comes from one streaming pass over the segments, and
-    the rest from :class:`~repro.core.pipeline.MeasurementTail`, the
-    tail every driver ends in, without ever holding the record list:
-    profiles and proxies from a second pass, campaigns from the sharded
-    aggregator, and enrichment per campaign through the aggregator's
+    The funnel and the stock-tool facts come from one streaming pass
+    over the segments, and the rest from
+    :class:`~repro.core.pipeline.MeasurementTail`, the tail every
+    driver ends in, without ever holding the record list: profiles and
+    proxies from a second pass, campaigns from the sharded aggregator,
+    and enrichment per campaign through the aggregator's
     ``campaign_hook`` — before each campaign's records are dropped.
-    Peak memory is the index tables plus one aggregation shard, not
-    the corpus.  The result is store-backed like the out-of-core
-    pipeline's, so :func:`repro.core.pipeline.iter_result_records`
-    streams an index build straight from the segments; its campaigns
-    carry no records.
+    Peak memory is the index tables, the fact table and one
+    aggregation shard, not the corpus.  The result is store-backed like
+    the out-of-core pipeline's, so
+    :func:`repro.core.pipeline.iter_result_records` streams an index
+    build straight from the segments; its campaigns carry no records.
     """
     stats = PipelineStats()
+    facts: Dict[str, StockToolFact] = {}
     for record in store.iter_records():
         stats.count_kept(record)
+        add_stock_tool_facts(facts, (record,), world.stock_catalog,
+                             world.sample_by_hash)
     tail = MeasurementTail(ProfitAnalyzer(world.pool_directory))
     tail.add(store.iter_records())
-    enricher = CampaignEnricher(world.vt, world.stock_catalog,
-                                world.sample_by_hash)
+    enricher = CampaignEnricher(world.vt, facts)
     campaigns = tail.campaigns(
         lambda proxies: ShardedCampaignAggregator(
             world.osint, GroupingPolicy.full(), proxy_ips=proxies,

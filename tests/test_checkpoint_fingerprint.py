@@ -9,7 +9,7 @@ at the smoke scale (0.004) with 30-day batches it hashes, in order:
 
 * the journal as it stands before each compaction;
 * the snapshot each compaction writes;
-* the final snapshot.
+* the final snapshot, with its stock-tool fact table.
 
 The service's clock is stubbed so every ``BatchMetrics.wall_s`` is 0.
 A change to the checkpoint layout must bump ``FORMAT_VERSION`` and
@@ -18,9 +18,11 @@ is.
 
 The run is made twice: with real enrichment, and with
 ``CampaignEnricher.enrich`` replaced by a no-op.  Both must give the
-same constant: a checkpoint is a function of the corpus alone, so no
-enrichment annotation (paper §III-E) may reach the journal or a
-snapshot.
+same constant: a checkpoint is a function of the corpus alone.
+Per-sample facts, such as a sha's stock-tool attribution, are
+functions of the corpus too and may be persisted (the final snapshot
+keeps them); campaign annotations (paper §III-E) may not reach the
+journal or a snapshot.
 """
 
 import hashlib
@@ -36,7 +38,7 @@ from repro.ingest import IngestionService
 
 #: SHA-256 of the journal and snapshot bytes described above.
 CHECKPOINT_FINGERPRINT = (
-    "c75d0a9b504ebbcf89cec1ca185094291502a51d4ca4f0bcd5751c6a40da4b60")
+    "3452be9eb49783fbd011825a82a49badce9f4ef902992295917020b447028849")
 
 
 def checkpoint_fingerprint(tmp_path, monkeypatch) -> str:

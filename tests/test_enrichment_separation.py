@@ -7,8 +7,10 @@ grouping modules from importing enrichment code or reading
 enrichment-owned attributes.  These tests check the outcome on real
 records: scrambling every enrichment-owned field of the batch records
 of a small world leaves the campaign partition exactly as it was,
-under the one-shot aggregator and the sharded one, and the pipeline's
-enriched campaigns are exactly the un-enriched aggregation's.
+under the one-shot aggregator and the sharded one; so does a scrambled
+stock-tool fact table, which the pipeline computes before it
+aggregates; and the pipeline's enriched campaigns are exactly the
+un-enriched aggregation's.
 """
 
 import dataclasses
@@ -18,7 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.pipeline as pipeline_module
 from repro.core.aggregation import CampaignAggregator
+from repro.core.enrichment import stock_tool_candidates
 from repro.core.pipeline import MeasurementPipeline
 from repro.core.records import MinerRecord
 from repro.corpus.generator import generate_world
@@ -73,6 +77,30 @@ def test_scrambled_enrichment_leaves_the_partition(measured, seed):
         world.osint, proxy_ips=result.proxy_ips,
         num_shards=8).aggregate(scrambled)
     assert partition(sharded) == expected
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scrambled_stock_tool_facts_leave_the_partition(measured,
+                                                        monkeypatch, seed):
+    """A random fact table in place of the computed one reaches the
+    campaigns' annotations but not their partition."""
+    world, result = measured
+    rnd = random.Random(seed)
+    frameworks = world.stock_catalog.frameworks()
+
+    def scrambled(facts, records, *_lookups):
+        for record in records:
+            for sha in stock_tool_candidates(record):
+                facts[sha] = ((rnd.choice(frameworks), "0.0.1")
+                              if rnd.random() < 0.3 else None)
+        return facts
+
+    monkeypatch.setattr(pipeline_module, "add_stock_tool_facts", scrambled)
+    rerun = MeasurementPipeline(world).run()
+    assert any(campaign.stock_tools for campaign in rerun.campaigns)
+    assert partition(rerun.campaigns) == partition(result.campaigns)
+    assert [c.identifiers for c in rerun.campaigns] == \
+        [c.identifiers for c in result.campaigns]
 
 
 def test_enriched_campaigns_keep_the_unenriched_partition(measured):

@@ -4,6 +4,8 @@ import datetime
 import hashlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.binfmt.codegen import pseudo_code
 from repro.common.rng import DeterministicRNG
@@ -13,6 +15,7 @@ from repro.osint.feeds import (
     KnownOperation,
     OsintFeeds,
     PPI_BOTNETS,
+    ppi_botnets_named,
 )
 from repro.osint.stock_tools import StockToolCatalog, TOOL_FRAMEWORKS
 
@@ -62,6 +65,26 @@ class TestPpiBotnets:
         assert virut.matches_label("Win32.Virut.ab")
         assert virut.matches_label("WIN32.VIRUT.AB")
         assert not virut.matches_label("Trojan.CoinMiner.x")
+
+    #: whole labels, family tokens and halves of tokens (which only a
+    #: neighbouring label could complete), in any case, and characters
+    #: whose lower case is longer or context-dependent (final sigma)
+    _PIECES = ("virut", "ViRuT", "rAmNiT", "NITOL", "vir", "UT", "ram",
+               "nit", "ol", "ΣΑΣ", "Σ", "İ", "ẞ", "ǅ", "\n")
+    _LABELS = st.one_of(
+        st.text(), st.sampled_from(_PIECES),
+        st.tuples(st.text(max_size=3), st.sampled_from(_PIECES),
+                  st.text(max_size=3)).map("".join))
+
+    @given(st.lists(_LABELS, max_size=8))
+    @example(["vir", "UT"])
+    @example(["Nit", "ol", "AΣ", "Σ"])
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_per_sample_equals_per_label_loop(self, labels):
+        per_label = {botnet.name for label in labels
+                     for botnet in PPI_BOTNETS
+                     if botnet.matches_label(label)}
+        assert ppi_botnets_named(labels) == per_label
 
 
 class TestStockToolCatalog:

@@ -30,8 +30,7 @@ def scale_result():
                              keep_campaign_records=True)
     result = pipeline.run()
     yield result
-    import shutil
-    shutil.rmtree(result.store.root.parent, ignore_errors=True)
+    result.close()
 
 
 class TestScalePipelineEquivalence:
@@ -69,7 +68,7 @@ class TestScalePipelineEquivalence:
 
 
 class TestScalePipelineOptions:
-    def test_prefetch_disabled_identical(self, scale_result):
+    def test_prefetch_disabled_identical(self, scale_result, request):
         """The module fixture runs with the default prefetch (2); the
         eager path must produce byte-identical records, spills and
         campaigns — prefetch changes timing, never content."""
@@ -77,6 +76,7 @@ class TestScalePipelineOptions:
         eager = ScalePipeline(corpus, prefetch=0, num_shards=8,
                               keep_verdicts=True,
                               keep_campaign_records=True).run()
+        request.addfinalizer(eager.close)
         assert {r.sha256: r for r in eager.records()} == \
             {r.sha256: r for r in scale_result.records()}
         assert eager.verdicts == scale_result.verdicts
@@ -90,18 +90,20 @@ class TestScalePipelineOptions:
         with pytest.raises(ValueError):
             ScalePipeline(corpus, prefetch=-1)
 
-    def test_small_segments_identical(self, scale_result):
+    def test_small_segments_identical(self, scale_result, request):
         corpus = StreamingCorpus(_CONFIG, chunk_samples=512)
         chunked = ScalePipeline(corpus, segment_rows=64,
                                 keep_campaign_records=True).run()
+        request.addfinalizer(chunked.close)
         assert chunked.store.num_segments > 1
         assert {r.sha256: r for r in chunked.records()} == \
             {r.sha256: r for r in scale_result.records()}
         assert chunked.campaigns == scale_result.campaigns
 
-    def test_lean_defaults_drop_heavy_state(self, scale_result):
+    def test_lean_defaults_drop_heavy_state(self, scale_result, request):
         corpus = StreamingCorpus(_CONFIG, chunk_samples=512)
         lean = ScalePipeline(corpus).run()
+        request.addfinalizer(lean.close)
         assert lean.verdicts == {}
         assert all(c.records == [] for c in lean.campaigns)
         assert [c.sample_hashes for c in lean.campaigns] == \
@@ -126,6 +128,30 @@ class TestScalePipelineOptions:
         with pytest.raises(RuntimeError, match="once"):
             pipeline.run()
         assert not (tmp_path / "work" / "deferred.spill").exists()
+
+    def test_closed_result_leaves_nothing_behind(self, tmp_path,
+                                                 monkeypatch):
+        """A finished run keeps its own workdir for the store its
+        result reads; closing the result removes it, and closing twice
+        is harmless."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        corpus = StreamingCorpus(ScenarioConfig(seed=2019, scale=0.004),
+                                 chunk_samples=512)
+        result = ScalePipeline(corpus).run()
+        assert len(result.records()) == result.stats.all_executables_kept
+        assert [p.name for p in tmp_path.iterdir()] == \
+            [result.workdir.name]
+        result.close()
+        result.close()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cli_scale_leaves_nothing_behind(self, tmp_path, monkeypatch,
+                                             capsys):
+        from repro.cli import main
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["scale", "--scale", "0.004"]) == 0
+        assert "campaigns:" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_run_leaves_nothing_behind(self, tmp_path,
                                               monkeypatch):
@@ -154,9 +180,11 @@ class TestScalePipelineOptions:
 
 
 class TestBenchHarness:
-    def test_scale_point_metrics(self):
+    def test_scale_point_metrics(self, tmp_path, monkeypatch):
         from repro.scale.bench import measure_scale_point
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         point = measure_scale_point(0.01, seed=1, chunk_samples=512)
+        assert list(tmp_path.iterdir()) == []
         assert point["samples"] > 0
         assert point["records"] > 0
         assert point["campaigns"] > 0
