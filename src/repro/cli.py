@@ -366,13 +366,20 @@ def cmd_serve(args) -> int:
                  if plan and plan.get("scale") is not None
                  else args.scale)
         world = _get_world(seed, scale)
+        # a journal-only checkpoint names no plan: daily batches unless
+        # --batch-days says otherwise, and a restore refuses a mismatch
+        batch_days = args.batch_days or (plan["batch_days"] if plan else 1)
         source = CheckpointIndexSource(world, args.checkpoint,
-                                       batch_days=args.batch_days)
+                                       batch_days=batch_days)
         if source.stamp() is None:
             print(f"no checkpoint state under {args.checkpoint}",
                   file=sys.stderr)
             return 1
-        index = source.build(1)
+        try:
+            index = source.build(1)
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 1
     elif args.store:
         from repro.scale.columnar import RecordStore
         world = _get_world(args.seed, args.scale)

@@ -16,7 +16,6 @@ from repro.core.static_analysis import StaticAnalyzer, StaticFindings
 from repro.corpus.model import SampleRecord
 from repro.intel.vt import VtService
 from repro.netsim.dns import PassiveDns, Resolver
-from repro.perf.cache import LruCache
 from repro.pools.directory import PoolDirectory
 
 #: the sandbox clock and passive-DNS cut-off every driver defaults to
@@ -39,10 +38,6 @@ class ExtractionEngine:
         self._analysis_date = analysis_date
         #: alias domain -> pool name cache across samples
         self._alias_cache: Dict[str, Optional[str]] = {}
-        #: static findings memo: wallet-exception hits are analysed
-        #: twice (static-only sweep, then full extraction), and static
-        #: analysis is pure per input, so reuse the findings by hash.
-        self._static_cache = LruCache("static_findings", maxsize=4096)
 
     # ------------------------------------------------------------------
 
@@ -54,7 +49,7 @@ class ExtractionEngine:
     def extract_with_report(self, sample: SampleRecord):
         """Extract and also return the sandbox report (for sanity checks)."""
         record = MinerRecord(sha256=sample.sha256, source=sample.source)
-        static = self._static_findings(sample)
+        static = self._static.analyze(sample.raw)
         dynamic = self._dynamic.analyze(sample)
         self._merge_static(record, static)
         self._merge_dynamic(record, dynamic)
@@ -66,17 +61,13 @@ class ExtractionEngine:
     def extract_static_only(self, sample: SampleRecord) -> MinerRecord:
         """Cheap static-only pass (used by the wallet-exception sweep)."""
         record = MinerRecord(sha256=sample.sha256, source=sample.source)
-        static = self._static_findings(sample)
+        static = self._static.analyze(sample.raw)
         self._merge_static(record, static)
         self._merge_metadata(record, sample)
         record.type = "Miner" if record.identifiers else "Ancillary"
         return record
 
     # ------------------------------------------------------------------
-
-    def _static_findings(self, sample: SampleRecord) -> StaticFindings:
-        return self._static_cache.get_or_compute(
-            sample.sha256, lambda: self._static.analyze(sample.raw))
 
     def _merge_static(self, record: MinerRecord,
                       findings: StaticFindings) -> None:

@@ -19,7 +19,6 @@ one set of names.
 """
 
 import dataclasses
-import datetime
 from dataclasses import dataclass, field
 from functools import partial
 from typing import (
@@ -44,7 +43,11 @@ from repro.core.enrichment import CampaignEnricher, add_stock_tool_facts
 from repro.core.extraction import DEFAULT_ANALYSIS_DATE, ExtractionEngine
 from repro.core.profit import ProfitAnalyzer, WalletProfile
 from repro.core.records import MinerRecord
-from repro.core.sanity import SanityChecker, SanityVerdict
+from repro.core.sanity import (
+    MALWARE_POSITIVES_THRESHOLD,
+    SanityChecker,
+    SanityVerdict,
+)
 from repro.core.static_analysis import StaticAnalyzer
 from repro.corpus.model import SampleRecord, SyntheticWorld
 from repro.perf.cache import CachingResolver, release_caches
@@ -73,16 +76,17 @@ class SampleOutcome:
 
 
 def build_analysis_components(
-        world: SyntheticWorld, positives_threshold: int,
-        analysis_date: datetime.date, use_ha_reports: bool
+        world: SyntheticWorld, positives_threshold: int
 ) -> Tuple[SanityChecker, ExtractionEngine]:
     """The sanity checker + extraction engine pair every driver uses.
 
-    DNS resolution goes through a shared LRU memo.
+    The method is the paper's: one analysis date, with HA reports
+    reused where they exist.  DNS resolution goes through a shared LRU
+    memo.
     """
     resolver = CachingResolver(world.resolver)
     sandbox = Sandbox(resolver, SandboxEnvironment(
-        analysis_date=analysis_date))
+        analysis_date=DEFAULT_ANALYSIS_DATE))
     checker = SanityChecker(
         world.vt, world.osint, world.pool_directory,
         tool_whitelist=world.stock_catalog.whitelist_hashes(),
@@ -90,10 +94,9 @@ def build_analysis_components(
     )
     engine = ExtractionEngine(
         StaticAnalyzer(),
-        DynamicAnalyzer(sandbox, world.ha if use_ha_reports else None),
+        DynamicAnalyzer(sandbox, world.ha),
         world.vt, world.pool_directory,
         resolver, world.passive_dns,
-        analysis_date=analysis_date,
     )
     return checker, engine
 
@@ -597,21 +600,21 @@ class MeasurementPipeline:
     """The full measurement methodology against a (synthetic) world:
     one fold step over every sample in index order, then the tail.
 
-    ``profiler`` may be supplied to share one across runs; otherwise
-    each pipeline owns one, exposed as :attr:`profiler`.
+    ``policy`` and ``positives_threshold`` are the two method knobs the
+    grouping ablation and the AV-threshold sweep turn; ingestion and
+    the out-of-core pipeline always run the paper's method.  Stage
+    timings land in :attr:`profiler`.
     """
 
     def __init__(self, world: SyntheticWorld,
                  policy: Optional[GroupingPolicy] = None,
-                 positives_threshold: int = 10,
-                 analysis_date: datetime.date = DEFAULT_ANALYSIS_DATE,
-                 use_ha_reports: bool = True,
-                 profiler: Optional[PipelineProfiler] = None) -> None:
+                 positives_threshold: int = MALWARE_POSITIVES_THRESHOLD
+                 ) -> None:
         self.world = world
-        self.profiler = profiler or PipelineProfiler()
+        self.profiler = PipelineProfiler()
         self._policy = policy or GroupingPolicy.full()
         self._checker, self._engine = build_analysis_components(
-            world, positives_threshold, analysis_date, use_ha_reports)
+            world, positives_threshold)
         self._profit = ProfitAnalyzer(world.pool_directory)
 
     def run(self) -> MeasurementResult:

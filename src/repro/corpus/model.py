@@ -68,12 +68,6 @@ class GroundTruthCampaign:
     fixed_sample_count: Optional[int] = None  # case studies pin this
     custom_driven: bool = False     # mining already replayed by fixture
 
-    @property
-    def alive_days(self) -> int:
-        if self.start is None or self.end is None:
-            return 0
-        return (self.end - self.start).days
-
 
 @dataclass
 class SampleRecord:
@@ -160,10 +154,3 @@ class SyntheticWorld:
     def truth_by_id(self) -> Dict[int, GroundTruthCampaign]:
         """Ground-truth campaigns indexed by campaign id."""
         return {c.campaign_id: c for c in self.ground_truth}
-
-    def truth_for_sample(self, sha256: str) -> Optional[GroundTruthCampaign]:
-        """Ground-truth campaign of a sample hash, or None."""
-        sample = self.sample_by_hash(sha256)
-        if sample is None or sample.true_campaign_id is None:
-            return None
-        return self.truth_by_id().get(sample.true_campaign_id)

@@ -71,10 +71,6 @@ class DetectionOutcome:
     alerts: int
     detected: bool
 
-    @property
-    def alert_rate(self) -> float:
-        return self.alerts / self.samples if self.samples else 0.0
-
 
 class CpuAnomalyMonitor:
     """Host-resident detector: alerts on sustained high reported CPU."""

@@ -87,14 +87,6 @@ class ForumCorpus:
     def __len__(self) -> int:
         return len(self.threads)
 
-    def threads_in_year(self, year: int) -> List[ForumThread]:
-        """Threads created in the given year."""
-        return [t for t in self.threads if t.created_on.year == year]
-
-    def threads_about(self, coin: str) -> List[ForumThread]:
-        """Threads whose topic coin equals ``coin``."""
-        return [t for t in self.threads if t.coin == coin]
-
 
 def generate_forum_corpus(rng: DeterministicRNG,
                           scale: float = 1.0,

@@ -42,30 +42,6 @@ __all__ = [
 ]
 
 
-class _RollingHash:
-    """Adler-style rolling hash over a 7-byte window."""
-
-    __slots__ = ("_window", "_pos", "_h1", "_h2", "_h3")
-
-    def __init__(self) -> None:
-        self._window = bytearray(_WINDOW)
-        self._pos = 0
-        self._h1 = 0
-        self._h2 = 0
-        self._h3 = 0
-
-    def update(self, byte: int) -> int:
-        old = self._window[self._pos % _WINDOW]
-        self._h2 -= self._h1
-        self._h2 += _WINDOW * byte
-        self._h1 += byte
-        self._h1 -= old
-        self._window[self._pos % _WINDOW] = byte
-        self._pos += 1
-        self._h3 = ((self._h3 << 5) ^ byte) & 0xFFFFFFFF
-        return (self._h1 + self._h2 + self._h3) & 0xFFFFFFFF
-
-
 _FNV_INIT = 0x811C9DC5
 _FNV_PRIME = 0x01000193
 

@@ -36,7 +36,6 @@ from repro.core.enrichment import (
     stock_tool_candidates,
 )
 from repro.core.pipeline import (
-    DEFAULT_ANALYSIS_DATE,
     MeasurementFold,
     MeasurementResult,
     MeasurementTail,
@@ -44,6 +43,7 @@ from repro.core.pipeline import (
 )
 from repro.core.profit import ProfitAnalyzer, WalletProfile
 from repro.core.records import MinerRecord
+from repro.core.sanity import MALWARE_POSITIVES_THRESHOLD
 from repro.corpus.model import SyntheticWorld
 from repro.ingest.checkpoint import CheckpointStore, JournalReplay
 from repro.ingest.codec import (
@@ -178,14 +178,9 @@ class IngestionService:
 
     def __init__(self, world: SyntheticWorld, checkpoint_dir,
                  batch_days: int = 1,
-                 policy: Optional[GroupingPolicy] = None,
-                 positives_threshold: int = 10,
-                 analysis_date: datetime.date = DEFAULT_ANALYSIS_DATE,
-                 use_ha_reports: bool = True,
                  resume: bool = False,
                  snapshot_every: int = 8,
                  fsync: bool = True,
-                 profiler: Optional[PipelineProfiler] = None,
                  fault_hook: Optional[Callable[[str, int], None]] = None
                  ) -> None:
         if snapshot_every < 1:
@@ -193,13 +188,12 @@ class IngestionService:
         self.world = world
         self.resume = resume
         self.snapshot_every = snapshot_every
-        self.profiler = profiler or PipelineProfiler()
+        self.profiler = PipelineProfiler()
         self.scheduler = FeedScheduler(world, batch_days)
         self.store = CheckpointStore(checkpoint_dir, fsync=fsync)
-        self._policy = policy or GroupingPolicy.full()
         self._fault = fault_hook or (lambda point, batch_id: None)
         self._checker, self._engine = build_analysis_components(
-            world, positives_threshold, analysis_date, use_ha_reports)
+            world, MALWARE_POSITIVES_THRESHOLD)
         self._profit = ProfitAnalyzer(world.pool_directory)
         self._reset_state()
 
@@ -207,7 +201,8 @@ class IngestionService:
         self.fold = MeasurementFold(self.world, self._checker, self._engine,
                                     self.profiler)
         self.tail = MeasurementTail(self._profit, self.profiler)
-        self._agg = CampaignAggregator(self.world.osint, self._policy)
+        self._agg = CampaignAggregator(self.world.osint,
+                                       GroupingPolicy.full())
         self._cursor = 0
         self._replayed_stage1: Set[str] = set()
         self._resume_frontier: List[str] = []
@@ -391,22 +386,43 @@ class IngestionService:
                 if fact is not None}
         return state
 
+    def _check_plan(self, replay: JournalReplay,
+                    batches: List[FeedBatch]) -> None:
+        """Refuse a checkpoint written for another feed plan: the
+        snapshot's stamp must match this world and window width, and
+        each replayed commit must be the scheduled batch of its id (a
+        journal-only checkpoint has no stamp to go by)."""
+        snapshot = replay.snapshot
+        if snapshot is not None and (
+                snapshot.get("batch_days") != self.scheduler.batch_days
+                or snapshot.get("seed") != self.world.config.seed
+                or snapshot.get("scale") != self.world.config.scale):
+            raise ValueError(
+                "checkpoint was written for a different feed plan "
+                f"(seed={snapshot.get('seed')} "
+                f"scale={snapshot.get('scale')} "
+                f"batch_days={snapshot.get('batch_days')}); refusing "
+                "to resume")
+        for batch_id, metrics in replay.commits:
+            batch = batches[batch_id] if batch_id < len(batches) else None
+            if (batch is None
+                    or decode_date(metrics.get("start")) != batch.start
+                    or decode_date(metrics.get("end")) != batch.end
+                    or metrics.get("samples") != batch.num_samples):
+                raise ValueError(
+                    "checkpoint was written for a different feed plan "
+                    f"(journaled batch {batch_id} is not the batch "
+                    f"batch_days={self.scheduler.batch_days} schedules); "
+                    "refusing to resume")
+
     def _restore(self, replay: JournalReplay,
                  batches: List[FeedBatch]) -> None:
         """Rebuild the full in-memory state from snapshot + journal."""
+        self._check_plan(replay, batches)
         self._reset_state()
         fold = self.fold
         snapshot = replay.snapshot
         if snapshot is not None:
-            if (snapshot.get("batch_days") != self.scheduler.batch_days
-                    or snapshot.get("seed") != self.world.config.seed
-                    or snapshot.get("scale") != self.world.config.scale):
-                raise ValueError(
-                    "checkpoint was written for a different feed plan "
-                    f"(seed={snapshot.get('seed')} "
-                    f"scale={snapshot.get('scale')} "
-                    f"batch_days={snapshot.get('batch_days')}); refusing "
-                    "to resume")
             fold.records = {record.sha256: record for record in map(
                 decode_record, snapshot["records"])}
             fold.verdicts = {verdict.sha256: verdict for verdict in map(

@@ -24,7 +24,6 @@ TAINTED_MODULES = frozenset({
     "repro.binfmt.packers",
     "repro.binfmt.entropy",
     "repro.botnet",
-    "repro.intel.labels",
 })
 
 #: attributes owned by the enrichment stage (on records or campaigns).

@@ -31,7 +31,6 @@ stops after aggregation: the equivalence suite compares it with the
 batch pipeline's *pre-enrichment* outputs, which are bit-identical.
 """
 
-import datetime
 import pickle
 import shutil
 import tempfile
@@ -43,7 +42,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.aggregation import Campaign, GroupingPolicy
 from repro.core.pipeline import (
-    DEFAULT_ANALYSIS_DATE,
     MeasurementTail,
     PipelineStats,
     analyze_linked_sample,
@@ -54,7 +52,7 @@ from repro.core.pipeline import (
 )
 from repro.core.profit import ProfitAnalyzer, WalletProfile
 from repro.core.records import MinerRecord
-from repro.core.sanity import SanityVerdict
+from repro.core.sanity import MALWARE_POSITIVES_THRESHOLD, SanityVerdict
 from repro.corpus.model import SampleRecord, SyntheticWorld
 from repro.perf.cache import release_caches
 from repro.scale.columnar import RecordStore
@@ -181,10 +179,6 @@ class ScalePipeline:
     def __init__(self, corpus: StreamingCorpus,
                  store: Optional[RecordStore] = None,
                  workdir: Optional[Path] = None,
-                 policy: Optional[GroupingPolicy] = None,
-                 positives_threshold: int = 10,
-                 analysis_date: datetime.date = DEFAULT_ANALYSIS_DATE,
-                 use_ha_reports: bool = True,
                  num_shards: int = 8,
                  segment_rows: int = 8192,
                  prefetch: int = 2,
@@ -194,7 +188,6 @@ class ScalePipeline:
             raise ValueError("prefetch must be >= 0")
         self.corpus = corpus
         self.prefetch = prefetch
-        self._policy = policy or GroupingPolicy.full()
         self._num_shards = num_shards
         self._segment_rows = segment_rows
         self._keep_verdicts = keep_verdicts
@@ -210,8 +203,7 @@ class ScalePipeline:
         self._vt_view = _IntelView()
         self._ha_view = _IntelView()
         self._checker, self._engine = build_analysis_components(
-            self._skeleton_world(), positives_threshold, analysis_date,
-            use_ha_reports)
+            self._skeleton_world(), MALWARE_POSITIVES_THRESHOLD)
         self._profit = ProfitAnalyzer(corpus.pool_directory)
         # O(1)-per-sample resident state
         self._confirmed_wallets: Set[str] = set()
@@ -308,8 +300,8 @@ class ScalePipeline:
             tail.add(self.store.iter_records())
             campaigns = tail.campaigns(
                 lambda proxies: ShardedCampaignAggregator(
-                    self.corpus.osint, self._policy, proxy_ips=proxies,
-                    num_shards=self._num_shards,
+                    self.corpus.osint, GroupingPolicy.full(),
+                    proxy_ips=proxies, num_shards=self._num_shards,
                     keep_records=self._keep_campaign_records,
                 ).aggregate_source(self.store.iter_records))
 

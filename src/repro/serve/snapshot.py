@@ -89,8 +89,7 @@ def measurement_from_checkpoint(world: SyntheticWorld, checkpoint_dir,
     return service.current_result()
 
 
-def result_from_store(world: SyntheticWorld, store,
-                      num_shards: int = 8) -> ScaleResult:
+def result_from_store(world: SyntheticWorld, store) -> ScaleResult:
     """Derive a serving result straight from a columnar record store.
 
     The funnel and the stock-tool facts come from one streaming pass
@@ -118,7 +117,7 @@ def result_from_store(world: SyntheticWorld, store,
     campaigns = tail.campaigns(
         lambda proxies: ShardedCampaignAggregator(
             world.osint, GroupingPolicy.full(), proxy_ips=proxies,
-            num_shards=num_shards, keep_records=False,
+            keep_records=False,
             campaign_hook=lambda c: enricher.enrich(c, tail.profiles),
         ).aggregate_source(store.iter_records))
     return ScaleResult(store=store, campaigns=campaigns,
@@ -130,12 +129,14 @@ class CheckpointIndexSource:
     """The watcher-facing source: checkpoint dir → fresh indexes.
 
     ``stamp()`` fingerprints the durable files (any committed batch or
-    snapshot rotation changes it); ``build()`` restores and indexes.
-    Both are synchronous and run off the event loop thread.
+    snapshot rotation changes it); ``build()`` restores and indexes
+    under the feed plan fixed at construction, so a publish reads the
+    snapshot once.  Both are synchronous and run off the event loop
+    thread.
     """
 
     def __init__(self, world: SyntheticWorld, checkpoint_dir,
-                 batch_days: Optional[int] = None) -> None:
+                 batch_days: int) -> None:
         self.world = world
         self.store = CheckpointStore(checkpoint_dir, fsync=False)
         self.batch_days = batch_days

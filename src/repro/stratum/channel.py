@@ -61,13 +61,6 @@ class Channel:
         self.bytes_received += len(chunk)
         return chunk
 
-    def receive_all(self) -> bytes:
-        """Drain everything currently pending."""
-        chunks = []
-        while self._incoming:
-            chunks.append(self.receive())
-        return b"".join(c for c in chunks if c)
-
     def close(self) -> None:
         """Close this endpoint; subsequent sends raise."""
         self._closed = True
@@ -79,10 +72,6 @@ class Channel:
     @property
     def peer_closed(self) -> bool:
         return self._peer is not None and self._peer._closed
-
-    def has_pending(self) -> bool:
-        """Whether bytes are queued for receive()."""
-        return bool(self._incoming)
 
 
 def make_channel_pair() -> Tuple[Channel, Channel]:

@@ -11,6 +11,10 @@ at the smoke scale (0.004) with 30-day batches it hashes, in order:
 * the snapshot each compaction writes;
 * the final snapshot, with its stock-tool fact table.
 
+That world has no positive stock-tool fact, so its table is empty.
+Seed 7 at the same scale has four, and its final snapshot is pinned
+on its own.
+
 The service's clock is stubbed so every ``BatchMetrics.wall_s`` is 0.
 A change to the checkpoint layout must bump ``FORMAT_VERSION`` and
 re-pin the constant; a speed-up of the write path must leave it as it
@@ -26,6 +30,7 @@ journal or a snapshot.
 """
 
 import hashlib
+import json
 import types
 
 import pytest
@@ -35,17 +40,32 @@ from repro.core.enrichment import CampaignEnricher
 from repro.corpus.generator import generate_world
 from repro.corpus.model import ScenarioConfig
 from repro.ingest import IngestionService
+from repro.ingest.checkpoint import JOURNAL_NAME, SNAPSHOT_NAME
 
 #: SHA-256 of the journal and snapshot bytes described above.
 CHECKPOINT_FINGERPRINT = (
     "3452be9eb49783fbd011825a82a49badce9f4ef902992295917020b447028849")
 
+#: SHA-256 of seed 7's final snapshot, four positive facts included.
+FACTS_SNAPSHOT_FINGERPRINT = (
+    "4e9cbecb7a8006269435871997d3ea620935f0f6c016ab6fa9d1f25e536b5536")
+
+
+def ingest(tmp_path, monkeypatch, seed: int, hook=None) -> IngestionService:
+    """One 30-day-batch run at the smoke scale with ``wall_s`` = 0."""
+    monkeypatch.setattr(service_module, "time",
+                        types.SimpleNamespace(perf_counter=lambda: 0.0))
+    world = generate_world(ScenarioConfig(seed=seed, scale=0.004))
+    service = IngestionService(world, tmp_path / "ck", batch_days=30,
+                               fsync=False, fault_hook=hook)
+    service.run()
+    return service
+
 
 def checkpoint_fingerprint(tmp_path, monkeypatch) -> str:
     """SHA-256 over every pre-compaction journal and every snapshot."""
-    monkeypatch.setattr(service_module, "time",
-                        types.SimpleNamespace(perf_counter=lambda: 0.0))
     digest = hashlib.sha256()
+    checkpoint = tmp_path / "ck"
 
     def put(name: str, path) -> None:
         data = path.read_bytes()
@@ -54,14 +74,11 @@ def checkpoint_fingerprint(tmp_path, monkeypatch) -> str:
 
     def hook(point: str, batch_id: int) -> None:
         if point == "pre-snapshot":
-            put(f"journal@{batch_id}", service.store.journal_path)
+            put(f"journal@{batch_id}", checkpoint / JOURNAL_NAME)
         elif point == "post-snapshot":
-            put(f"snapshot@{batch_id}", service.store.snapshot_path)
+            put(f"snapshot@{batch_id}", checkpoint / SNAPSHOT_NAME)
 
-    world = generate_world(ScenarioConfig(seed=2019, scale=0.004))
-    service = IngestionService(world, tmp_path / "ck", batch_days=30,
-                               fsync=False, fault_hook=hook)
-    service.run()
+    service = ingest(tmp_path, monkeypatch, 2019, hook)
     put("final", service.store.snapshot_path)
     return digest.hexdigest()
 
@@ -74,3 +91,14 @@ def test_smoke_checkpoint_fingerprint_is_pinned(tmp_path, monkeypatch,
                             lambda self, campaign, profiles=None: None)
     assert checkpoint_fingerprint(tmp_path, monkeypatch) == \
         CHECKPOINT_FINGERPRINT
+
+
+@pytest.mark.parametrize("enrichment", ["real", "noop"])
+def test_final_snapshot_with_stock_tool_facts_is_pinned(
+        tmp_path, monkeypatch, enrichment):
+    if enrichment == "noop":
+        monkeypatch.setattr(CampaignEnricher, "enrich",
+                            lambda self, campaign, profiles=None: None)
+    data = ingest(tmp_path, monkeypatch, 7).store.snapshot_path.read_bytes()
+    assert len(json.loads(data)["stock_tool_facts"]) == 4
+    assert hashlib.sha256(data).hexdigest() == FACTS_SNAPSHOT_FINGERPRINT

@@ -5,7 +5,7 @@ import datetime
 import pytest
 
 from repro.corpus.model import GroundTruthCampaign
-from repro.corpus.validation import validate_world
+from tests.world_validation import validate_world
 
 
 class TestValidator:

@@ -7,6 +7,7 @@ failure and assert the pipeline degrades the way the paper describes
 instead of breaking.
 """
 
+import dataclasses
 import datetime
 
 import pytest
@@ -18,6 +19,7 @@ from repro.core.pipeline import MeasurementPipeline
 from repro.core.static_analysis import StaticAnalyzer
 from repro.corpus.generator import generate_world
 from repro.corpus.model import ScenarioConfig
+from repro.intel.ha import HaService
 from repro.intel.vt import VtService
 from repro.netsim.dns import DnsZone, PassiveDns, Resolver
 from repro.pools.directory import PoolDirectory, default_directory
@@ -118,8 +120,8 @@ class TestEvasiveSamples:
 class TestDegradedWorlds:
     def test_pipeline_without_ha(self, small_world):
         """HA going dark only removes a convenience source."""
-        result = MeasurementPipeline(small_world,
-                                     use_ha_reports=False).run()
+        dark = dataclasses.replace(small_world, ha=HaService())
+        result = MeasurementPipeline(dark).run()
         assert result.stats.miners > 0
 
     def test_world_without_junk_or_case_studies(self):

@@ -13,10 +13,12 @@ import json
 
 import pytest
 
+import repro.cli as cli
 from repro.core.pipeline import MeasurementPipeline
 from repro.corpus.generator import generate_world
 from repro.corpus.model import ScenarioConfig
 from repro.ingest import IngestionService
+from repro.ingest.feed import FeedScheduler
 from repro.ingest.service import diff_measurements
 from repro.serve.app import IntelService
 from repro.serve.auth import ApiKeyRegistry
@@ -101,6 +103,60 @@ class TestColdStart:
         full = {r.sha256 for r in expected.records}
         served = {intel["sha256"] for intel in index._hashes.values()}
         assert served <= full
+
+
+
+class TestJournalOnlyPlan:
+    """A checkpoint with no snapshot carries no plan stamp: each
+    replayed commit must be the batch the assumed plan schedules."""
+
+    @pytest.fixture(scope="class")
+    def journal_only(self, tmp_path_factory):
+        world = generate_world(ScenarioConfig(seed=2019, scale=0.004))
+        checkpoint = tmp_path_factory.mktemp("journal-only")
+
+        def stop(point, batch_id):
+            if point == "post-commit" and batch_id == 60:
+                raise _Stop(batch_id)
+        service = IngestionService(world, checkpoint, batch_days=30,
+                                   snapshot_every=100, fsync=False,
+                                   fault_hook=stop)
+        with pytest.raises(_Stop):
+            service.run()
+        assert checkpoint_plan(checkpoint) is None
+        return world, checkpoint
+
+    def test_assumed_daily_plan_is_refused(self, journal_only):
+        world, checkpoint = journal_only
+        with pytest.raises(ValueError, match="different feed plan"):
+            measurement_from_checkpoint(world, checkpoint)
+
+    def test_batch_past_the_schedule_is_refused(self, journal_only):
+        world, checkpoint = journal_only
+        with pytest.raises(ValueError, match="different feed plan"):
+            measurement_from_checkpoint(world, checkpoint,
+                                        batch_days=3650)
+
+    def test_own_plan_restores(self, journal_only):
+        world, checkpoint = journal_only
+        restored = measurement_from_checkpoint(world, checkpoint,
+                                               batch_days=30)
+        batches = FeedScheduler(world, batch_days=30).batches()
+        assert restored.stats.collected == sum(
+            batch.num_samples for batch in batches[:61]) == 316
+
+    def test_serve_exits_with_the_message(self, journal_only, capsys,
+                                          monkeypatch):
+        _world, checkpoint = journal_only
+
+        async def no_server(*_args):
+            return 0  # a refused restore must return before serving
+        monkeypatch.setattr(cli, "_serve_main", no_server)
+        code = cli.main(["serve", "--checkpoint", str(checkpoint),
+                         "--seed", "2019", "--scale", "0.004",
+                         "--port", "0", "--api-key", _KEY])
+        assert code == 1
+        assert "different feed plan" in capsys.readouterr().err
 
 
 class TestWatcherSwap:

@@ -4,9 +4,9 @@ A generated :class:`~repro.corpus.model.SyntheticWorld` must satisfy a
 set of structural invariants for the measurement pipeline's results to
 be meaningful (unique hashes, VT coverage, ground-truth/sample linkage,
 payment windows, DNS coverage of referenced pool domains).  The
-validator checks all of them and returns human-readable violations; the
-generator's own tests call it, and downstream users can run it on
-custom scenarios before trusting their measurements.
+validator checks all of them and returns human-readable violations.
+It is a test helper: ``tests/test_corpus_validation.py`` runs it on a
+generated world and on worlds broken one invariant at a time.
 """
 
 import datetime
