@@ -7,10 +7,10 @@ matching, obfuscation status (>= 80% of samples packed/high-entropy),
 activity period and pool usage.
 
 Stock-tool attribution is a fact about one sample, not a campaign:
-:func:`stock_tool_fact` computes it for one sha, and every driver fills
-a table of them (:func:`add_stock_tool_facts`) over its kept records
-before it enriches.  :class:`CampaignEnricher` only folds over that
-table, so enrichment reads no sample body and runs no CTPH.
+every driver fills a table of them (:func:`add_stock_tool_facts`) over
+its kept records before it enriches.  :class:`CampaignEnricher` only
+folds over that table, so enrichment reads no sample body and runs no
+CTPH.
 """
 
 from collections import Counter
@@ -32,6 +32,7 @@ from repro.corpus.model import SampleRecord
 from repro.intel.vt import VtService
 from repro.osint.feeds import ppi_botnets_named
 from repro.osint.stock_tools import StockToolCatalog
+from repro.perf.cache import cached_ctph_many
 
 #: a campaign is "obfuscated" when this fraction of samples is (§IV-E).
 OBFUSCATED_CAMPAIGN_RATIO = 0.8
@@ -41,30 +42,6 @@ STOCK_TOOL_DISTANCE = 0.1
 
 #: one sha's stock-tool attribution: ``(framework, version)`` or None
 StockToolFact = Optional[Tuple[str, str]]
-
-
-def stock_tool_fact(sha: str, catalog: StockToolCatalog,
-                    sample_lookup: Callable[[str], Optional[SampleRecord]]
-                    ) -> StockToolFact:
-    """Attribute one sample (or dropped binary) to a stock framework.
-
-    Exact SHA-256 hits are free; otherwise the body's CTPH is compared
-    against the whole catalog with the 0.1 threshold.  A sha with no
-    body, or a body outside the catalog's size envelope, has no fact:
-    CTPH cannot score inputs whose block sizes are more than one octave
-    apart anyway.
-    """
-    exact = catalog.by_hash(sha)
-    if exact is not None:
-        return exact.framework, exact.version
-    sample = sample_lookup(sha)
-    if sample is None:
-        return None
-    size_lo, size_hi = catalog.size_range()
-    if not size_lo <= len(sample.raw) <= size_hi:
-        return None
-    match = catalog.match(sample.raw, threshold=STOCK_TOOL_DISTANCE)
-    return (match[0].framework, match[0].version) if match else None
 
 
 def stock_tool_candidates(record: MinerRecord) -> Tuple[str, ...]:
@@ -82,11 +59,34 @@ def add_stock_tool_facts(
         sample_lookup: Callable[[str], Optional[SampleRecord]]
 ) -> Dict[str, StockToolFact]:
     """Add the fact of every :func:`stock_tool_candidates` sha of
-    ``records`` that ``facts`` does not hold yet; returns ``facts``."""
+    ``records`` that ``facts`` does not hold yet, in candidate order;
+    returns ``facts``.
+
+    Exact SHA-256 hits are free.  A sha with no body, or a body outside
+    the catalog's size envelope, has no fact: CTPH cannot score inputs
+    whose block sizes are more than one octave apart anyway.  Every
+    other body is looked up in the ``ctph`` memo once, the misses are
+    hashed in one batched kernel call, and each body's CTPH is compared
+    against the whole catalog with the 0.1 threshold.
+    """
+    size_lo, size_hi = catalog.size_range()
+    bodies: Dict[str, bytes] = {}
     for record in records:
         for sha in stock_tool_candidates(record):
-            if sha not in facts:
-                facts[sha] = stock_tool_fact(sha, catalog, sample_lookup)
+            if sha in facts:
+                continue
+            facts[sha] = None
+            exact = catalog.by_hash(sha)
+            if exact is not None:
+                facts[sha] = exact.framework, exact.version
+                continue
+            sample = sample_lookup(sha)
+            if sample is not None and size_lo <= len(sample.raw) <= size_hi:
+                bodies[sha] = sample.raw
+    for sha, fuzzy in zip(bodies, cached_ctph_many(bodies.values())):
+        match = catalog.match(fuzzy, threshold=STOCK_TOOL_DISTANCE)
+        if match:
+            facts[sha] = match[0].framework, match[0].version
     return facts
 
 

@@ -5,7 +5,7 @@ already has an HA report the pipeline reuses it instead of detonating
 the sample itself (§III-A item 3, §III-C).
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.sandbox.emulator import SandboxReport
 
@@ -29,12 +29,3 @@ class HaService:
 
     def __contains__(self, sha256: str) -> bool:
         return sha256 in self._reports
-
-    def search_stratum_hosts(self, host: str) -> List[str]:
-        """Hashes of samples whose flows contacted ``host`` over Stratum."""
-        host = host.lower()
-        return [
-            sha
-            for sha, report in self._reports.items()
-            if any(f.dst_host == host for f in report.flows.stratum_flows())
-        ]

@@ -95,31 +95,6 @@ class VtService:
         """All stored reports (iteration order is insertion order)."""
         return self._reports.values()
 
-    # -- advanced searches (private-API style) ---------------------------
-
-    def search_by_contacted_domain(self, domain: str) -> List[AvReport]:
-        """Samples whose contacted domains include ``domain`` (suffix-aware)."""
-        domain = domain.lower()
-        return [
-            r for r in self._reports.values()
-            if any(d == domain or d.endswith("." + domain)
-                   for d in r.contacted_domains)
-        ]
-
-    def search_miner_labeled(self, min_vendors: int = 10) -> List[AvReport]:
-        """Samples labelled Miner (or variants) by >= ``min_vendors`` AVs."""
-        return [
-            r for r in self._reports.values()
-            if r.miner_label_count() >= min_vendors
-        ]
-
-    def search_min_positives(self, min_positives: int) -> List[AvReport]:
-        """Samples detected by at least ``min_positives`` vendors."""
-        return [
-            r for r in self._reports.values()
-            if r.positives() >= min_positives
-        ]
-
     def children_of(self, sha256: str) -> List[str]:
         """Samples that list ``sha256`` among their parents.
 

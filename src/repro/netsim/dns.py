@@ -55,10 +55,6 @@ class DnsZone:
         """All records (any validity window) for a name."""
         return list(self._records.get(name.lower(), []))
 
-    def all_names(self) -> List[str]:
-        """Every name with at least one record."""
-        return list(self._records)
-
 
 @dataclass
 class ResolutionResult:
@@ -130,15 +126,4 @@ class PassiveDns:
                 if target not in seen:
                     seen.add(target)
                     out.append(target)
-        return out
-
-    def names_pointing_at(self, target: str) -> List[str]:
-        """Reverse lookup: which names have ever CNAME'd to ``target``."""
-        target = target.lower()
-        out = []
-        for name in self._zone.all_names():
-            for record in self._zone.records_for(name):
-                if record.rtype == "CNAME" and record.value.lower() == target:
-                    out.append(name)
-                    break
         return out

@@ -42,13 +42,3 @@ class FlowLog:
     def stratum_flows(self) -> List[FlowRecord]:
         """Only the flows speaking the Stratum protocol."""
         return [f for f in self._flows if f.protocol == "stratum"]
-
-    def contacted_hosts(self) -> List[str]:
-        """Distinct hostnames contacted, in first-seen order."""
-        seen = set()
-        hosts = []
-        for flow in self._flows:
-            if flow.dst_host and flow.dst_host not in seen:
-                seen.add(flow.dst_host)
-                hosts.append(flow.dst_host)
-        return hosts

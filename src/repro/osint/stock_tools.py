@@ -268,25 +268,21 @@ class StockToolCatalog:
             self._fh_index = index
         return self._fh_index
 
-    def match(self, data: bytes, threshold: float = 0.1) -> Optional[Tuple[ToolBinary, float]]:
-        """Attribute ``data`` to the closest stock tool.
+    def match(self, candidate: FuzzyHash, threshold: float = 0.1
+              ) -> Optional[Tuple[ToolBinary, float]]:
+        """Attribute a probe, given by its CTPH, to the closest stock tool.
 
-        Exact SHA-256 hits are free; otherwise the candidate's CTPH is
-        compared against an index of catalog signatures (same or
-        adjacent block size, common-gram prefilter, then edit distance).
-        Only entries that share a 7-gram with the probe are scored, in
-        catalog order: every other entry scores 0, which no
-        ``threshold`` below 1.0 accepts.  Returns (tool, distance)
-        within ``threshold``, or None.
+        The probe's CTPH is compared against an index of catalog
+        signatures (same or adjacent block size, common-gram prefilter,
+        then edit distance).  Only entries that share a 7-gram with the
+        probe are scored, in catalog order: every other entry scores 0,
+        which no ``threshold`` below 1.0 accepts.  Returns (tool,
+        distance) within ``threshold``, or None.  Exact SHA-256 hits are
+        :meth:`by_hash`'s, which a caller looks up first.
         """
         from repro.fuzzyhash.ctph import score_with_grams, signature_grams
         if threshold >= 1.0:
             raise ValueError("threshold must be below 1.0 (no similarity)")
-        sha = hashlib.sha256(data).hexdigest()
-        exact = self._by_hash.get(sha)
-        if exact is not None:
-            return exact, 0.0
-        candidate = cached_ctph(data)
         index = self._fuzzy_index()
         probes = [
             (candidate.blocksize, candidate.signature),

@@ -14,6 +14,7 @@ from repro.perf.cache import (
     LruCache,
     cache_stats,
     cached_ctph,
+    cached_ctph_many,
     clear_caches,
     release_caches,
     render_cache_table,
@@ -25,6 +26,7 @@ __all__ = [
     "LruCache",
     "cache_stats",
     "cached_ctph",
+    "cached_ctph_many",
     "clear_caches",
     "release_caches",
     "render_cache_table",

@@ -13,9 +13,9 @@ scaling bench.
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.fuzzyhash.ctph import FuzzyHash, compute
+from repro.fuzzyhash.ctph import FuzzyHash, compute, compute_many
 
 _K = object  # documentation alias: keys must be hashable
 
@@ -126,6 +126,24 @@ def cached_ctph(data: bytes) -> FuzzyHash:
     """CTPH of ``data``, memoised by content."""
     key = bytes(data)
     return CTPH_CACHE.get_or_compute(key, lambda: compute(key))
+
+
+def cached_ctph_many(datas: Iterable[bytes]) -> List[FuzzyHash]:
+    """CTPH of every input, memoised by content: one lookup per input
+    (a hit or a miss, as :func:`cached_ctph` counts it), then every
+    miss hashed in one :func:`~repro.fuzzyhash.ctph.compute_many` call
+    and stored."""
+    keys = [bytes(data) for data in datas]
+    found = [CTPH_CACHE.get(key) for key in keys]
+    missing = [key for key, value in zip(keys, found) if value is None]
+    computed = iter(compute_many(missing))
+    out: List[FuzzyHash] = []
+    for key, value in zip(keys, found):
+        if value is None:
+            value = next(computed)
+            CTPH_CACHE.put(key, value)
+        out.append(value)
+    return out
 
 
 def cache_stats() -> Dict[str, Dict[str, float]]:

@@ -24,11 +24,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.aggregation import GroupingPolicy
-from repro.core.enrichment import (
-    CampaignEnricher,
-    StockToolFact,
-    add_stock_tool_facts,
-)
+from repro.core.enrichment import CampaignEnricher, add_stock_tool_facts
 from repro.core.pipeline import (
     MeasurementResult,
     MeasurementTail,
@@ -106,11 +102,14 @@ def result_from_store(world: SyntheticWorld, store) -> ScaleResult:
     build straight from the segments; its campaigns carry no records.
     """
     stats = PipelineStats()
-    facts: Dict[str, StockToolFact] = {}
-    for record in store.iter_records():
-        stats.count_kept(record)
-        add_stock_tool_facts(facts, (record,), world.stock_catalog,
-                             world.sample_by_hash)
+
+    def counted():
+        for record in store.iter_records():
+            stats.count_kept(record)
+            yield record
+
+    facts = add_stock_tool_facts({}, counted(), world.stock_catalog,
+                                 world.sample_by_hash)
     tail = MeasurementTail(ProfitAnalyzer(world.pool_directory))
     tail.add(store.iter_records())
     enricher = CampaignEnricher(world.vt, facts)

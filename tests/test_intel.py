@@ -64,26 +64,6 @@ class TestVtService:
         assert vt.get_report("s1") is not None
         assert vt.get_report("s1") is None
 
-    def test_search_by_contacted_domain(self):
-        vt = VtService()
-        vt.add_report(report("s1", contacted_domains=["pool.minexmr.com"]))
-        vt.add_report(report("s2", contacted_domains=["other.example"]))
-        hits = vt.search_by_contacted_domain("minexmr.com")
-        assert [r.sha256 for r in hits] == ["s1"]
-
-    def test_search_miner_labeled(self):
-        vt = VtService()
-        vt.add_report(report("s1", n_detections=15))
-        vt.add_report(report("s2", n_detections=5))
-        hits = vt.search_miner_labeled(min_vendors=10)
-        assert [r.sha256 for r in hits] == ["s1"]
-
-    def test_search_min_positives(self):
-        vt = VtService()
-        vt.add_report(report("s1", n_detections=15))
-        vt.add_report(report("s2", n_detections=5))
-        assert len(vt.search_min_positives(10)) == 1
-
     def test_children_of(self):
         vt = VtService()
         vt.add_report(report("parent"))
@@ -151,9 +131,3 @@ class TestHaService:
         assert ha.get_report("h1") is not None
         assert "h1" in ha
         assert len(ha) == 1
-
-    def test_search_stratum_hosts(self):
-        ha = HaService()
-        ha.publish(self._report("h1", "pool.minexmr.com"))
-        ha.publish(self._report("h2", "other.pool"))
-        assert ha.search_stratum_hosts("pool.minexmr.com") == ["h1"]

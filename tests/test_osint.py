@@ -124,7 +124,9 @@ class TestStockToolCatalog:
 
     def test_exact_hash_match(self, stock_catalog):
         tool = stock_catalog.latest_version("claymore")
-        match = stock_catalog.match(tool.raw)
+        assert stock_catalog.by_hash(
+            hashlib.sha256(tool.raw).hexdigest()) is tool
+        match = stock_catalog.match(ctph.compute(tool.raw))
         assert match is not None
         assert match[1] == 0.0
         assert match[0].framework == "claymore"
@@ -133,19 +135,20 @@ class TestStockToolCatalog:
         """Donation-stripped forks stay attributable (§III-E)."""
         tool = stock_catalog.latest_version("xmrig")
         fork = stock_catalog.fork_tool(tool, DeterministicRNG(77))
-        match = stock_catalog.match(fork, threshold=0.1)
+        match = stock_catalog.match(ctph.compute(fork), threshold=0.1)
         assert match is not None
         assert match[0].framework == "xmrig"
         assert 0.0 < match[1] <= 0.1
 
     def test_unrelated_binary_no_match(self, stock_catalog):
         rng = DeterministicRNG(88)
-        assert stock_catalog.match(rng.randbytes(4400)) is None
+        assert stock_catalog.match(
+            ctph.compute(rng.randbytes(4400))) is None
 
     def test_cross_framework_no_match(self, stock_catalog):
         """Different frameworks must not match each other."""
         xmrig = stock_catalog.latest_version("xmrig")
-        match = stock_catalog.match(xmrig.raw, threshold=0.1)
+        match = stock_catalog.match(xmrig.fuzzy, threshold=0.1)
         assert match[0].framework == "xmrig"
 
     def test_deterministic_catalog(self):
@@ -157,9 +160,6 @@ class TestStockToolCatalog:
 def _reference_match(catalog, data, threshold):
     """``match`` as a full scan: every fuzzy-index entry scored in
     order, the first strict minimum within ``threshold`` kept."""
-    exact = catalog.by_hash(hashlib.sha256(data).hexdigest())
-    if exact is not None:
-        return exact, 0.0
     candidate = ctph.compute(data)
     index = catalog._fuzzy_index()
     best = None
@@ -204,7 +204,8 @@ class TestPostingsMatch:
         inputs = _equivalence_inputs(stock_catalog)
         matched = 0
         for data in inputs:
-            got = stock_catalog.match(data, threshold=threshold)
+            got = stock_catalog.match(ctph.compute(data),
+                                      threshold=threshold)
             want = _reference_match(stock_catalog, data, threshold)
             if want is None:
                 assert got is None
@@ -216,4 +217,5 @@ class TestPostingsMatch:
 
     def test_threshold_of_no_similarity_rejected(self, stock_catalog):
         with pytest.raises(ValueError):
-            stock_catalog.match(b"\x00" * 4400, threshold=1.0)
+            stock_catalog.match(ctph.compute(b"\x00" * 4400),
+                                threshold=1.0)

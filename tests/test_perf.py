@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from repro.perf.cache import (
     release_caches,
 )
 from repro.perf.profiler import PipelineProfiler
+from tests import reference_ctph as ref
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +234,7 @@ class TestIsIpv4Literal:
 
 
 # ---------------------------------------------------------------------------
-# CTPH fast path vs pure-python reference
+# CTPH kernel vs the per-byte reference (tests/reference_ctph.py)
 # ---------------------------------------------------------------------------
 
 
@@ -246,20 +248,34 @@ class TestCtphFastPath:
     ])
     def test_vectorised_path_matches_reference(self, payload):
         fast = ctph.compute(payload)
-        totals = ctph._rolling_totals(payload)
-        if totals is not None:
-            reference = ctph._piecewise_signature(
-                payload, fast.blocksize)
-            assert fast.signature == reference
+        assert fast.signature == ref.piecewise_signature(
+            payload, fast.blocksize)[:64]
+        assert fast == ref.reference(payload)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(st.binary(max_size=512), st.data())
     def test_low6_fold_equals_fnv_span(self, data, draw):
-        start = draw.draw(st.integers(0, len(data)))
-        end = draw.draw(st.integers(start, len(data)))
-        pairs = ctph._byte_pairs(data)
-        assert (ctph._fnv_low6(data, pairs, start, end)
-                == ctph._fnv_span(data, start, end) % 64)
+        """Every lane's low 6 bits are the FNV-1a of its span mod 64,
+        and a tail lane equals the seed exactly when its span's hash
+        does; with more spans than ``_LANE_MIN`` both the numpy steps
+        and the Python finish run."""
+        spans = draw.draw(st.lists(
+            st.tuples(st.integers(0, len(data)), st.integers(0, len(data))),
+            min_size=1, max_size=2 * ctph._LANE_MIN))
+        starts = np.array([min(a, b) for a, b in spans], dtype=np.int64)
+        ends = np.array([max(a, b) for a, b in spans], dtype=np.int64)
+        tails = np.array(sorted(set(
+            draw.draw(st.lists(st.integers(0, len(spans) - 1))))),
+            dtype=np.int64)
+        arr = np.frombuffer(data, dtype=np.uint8)
+        pieces = ctph._fnv_lanes(data, arr, starts, ends, tails).tolist()
+        for j, (start, end) in enumerate(zip(starts.tolist(),
+                                             ends.tolist())):
+            expected = ref.fnv_span(data, start, end)
+            assert pieces[j] % 64 == expected % 64
+            if j in tails:
+                assert ((pieces[j] == ctph._FNV_INIT)
+                        == (expected == ctph._FNV_INIT))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 9), st.integers(0, 1024), st.integers(1, 256),
@@ -270,23 +286,4 @@ class TestCtphFastPath:
         short signatures, so the search shrinks the block size too."""
         rng = random.Random(seed)
         payload = bytes(rng.choices(range(alphabet), k=kib * 1024 + extra))
-        assert ctph.compute(payload) == _reference_ctph(payload)
-
-
-def _reference_ctph(data: bytes) -> "ctph.FuzzyHash":
-    """``compute`` on the pure-Python per-byte path only."""
-    blocksize = 3
-    while blocksize * 64 < len(data):
-        blocksize *= 2
-    signature = ctph._piecewise_signature(data, blocksize)
-    while len(signature) > 64:
-        blocksize *= 2
-        signature = ctph._piecewise_signature(data, blocksize)
-    while blocksize > 3 and len(signature) < 16:
-        candidate = ctph._piecewise_signature(data, blocksize // 2)
-        if len(candidate) > 64:
-            break
-        blocksize //= 2
-        signature = candidate
-    double = ctph._piecewise_signature(data, blocksize * 2)
-    return ctph.FuzzyHash(blocksize, signature[:64], double[:64])
+        assert ctph.compute(payload) == ref.reference(payload)

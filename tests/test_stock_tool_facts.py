@@ -16,10 +16,7 @@ import pytest
 
 import repro.fuzzyhash.ctph as ctph_module
 import repro.perf.cache as cache_module
-from repro.core.enrichment import (
-    add_stock_tool_facts,
-    stock_tool_fact,
-)
+from repro.core.enrichment import add_stock_tool_facts
 from repro.core.pipeline import MeasurementPipeline
 from repro.corpus.generator import generate_world
 from repro.corpus.model import ScenarioConfig
@@ -27,7 +24,8 @@ from repro.ingest import IngestionService
 from repro.ingest.checkpoint import SNAPSHOT_NAME
 from repro.ingest.service import diff_measurements
 from repro.osint.stock_tools import StockToolCatalog
-from repro.perf.cache import clear_caches
+from repro.perf.cache import cache_stats, clear_caches
+from repro.serve.snapshot import measurement_from_checkpoint
 
 FACTS_KEY = "stock_tool_facts"
 
@@ -55,13 +53,20 @@ def finished(request, tmp_path_factory):
 
 @pytest.fixture
 def spy(monkeypatch):
-    """Counts CTPH computations and catalog matches."""
+    """Counts CTPH computations (one per input, batched or not) and
+    catalog matches."""
     calls = {"compute": 0, "match": 0}
     real_compute, real_match = ctph_module.compute, StockToolCatalog.match
+    real_many = ctph_module.compute_many
 
     def compute(data):
         calls["compute"] += 1
         return real_compute(data)
+
+    def compute_many(datas):
+        datas = list(datas)
+        calls["compute"] += len(datas)
+        return real_many(datas)
 
     def match(self, *args, **kwargs):
         calls["match"] += 1
@@ -69,6 +74,7 @@ def spy(monkeypatch):
 
     monkeypatch.setattr(ctph_module, "compute", compute)
     monkeypatch.setattr(cache_module, "compute", compute)
+    monkeypatch.setattr(cache_module, "compute_many", compute_many)
     monkeypatch.setattr(StockToolCatalog, "match", match)
     return calls
 
@@ -132,6 +138,41 @@ def test_resume_without_facts_computes_them(finished, spy, tmp_path,
     assert diff_measurements(finished.batch, resumed) == []
 
 
+def test_cold_batch_pass_memo_counts():
+    """One cold batch pass at seed 2019, scale 0.004 looks each catalog
+    build and each in-range candidate body up in the ``ctph`` memo
+    once: 332 builds and 170 bodies, all misses."""
+    world = generate_world(ScenarioConfig(seed=2019, scale=0.004))
+    clear_caches()
+    MeasurementPipeline(world).run()
+    stats = cache_stats()["ctph"]
+    assert (stats["hits"], stats["misses"]) == (0, 502)
+    assert len(world.stock_catalog) == 332
+
+
+def test_second_derivation_hashes_nothing(finished, spy, tmp_path):
+    """A checkpoint without facts, derived twice in one process as the
+    server does on each publish: the second derivation finds every body
+    in the ``ctph`` memo and hashes nothing."""
+    checkpoint = tmp_path / "ck"
+    shutil.copytree(finished.checkpoint, checkpoint)
+    snapshot = snapshot_of(checkpoint)
+    del snapshot[FACTS_KEY]
+    (checkpoint / SNAPSHOT_NAME).write_text(
+        json.dumps(snapshot, sort_keys=True), encoding="utf-8")
+    clear_caches()
+    first = measurement_from_checkpoint(finished.world, checkpoint)
+    assert spy["compute"] > 0
+    misses = cache_stats()["ctph"]["misses"]
+    spy["compute"] = 0
+    second = measurement_from_checkpoint(finished.world, checkpoint)
+    stats = cache_stats()["ctph"]
+    assert spy["compute"] == 0
+    assert stats["misses"] == misses and stats["hits"] > 0
+    assert diff_measurements(first, second) == []
+    assert diff_measurements(finished.batch, second) == []
+
+
 @pytest.mark.parametrize("layout", ["v2", "v1"])
 def test_resume_then_finalize_rewrites_the_final_snapshot(finished, spy,
                                                           tmp_path, layout):
@@ -152,6 +193,13 @@ def test_resume_then_finalize_rewrites_the_final_snapshot(finished, spy,
     assert (checkpoint / SNAPSHOT_NAME).read_bytes() == expected
     assert (spy["match"] == 0) == (layout == "v2")
     assert diff_measurements(finished.batch, run.result) == []
+
+
+def stock_tool_fact(sha, catalog, sample_lookup):
+    """The fact of one sha, as a record with no parents or drops puts
+    it up."""
+    record = types.SimpleNamespace(sha256=sha, parents=(), dropped=())
+    return add_stock_tool_facts({}, [record], catalog, sample_lookup)[sha]
 
 
 class TestStockToolFact:
