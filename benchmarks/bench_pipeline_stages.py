@@ -11,6 +11,7 @@ from repro.core.extraction import ExtractionEngine
 from repro.core.pipeline import MeasurementPipeline
 from repro.core.static_analysis import StaticAnalyzer
 from repro.perf.cache import clear_caches
+from repro.perf.scan import ScanContext
 from repro.sandbox.emulator import Sandbox
 
 
@@ -33,7 +34,8 @@ def bench_per_sample_extraction(benchmark, tiny_world):
     miners = [s for s in tiny_world.samples if s.kind == "miner"][:50]
 
     def extract_batch():
-        return [engine.extract(s) for s in miners]
+        return [engine.extract_with_report(
+            s, ScanContext.for_sample(s.raw))[0] for s in miners]
 
     records = benchmark(extract_batch)
     assert sum(1 for r in records if r.identifiers) > len(miners) // 2

@@ -62,6 +62,23 @@ class Packer:
     unpackable: bool = True
     is_compression_only: bool = False
 
+    def reverse(self, raw: bytes, key: bytes = b"k3y") -> bytes:
+        """Undo this packer on ``raw``, which it was identified in."""
+        if not self.unpackable:
+            raise BinaryFormatError(f"packer {self.name} is not unpackable")
+        magic = magic_kind(raw).magic
+        prefix = magic + _STUB + self.signature + b"\x00"
+        payload = raw[len(prefix):]
+        if self.compresses:
+            try:
+                inner = zlib.decompress(payload)
+            except zlib.error as exc:
+                raise BinaryFormatError(
+                    f"corrupt packed payload: {exc}") from exc
+        else:
+            inner = _xor_stream(payload, key)
+        return magic + inner
+
 
 #: Families from Table X, most common first (UPX 328,493 samples).
 PACKERS: Dict[str, Packer] = {
@@ -121,23 +138,10 @@ def identify_packer(raw: bytes) -> Optional[Packer]:
 
 def unpack(raw: bytes, key: bytes = b"k3y") -> bytes:
     """Reverse a known packer; raises for crypters or unpacked input."""
-    kind = magic_kind(raw)
     packer = identify_packer(raw)
     if packer is None:
         raise BinaryFormatError("no known packer signature")
-    if not packer.unpackable:
-        raise BinaryFormatError(f"packer {packer.name} is not unpackable")
-    magic = kind.magic
-    prefix = magic + _STUB + packer.signature + b"\x00"
-    payload = raw[len(prefix):]
-    if packer.compresses:
-        try:
-            inner = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise BinaryFormatError(f"corrupt packed payload: {exc}") from exc
-    else:
-        inner = _xor_stream(payload, key)
-    return magic + inner
+    return packer.reverse(raw, key)
 
 
 def is_packed(raw: bytes) -> bool:

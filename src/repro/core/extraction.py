@@ -16,6 +16,7 @@ from repro.core.static_analysis import StaticAnalyzer, StaticFindings
 from repro.corpus.model import SampleRecord
 from repro.intel.vt import VtService
 from repro.netsim.dns import PassiveDns, Resolver
+from repro.perf.scan import ScanContext
 from repro.pools.directory import PoolDirectory
 
 #: the sandbox clock and passive-DNS cut-off every driver defaults to
@@ -41,15 +42,11 @@ class ExtractionEngine:
 
     # ------------------------------------------------------------------
 
-    def extract(self, sample: SampleRecord) -> MinerRecord:
-        """Produce the merged record for one sample."""
-        record, _report = self.extract_with_report(sample)
-        return record
-
-    def extract_with_report(self, sample: SampleRecord):
-        """Extract and also return the sandbox report (for sanity checks)."""
+    def extract_with_report(self, sample: SampleRecord, ctx: ScanContext):
+        """The merged record for one sample, and its sandbox report (for
+        sanity checks); ``ctx`` is the sample's scan context."""
         record = MinerRecord(sha256=sample.sha256, source=sample.source)
-        static = self._static.analyze(sample.raw)
+        static = self._static.analyze(ctx)
         dynamic = self._dynamic.analyze(sample)
         self._merge_static(record, static)
         self._merge_dynamic(record, dynamic)
@@ -58,10 +55,11 @@ class ExtractionEngine:
         record.type = "Miner" if record.identifiers else "Ancillary"
         return record, dynamic.report
 
-    def extract_static_only(self, sample: SampleRecord) -> MinerRecord:
+    def extract_static_only(self, sample: SampleRecord,
+                            ctx: ScanContext) -> MinerRecord:
         """Cheap static-only pass (used by the wallet-exception sweep)."""
         record = MinerRecord(sha256=sample.sha256, source=sample.source)
-        static = self._static.analyze(sample.raw)
+        static = self._static.analyze(ctx)
         self._merge_static(record, static)
         self._merge_metadata(record, sample)
         record.type = "Miner" if record.identifiers else "Ancillary"

@@ -13,9 +13,12 @@ driver ends in, each with its own campaign aggregator: one-shot
 :func:`repro.serve.snapshot.result_from_store`).  ``ScalePipeline``
 keeps its own chunk-and-spill loops over the step functions here
 (:func:`stage1_analyze`, :func:`stage2_sweep`, :func:`recover_linked`,
-:func:`analyze_linked_sample`).  A
-:class:`~repro.perf.profiler.PipelineProfiler` times every stage under
-one set of names.
+:func:`analyze_linked_sample`).  Each per-sample analysis (those step
+functions and :meth:`MeasurementFold.defer`) builds one
+:class:`~repro.perf.scan.ScanContext` and hands it to every consumer:
+stage 1's static analysis and rule scan read one unpack and one
+strings blob.  A :class:`~repro.perf.profiler.PipelineProfiler` times
+every stage under one set of names.
 """
 
 import dataclasses
@@ -52,7 +55,7 @@ from repro.core.static_analysis import StaticAnalyzer
 from repro.corpus.model import SampleRecord, SyntheticWorld
 from repro.perf.cache import CachingResolver, release_caches
 from repro.perf.profiler import PipelineProfiler
-from repro.perf.scan import profiled_scan
+from repro.perf.scan import ScanContext, profiled_scan
 from repro.sandbox.emulator import Sandbox, SandboxEnvironment
 
 
@@ -111,10 +114,11 @@ def stage1_analyze(sample: SampleRecord, index: int, checker,
                                  reasons="not an executable"))
     if not checker.is_malware(sample.sha256):
         return SampleOutcome(index, sample.sha256, "deferred")
-    record, report = engine.extract_with_report(sample)
+    ctx = ScanContext.for_sample(sample.raw)
+    record, report = engine.extract_with_report(sample, ctx)
     has_network = report is not None and len(report.flows) > 0
     is_miner = (bool(record.identifiers)
-                or checker.is_miner(sample, report))
+                or checker.is_miner(sample, ctx, report))
     verdict = SanityVerdict(
         sample.sha256, is_executable=True, is_malware=True,
         is_miner=is_miner, whitelisted_tool=False)
@@ -133,11 +137,12 @@ def below_threshold_verdict(sha256: str) -> SanityVerdict:
 def stage2_sweep(sample: SampleRecord, index: int,
                  confirmed: FrozenSet[str], engine) -> SampleOutcome:
     """Illicit-wallet exception sweep for one deferred sample."""
-    quick = engine.extract_static_only(sample)
+    ctx = ScanContext.for_sample(sample.raw)
+    quick = engine.extract_static_only(sample, ctx)
     if not set(quick.identifiers) & confirmed:
         return SampleOutcome(index, sample.sha256, "clean",
                              verdict=below_threshold_verdict(sample.sha256))
-    record, _report = engine.extract_with_report(sample)
+    record, _report = engine.extract_with_report(sample, ctx)
     verdict = SanityVerdict(
         sample.sha256, is_executable=True, is_malware=True,
         is_miner=True, used_wallet_exception=True)
@@ -164,7 +169,8 @@ def analyze_linked_sample(
     the link to an accepted record; this runs the extraction and types
     the record Miner/Ancillary.
     """
-    record, _report = engine.extract_with_report(sample)
+    record, _report = engine.extract_with_report(
+        sample, ScanContext.for_sample(sample.raw))
     record.type = "Miner" if record.identifiers else "Ancillary"
     verdict = SanityVerdict(
         sample.sha256, is_executable=True, is_malware=True,
@@ -449,7 +455,9 @@ class MeasurementFold:
     def defer(self, sha: str, index: int) -> None:
         """Park a below-threshold sample with its static identifiers."""
         self.pending[sha] = index
-        quick = self._engine.extract_static_only(self.world.samples[index])
+        sample = self.world.samples[index]
+        quick = self._engine.extract_static_only(
+            sample, ScanContext.for_sample(sample.raw))
         self._pending_ids[sha] = frozenset(quick.identifiers)
 
     def _emit(self, journal: Optional[Callable[[SampleOutcome], None]],

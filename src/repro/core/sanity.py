@@ -15,7 +15,7 @@ from repro.binfmt.format import ExecutableKind, magic_kind
 from repro.corpus.model import SampleRecord
 from repro.intel.vt import VtService
 from repro.osint.feeds import OsintFeeds
-from repro.perf.scan import scan_context
+from repro.perf.scan import ScanContext
 from repro.pools.directory import PoolDirectory
 from repro.sandbox.emulator import SandboxReport
 from repro.yarm.builtin import builtin_miner_rules
@@ -85,11 +85,14 @@ class SanityChecker:
             return True
         return False
 
-    def is_miner(self, sample: SampleRecord,
+    def is_miner(self, sample: SampleRecord, ctx: ScanContext,
                  sandbox_report: Optional[SandboxReport] = None) -> bool:
-        """Miner check: YARA, Stratum flows, pool DNS, labels, OSINT."""
-        # (a) YARA rules over the shared (unpacked) scan context
-        if self._rules.scan(scan_context(sample.raw)):
+        """Miner check: YARA, Stratum flows, pool DNS, labels, OSINT.
+
+        ``ctx`` is the sample's scan context, the one static analysis
+        read."""
+        # (a) YARA rules over the (unpacked) scan context
+        if self._rules.scan(ctx):
             return True
         # (b) dynamic IoCs: Stratum flows or known-pool DNS resolutions
         if sandbox_report is not None:
@@ -135,7 +138,8 @@ class SanityChecker:
                 else f"only {positives} AV positives"
             )
             return verdict
-        verdict.is_miner = self.is_miner(sample, sandbox_report)
+        verdict.is_miner = self.is_miner(
+            sample, ScanContext.for_sample(sample.raw), sandbox_report)
         if not verdict.is_miner:
             verdict.reasons = "no mining IoCs"
         return verdict

@@ -1,8 +1,12 @@
 """Static analysis (§III-C): binary inspection for mining evidence.
 
-Unpacks known packers (F-Prot analog), walks the embedded strings and
-miner config for identifiers and Stratum URLs, fingerprints the packer
-for Table X, and measures entropy for the obfuscation heuristic.
+Reads one sample through the :class:`~repro.perf.scan.ScanContext` its
+caller built: the packer the context identified (Table X) and its
+unpacked bytes (the F-Prot analog), whose embedded strings and miner
+config are walked for identifiers and Stratum URLs.  Entropy of the
+raw bytes drives the obfuscation heuristic.  The caller hands the same
+context to the sanity checker's rule scan, so each view of a sample is
+computed once per analysis.
 """
 
 import re
@@ -11,8 +15,7 @@ from typing import List, Optional, Tuple
 
 from repro.binfmt.entropy import OBFUSCATION_THRESHOLD, shannon_entropy
 from repro.binfmt.format import parse_binary
-from repro.perf.scan import ScanContext, scan_context
-from repro.binfmt.packers import identify_packer
+from repro.perf.scan import ScanContext
 from repro.common.errors import BinaryFormatError
 from repro.wallets.detect import (
     ClassifiedIdentifier,
@@ -48,17 +51,11 @@ class StaticFindings:
 class StaticAnalyzer:
     """Stateless binary inspector."""
 
-    def analyze(self, raw: bytes) -> StaticFindings:
-        """Inspect one binary: unpack, strings, config, entropy.
-
-        Unpacking and string extraction go through the shared
-        :func:`repro.perf.scan.scan_context` memo, so the sanity
-        checker's rule scan over the same sample reuses this work.
-        """
+    def analyze(self, ctx: ScanContext) -> StaticFindings:
+        """Inspect one binary: packer, strings, config, entropy."""
         findings = StaticFindings()
-        findings.entropy = shannon_entropy(raw)
-        packer = identify_packer(raw)
-        ctx = scan_context(raw)
+        findings.entropy = shannon_entropy(ctx.raw)
+        packer = ctx.packer
         if packer is not None:
             # compression-only families (plain archives) render with a
             # suffix so Table X keeps them apart from obfuscators

@@ -1,10 +1,10 @@
 """Performance subsystem: caching, profiling and scanning.
 
 - :mod:`repro.perf.cache` — bounded LRU memos with hit/miss counters
-  for CTPH digests, DNS resolution and pool lookups.
+  for CTPH digests and DNS resolution.
 - :mod:`repro.perf.scan` — the compile-once multi-pattern scan kernel
-  (Aho-Corasick literal matching, fused regex alternations, shared
-  per-sample scan contexts).
+  (Aho-Corasick literal matching, fused regex alternations, one
+  per-sample scan context shared by its consumers).
 - :mod:`repro.perf.profiler` — per-stage wall-time timers and the
   ``--profile`` stage-breakdown table.
 """
@@ -35,14 +35,13 @@ __all__ = [
     "AhoCorasick",
     "ScanContext",
     "ScanKernel",
-    "scan_context",
     "scan_stats",
     "reset_scan_stats",
     "render_scan_stats",
 ]
 
-_SCAN = ("AhoCorasick", "ScanContext", "ScanKernel", "scan_context",
-         "scan_stats", "reset_scan_stats", "render_scan_stats")
+_SCAN = ("AhoCorasick", "ScanContext", "ScanKernel", "scan_stats",
+         "reset_scan_stats", "render_scan_stats")
 
 
 def __getattr__(name):

@@ -1,14 +1,13 @@
 """Substrate caches: LRU memos with hit/miss counters.
 
 The pipeline's hot paths recompute pure functions of immutable inputs —
-CTPH digests of raw binaries, DNS/CNAME resolutions, and pool-directory
-suffix walks.  This module provides one bounded LRU implementation
-plus process-wide memo instances for the content-keyed substrates, so
-work repeated within one run is not redone.  A run drops the memos'
-entries when it returns (``release_caches()``), so nothing of one
-world outlives the run over it.  Every cache exposes hit/miss
-counters; ``cache_stats()`` aggregates them for the profiler and the
-scaling bench.
+CTPH digests of raw binaries and DNS/CNAME resolutions.  This module
+provides one bounded LRU implementation plus the one process-wide,
+content-keyed memo, ``ctph``, so work repeated within one run is not
+redone.  A run drops the memo's entries when it returns
+(``release_caches()``), so nothing of one world outlives the run over
+it.  Every cache exposes hit/miss counters; ``cache_stats()`` reports
+the process-wide memo's for the profiler and the scaling bench.
 """
 
 import threading
@@ -24,8 +23,8 @@ class LruCache:
     """A bounded LRU memo with hit/miss accounting.
 
     Keys must be hashable; values are whatever the compute callable
-    returns.  Thread-safe: worker threads and the profiler may read
-    counters while the pipeline populates entries.
+    returns.  Thread-safe: the chunk prefetcher's thread may run
+    beside the pipeline that populates entries.
     """
 
     def __init__(self, name: str, maxsize: int = 4096) -> None:
@@ -99,27 +98,12 @@ class LruCache:
 
 
 # --------------------------------------------------------------------------
-# Process-wide content-keyed memos
+# The process-wide content-keyed memo
 # --------------------------------------------------------------------------
 
 #: CTPH digests keyed by binary content (bytes hash their content once
 #: and cache it, so repeat lookups are cheap).
 CTPH_CACHE = LruCache("ctph", maxsize=8192)
-
-#: Caches registered by other perf modules (the scan-context memo in
-#: :mod:`repro.perf.scan`) so ``cache_stats`` / ``clear_caches`` cover
-#: them without import cycles.
-_EXTRA_CACHES: List[LruCache] = []
-
-
-def register_cache(cache: LruCache) -> LruCache:
-    """Include ``cache`` in process-wide stats/clearing; returns it."""
-    _EXTRA_CACHES.append(cache)
-    return cache
-
-
-def _all_caches() -> List[LruCache]:
-    return [CTPH_CACHE, *_EXTRA_CACHES]
 
 
 def cached_ctph(data: bytes) -> FuzzyHash:
@@ -147,41 +131,37 @@ def cached_ctph_many(datas: Iterable[bytes]) -> List[FuzzyHash]:
 
 
 def cache_stats() -> Dict[str, Dict[str, float]]:
-    """Counters for every process-wide cache, by cache name."""
-    return {cache.name: cache.stats() for cache in _all_caches()}
+    """Counters of the process-wide memo, by cache name."""
+    return {CTPH_CACHE.name: CTPH_CACHE.stats()}
 
 
 def clear_caches() -> None:
-    """Reset the process-wide memos (tests and benches isolate runs)."""
-    for cache in _all_caches():
-        cache.clear()
+    """Reset the process-wide memo (tests and benches isolate runs)."""
+    CTPH_CACHE.clear()
 
 
 def release_caches() -> None:
-    """Drop the process-wide memos' entries, keeping their counters.
+    """Drop the process-wide memo's entries, keeping its counters.
 
-    Every measurement run calls this when it returns.  The memos are
+    Every measurement run calls this when it returns.  The memo is
     keyed by the run's sample bytes, so entries left behind would keep
-    the binaries and scan views of a world the caller has let go,
-    about 12 MiB at the benchmark scale, and the next world would be
-    built around them: peak RSS would then grow with the number of
-    runs a process makes instead of staying at one run's peak.
+    the binaries of a world the caller has let go, and the next world
+    would be built around them: peak RSS would then grow with the
+    number of runs a process makes instead of staying at one run's
+    peak.
     """
-    for cache in _all_caches():
-        cache.release()
+    CTPH_CACHE.release()
 
 
 def render_cache_table() -> str:
-    """The cache hit/miss counters as an aligned text table."""
+    """The process-wide memo's counters as an aligned text table."""
     header = (f"{'cache':<16} {'hits':>10} {'misses':>10} "
               f"{'size':>8} {'hit rate':>9}")
-    lines = [header, "-" * len(header)]
-    for cache in _all_caches():
-        stats = cache.stats()
-        lines.append(
-            f"{cache.name:<16} {stats['hits']:>10} {stats['misses']:>10} "
-            f"{stats['size']:>8} {stats['hit_rate']:>9.1%}")
-    return "\n".join(lines)
+    stats = CTPH_CACHE.stats()
+    return "\n".join([
+        header, "-" * len(header),
+        f"{CTPH_CACHE.name:<16} {stats['hits']:>10} {stats['misses']:>10} "
+        f"{stats['size']:>8} {stats['hit_rate']:>9.1%}"])
 
 
 # --------------------------------------------------------------------------

@@ -14,11 +14,12 @@ independently, once per pattern.  This module collapses that work:
   automaton byte by byte.  Equivalence of the two is asserted by the
   test suite, and ``find()`` self-switches to ``walk()`` for dense
   needle sets where the automaton's O(n) bound wins.
-- :class:`ScanContext` memoises the derived views of one sample
-  (unpacked bytes, the joined printable-strings blob, lowercase
-  folds), so unpacking and string extraction happen once per sample
-  instead of once per consumer.  ``scan_context`` adds a content-keyed
-  LRU so sanity and static analysis share one context per binary.
+- :class:`ScanContext` holds the derived views of one sample (its
+  packer, unpacked bytes, the joined printable-strings blob, lowercase
+  folds), each computed at most once.  Each per-sample analysis in
+  :mod:`repro.core.pipeline` builds one context and hands it to every
+  consumer, sanity's rule scan and the static analyzer alike, so a
+  sample is unpacked and its strings are extracted once per analysis.
 - :class:`ScanKernel` compiles a :class:`~repro.yarm.engine.RuleSet`
   into per-view pattern classes: printable literals of >= blob-run
   length scan the small strings blob, everything else scans the raw
@@ -40,14 +41,10 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - stdlib-only environments
-    _np = None
+import numpy as np
 
-from repro.binfmt.packers import identify_packer, unpack
+from repro.binfmt.packers import Packer, identify_packer
 from repro.common.errors import BinaryFormatError
-from repro.perf.cache import LruCache, register_cache
 from repro.yarm.engine import Match, RuleSet, _NOf
 
 #: minimum printable-run length captured in the strings blob.  Matches
@@ -66,17 +63,16 @@ def build_blob(data: bytes) -> bytes:
     """Printable runs of >= BLOB_MIN_RUN bytes, newline-joined.
 
     Equals ``b"\\n".join(_RUNS_RE.findall(data))``; large inputs take a
-    vectorised path (edge detection over a printable-byte mask) when
-    numpy is available.
+    vectorised path (edge detection over a printable-byte mask).
     """
-    if _np is None or len(data) < _VECTOR_BLOB_MIN_BYTES:
+    if len(data) < _VECTOR_BLOB_MIN_BYTES:
         return b"\n".join(_RUNS_RE.findall(data))
-    buf = _np.frombuffer(data, dtype=_np.uint8)
-    flags = _np.zeros(len(data) + 2, dtype=_np.int8)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    flags = np.zeros(len(data) + 2, dtype=np.int8)
     flags[1:-1] = (buf >= 0x20) & (buf <= 0x7E)
-    edges = _np.diff(flags)
-    starts = _np.flatnonzero(edges == 1)
-    ends = _np.flatnonzero(edges == -1)
+    edges = np.diff(flags)
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1)
     keep = (ends - starts) >= BLOB_MIN_RUN
     return b"\n".join(
         [data[s:e] for s, e in
@@ -221,21 +217,6 @@ class AhoCorasick:
 # --------------------------------------------------------------------------
 
 
-def unpack_scannable(raw: bytes) -> Tuple[bytes, bool]:
-    """``(scannable_bytes, unpacked)`` for one sample's raw bytes.
-
-    Reverse a fingerprinted packer when possible, fall back to the raw
-    bytes for crypters / corrupt payloads.  The flag is True only when
-    a packer was actually reversed.
-    """
-    if identify_packer(raw) is None:
-        return (raw, False)
-    try:
-        return (unpack(raw), True)
-    except BinaryFormatError:
-        return (raw, False)
-
-
 class ScanContext:
     """Memoised derived views of one sample's scannable bytes.
 
@@ -244,14 +225,16 @@ class ScanContext:
     folds, the decoded strings list — are computed at most once.
     """
 
-    __slots__ = ("raw", "data", "unpacked", "_blob", "_lowered_blob",
-                 "_lowered_data", "_text", "_strings")
+    __slots__ = ("raw", "data", "unpacked", "packer", "_blob",
+                 "_lowered_blob", "_lowered_data", "_text", "_strings")
 
     def __init__(self, data: bytes, raw: Optional[bytes] = None,
-                 unpacked: bool = False) -> None:
+                 unpacked: bool = False,
+                 packer: Optional[Packer] = None) -> None:
         self.raw = data if raw is None else raw
         self.data = data
         self.unpacked = unpacked
+        self.packer = packer
         self._blob: Optional[bytes] = None
         self._lowered_blob: Optional[bytes] = None
         self._lowered_data: Optional[bytes] = None
@@ -261,9 +244,21 @@ class ScanContext:
 
     @classmethod
     def for_sample(cls, raw: bytes) -> "ScanContext":
-        """Context over a sample's unpacked (scannable) bytes."""
-        data, unpacked = unpack_scannable(raw)
-        return cls(data, raw=raw, unpacked=unpacked)
+        """Context over a sample's scannable bytes.
+
+        The packer is identified once and kept.  A fingerprinted packer
+        is reversed when possible; crypters and corrupt payloads leave
+        the raw bytes, and ``unpacked`` is True only when a packer was
+        actually reversed.
+        """
+        packer = identify_packer(raw)
+        if packer is not None:
+            try:
+                return cls(packer.reverse(raw), raw=raw, unpacked=True,
+                           packer=packer)
+            except BinaryFormatError:
+                pass
+        return cls(raw, packer=packer)
 
     @property
     def blob(self) -> bytes:
@@ -300,18 +295,6 @@ class ScanContext:
             text = self.text
             self._strings = text.split("\n") if text else []
         return self._strings
-
-
-#: content-keyed contexts, so sanity's rule scan and the static
-#: analyzer walk one shared view of each binary.
-SCAN_CONTEXT_CACHE = register_cache(LruCache("scan_context", maxsize=2048))
-
-
-def scan_context(raw: bytes) -> ScanContext:
-    """The (memoised) scan context for one sample's raw bytes."""
-    key = bytes(raw)
-    return SCAN_CONTEXT_CACHE.get_or_compute(
-        key, lambda: ScanContext.for_sample(key))
 
 
 # --------------------------------------------------------------------------
@@ -691,29 +674,17 @@ def _is_monotone(node) -> bool:
 
 @contextmanager
 def profiled_scan(profiler):
-    """Feed kernel + memo counter deltas into a PipelineProfiler.
+    """Feed kernel counter deltas into a PipelineProfiler.
 
     Wrap a pipeline or ingest run: on exit the counters gained during
     the block land in the profiler's free-form counter table, next to
     the per-stage timings that ``--profile`` prints.
     """
     stats_before = scan_stats()
-    memos = (SCAN_CONTEXT_CACHE,)
-    memo_before = {cache.name: (cache.hits, cache.misses)
-                   for cache in memos}
     try:
         yield profiler
     finally:
-        stats_after = scan_stats()
-        for key, value in stats_after.items():
+        for key, value in scan_stats().items():
             delta = value - stats_before.get(key, 0)
             if delta:
                 profiler.count(f"scan_{key}", delta)
-        for cache in memos:
-            hits0, misses0 = memo_before[cache.name]
-            if cache.hits - hits0:
-                profiler.count(f"{cache.name}_memo_hits",
-                               cache.hits - hits0)
-            if cache.misses - misses0:
-                profiler.count(f"{cache.name}_memo_misses",
-                               cache.misses - misses0)

@@ -10,7 +10,7 @@ dropper links come from the chunks arrived so far.  What must outlive a
 chunk is parked on disk or in compact per-sample scalars:
 
 * accepted records -> columnar :class:`~repro.scale.columnar.RecordStore`
-  segments (flushed every ``segment_rows`` acceptances);
+  segments (flushed every :data:`SEGMENT_ROWS` acceptances);
 * deferred samples -> a pickle spill, swept for the wallet exception
   once the confirmed-wallet set is final (the batch order: all of
   stage 1, then stage 2);
@@ -60,6 +60,9 @@ from repro.scale.shards import ShardedCampaignAggregator
 from repro.scale.stream import ChunkPrefetcher, StreamingCorpus
 
 __all__ = ["ScalePipeline", "ScaleResult"]
+
+#: accepted records buffered per columnar segment flush
+SEGMENT_ROWS = 8192
 
 #: spill payload: the sample plus the intel its chunk carried for it.
 _SpillEntry = Tuple[SampleRecord, object, object]
@@ -132,7 +135,9 @@ class ScaleResult:
 
     ``store`` replaces the batch result's in-memory record list;
     :meth:`records` materialises it (tier-1 equivalence tests only —
-    defeats the point at the million scale).
+    defeats the point at the million scale).  Neither producer keeps a
+    per-sample verdict map, so ``verdicts`` stays empty, and the
+    campaigns carry no record lists.
     """
 
     store: RecordStore
@@ -171,27 +176,18 @@ class ScalePipeline:
     in generation order, so the stage-1-then-stage-2 ordering and every
     spill is byte-identical to the eager path — ``prefetch=0`` disables
     the overlap entirely.
-    ``keep_verdicts=False`` (the default) drops the per-sample verdict
-    map, the one remaining O(samples) structure with a non-trivial
-    constant.
     """
 
     def __init__(self, corpus: StreamingCorpus,
                  store: Optional[RecordStore] = None,
                  workdir: Optional[Path] = None,
                  num_shards: int = 8,
-                 segment_rows: int = 8192,
-                 prefetch: int = 2,
-                 keep_verdicts: bool = False,
-                 keep_campaign_records: bool = False) -> None:
+                 prefetch: int = 2) -> None:
         if prefetch < 0:
             raise ValueError("prefetch must be >= 0")
         self.corpus = corpus
         self.prefetch = prefetch
         self._num_shards = num_shards
-        self._segment_rows = segment_rows
-        self._keep_verdicts = keep_verdicts
-        self._keep_campaign_records = keep_campaign_records
         self._own_workdir = workdir is None
         self._workdir = Path(workdir or tempfile.mkdtemp(prefix="repro-scale-"))
         self._workdir.mkdir(parents=True, exist_ok=True)
@@ -244,7 +240,7 @@ class ScalePipeline:
         # acceptance is the same sum.
         stats.count_kept(record, sample)
         self._buffer.append(record)
-        if len(self._buffer) >= self._segment_rows:
+        if len(self._buffer) >= SEGMENT_ROWS:
             self._flush_segment()
 
     def _flush_segment(self) -> None:
@@ -276,7 +272,6 @@ class ScalePipeline:
         if self.prefetch > 0:
             chunks = ChunkPrefetcher(chunks, depth=self.prefetch)
         stats = PipelineStats()
-        verdicts: Dict[str, SanityVerdict] = {}
         deferred = _Spill(self._workdir / "deferred.spill")
         rejected = _Spill(self._workdir / "rejected.spill")
         owns_store = (self._own_workdir
@@ -285,15 +280,15 @@ class ScalePipeline:
         try:
             index = 0
             for chunk in chunks:
-                index = self._stage1_chunk(chunk, index, stats, verdicts,
-                                           deferred, rejected)
-            self._stage2(stats, verdicts, deferred)
+                index = self._stage1_chunk(chunk, index, stats, deferred,
+                                           rejected)
+            self._stage2(stats, deferred)
             linked: Set[str] = set(self._accum_links)
             for sha in self._accepted:
                 linked.update(self._reverse_parents.get(sha, ()))
             recovered = recover_linked(
                 linked, self._links_of,
-                partial(self._admit_rejected, rejected, stats, verdicts))
+                partial(self._admit_rejected, rejected, stats))
             self._flush_segment()
 
             tail = MeasurementTail(self._profit)
@@ -302,7 +297,7 @@ class ScalePipeline:
                 lambda proxies: ShardedCampaignAggregator(
                     self.corpus.osint, GroupingPolicy.full(),
                     proxy_ips=proxies, num_shards=self._num_shards,
-                    keep_records=self._keep_campaign_records,
+                    keep_records=False,
                 ).aggregate_source(self.store.iter_records))
 
             result = ScaleResult(
@@ -311,7 +306,6 @@ class ScalePipeline:
                 profiles=tail.profiles,
                 stats=stats,
                 proxy_ips=tail.proxy_ips,
-                verdicts=verdicts,
                 deferred_spilled=len(deferred),
                 rejected_spilled=len(rejected),
                 recovered=recovered,
@@ -335,7 +329,6 @@ class ScalePipeline:
                 shutil.rmtree(self._workdir, ignore_errors=True)
 
     def _stage1_chunk(self, chunk, index: int, stats: PipelineStats,
-                      verdicts: Dict[str, SanityVerdict],
                       deferred: _Spill, rejected: _Spill) -> int:
         """Stage-1 analysis of one chunk; returns the next sample index."""
         stats.collected += len(chunk.samples)
@@ -348,15 +341,11 @@ class ScalePipeline:
             stats.tally(outcome)
             sha = outcome.sha256
             if outcome.kind == "nonexec":
-                if self._keep_verdicts:
-                    verdicts[sha] = outcome.verdict
                 continue
             if outcome.kind == "deferred":
                 deferred.put(sha, (sample, chunk.reports[sha],
                                    chunk.ha_reports.get(sha)))
                 continue
-            if self._keep_verdicts:
-                verdicts[sha] = outcome.verdict
             if outcome.kind == "miner":
                 self._confirmed_wallets.update(
                     outcome.record.identifiers)
@@ -366,9 +355,7 @@ class ScalePipeline:
                                    chunk.ha_reports.get(sha)))
         return index + len(chunk.samples)
 
-    def _stage2(self, stats: PipelineStats,
-                verdicts: Dict[str, SanityVerdict],
-                deferred: _Spill) -> None:
+    def _stage2(self, stats: PipelineStats, deferred: _Spill) -> None:
         """The wallet-exception sweep over the deferred spill, a chunk's
         worth of samples (and intel) at a time."""
         confirmed = frozenset(self._confirmed_wallets)
@@ -381,8 +368,6 @@ class ScalePipeline:
             for i, (sample, _report, _ha_report) in enumerate(window):
                 outcome = stage2_sweep(sample, i, confirmed, self._engine)
                 stats.tally(outcome)
-                if self._keep_verdicts:
-                    verdicts[outcome.sha256] = outcome.verdict
                 if outcome.kind == "exception":
                     self._accept(outcome.record, sample, stats)
 
@@ -392,7 +377,6 @@ class ScalePipeline:
                 *self._reverse_parents.get(record.sha256, ())]
 
     def _admit_rejected(self, rejected: _Spill, stats: PipelineStats,
-                        verdicts: Dict[str, SanityVerdict],
                         sha: str) -> Optional[MinerRecord]:
         """Recovery's admission test against the rejected-malware spill.
 
@@ -408,9 +392,7 @@ class ScalePipeline:
             return None
         self._swap_views([entry])
         sample = entry[0]
-        record, verdict = analyze_linked_sample(sample, self._engine)
+        record, _verdict = analyze_linked_sample(sample, self._engine)
         stats.sandbox_analyses += 1
-        if self._keep_verdicts:
-            verdicts[sha] = verdict
         self._accept(record, sample, stats)
         return record

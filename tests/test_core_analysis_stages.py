@@ -14,6 +14,7 @@ from repro.core.static_analysis import StaticAnalyzer
 from repro.corpus.model import SampleRecord
 from repro.intel.vt import VtService, AvReport
 from repro.netsim.dns import DnsZone, PassiveDns, Resolver
+from repro.perf.scan import ScanContext
 from repro.pools.directory import default_directory
 from repro.sandbox.behavior import (
     BehaviorScript,
@@ -36,6 +37,13 @@ def wallet():
     return WalletFactory(DeterministicRNG(31)).new_address("XMR")
 
 
+def _record(engine, sample):
+    """The engine's merged record for ``sample``, over a fresh context."""
+    record, _report = engine.extract_with_report(
+        sample, ScanContext.for_sample(sample.raw))
+    return record
+
+
 @pytest.fixture
 def analyzer():
     return StaticAnalyzer()
@@ -55,20 +63,23 @@ def binary_with(wallet, host="pool.minexmr.com", port=4444, config=True):
 
 class TestStaticAnalysis:
     def test_wallet_extracted(self, analyzer, wallet):
-        findings = analyzer.analyze(binary_with(wallet))
+        findings = analyzer.analyze(
+            ScanContext.for_sample(binary_with(wallet)))
         assert wallet in findings.wallets
 
     def test_stratum_url_extracted(self, analyzer, wallet):
-        findings = analyzer.analyze(binary_with(wallet))
+        findings = analyzer.analyze(
+            ScanContext.for_sample(binary_with(wallet)))
         assert ("pool.minexmr.com", 4444) in findings.stratum_urls
 
     def test_config_pool_extracted(self, analyzer, wallet):
-        findings = analyzer.analyze(binary_with(wallet))
+        findings = analyzer.analyze(
+            ScanContext.for_sample(binary_with(wallet)))
         assert findings.config_pool == "pool.minexmr.com"
 
     def test_packer_identified_and_unpacked(self, analyzer, wallet):
         packed = pack(binary_with(wallet), PACKERS["UPX"])
-        findings = analyzer.analyze(packed)
+        findings = analyzer.analyze(ScanContext.for_sample(packed))
         assert findings.packer == "UPX"
         assert findings.unpacked
         # strings survive because UPX is unpackable
@@ -76,13 +87,14 @@ class TestStaticAnalysis:
 
     def test_crypter_blocks_statics(self, analyzer, wallet):
         packed = pack(binary_with(wallet), CUSTOM_CRYPTER)
-        findings = analyzer.analyze(packed)
+        findings = analyzer.analyze(ScanContext.for_sample(packed))
         assert findings.packer is None
         assert findings.obfuscated          # entropy heuristic fires
         assert wallet not in findings.wallets
 
     def test_clean_binary_not_obfuscated(self, analyzer, wallet):
-        findings = analyzer.analyze(binary_with(wallet))
+        findings = analyzer.analyze(
+            ScanContext.for_sample(binary_with(wallet)))
         assert not findings.obfuscated
 
 
@@ -159,7 +171,7 @@ class TestExtraction:
         vt.add_report(AvReport(sha256="x1",
                                first_seen=D(2018, 3, 1),
                                itw_urls=["http://h.x/m.exe"]))
-        record = engine.extract(self._sample(wallet))
+        record = _record(engine, self._sample(wallet))
         assert record.user == wallet
         assert record.pool == "minexmr"
         assert record.url_pool == "stratum+tcp://pool.minexmr.com:4444"
@@ -175,7 +187,7 @@ class TestExtraction:
                              strings=["http://host/x.exe"]),
             behavior=BehaviorScript(), first_seen=None,
             source="test", kind="ancillary")
-        record = engine.extract(sample)
+        record = _record(engine, sample)
         assert record.type == "Ancillary"
         assert not record.is_miner
 
@@ -184,8 +196,8 @@ class TestExtraction:
         zone.add_cname("xt.freebuf.info", "pool.minexmr.com")
         zone.add_a("pool.minexmr.com", "10.0.0.1")
         engine, _ = self._engine(zone)
-        record = engine.extract(self._sample(wallet,
-                                             host="xt.freebuf.info"))
+        record = _record(engine, self._sample(wallet,
+                                              host="xt.freebuf.info"))
         assert record.pool == "minexmr"
         assert "xt.freebuf.info" in record.cname_aliases
 
@@ -195,20 +207,22 @@ class TestExtraction:
         zone.add_cname("old.alias.com", "xmr.crypto-pool.fr",
                        valid_to=D(2017, 1, 1))  # long expired
         engine, _ = self._engine(zone)
-        record = engine.extract(self._sample(wallet,
-                                             host="old.alias.com"))
+        record = _record(engine, self._sample(wallet,
+                                              host="old.alias.com"))
         assert record.pool == "crypto-pool"
         assert "old.alias.com" in record.cname_aliases
 
     def test_unknown_domain_no_pool(self, wallet):
         engine, _ = self._engine()
-        record = engine.extract(self._sample(wallet,
-                                             host="private.pool.xyz"))
+        record = _record(engine, self._sample(wallet,
+                                              host="private.pool.xyz"))
         assert record.pool is None
         assert record.cname_aliases == []
 
     def test_static_only_path(self, wallet):
         engine, _ = self._engine()
-        record = engine.extract_static_only(self._sample(wallet))
+        sample = self._sample(wallet)
+        record = engine.extract_static_only(
+            sample, ScanContext.for_sample(sample.raw))
         assert record.used_static and not record.used_dynamic
         assert wallet in record.identifiers

@@ -12,6 +12,7 @@ from repro.corpus.model import SampleRecord
 from repro.intel.vt import AV_VENDORS, AvReport, VtService
 from repro.netsim.flows import FlowRecord
 from repro.osint.feeds import OsintFeeds
+from repro.perf.scan import ScanContext
 from repro.pools.directory import default_directory
 from repro.sandbox.behavior import BehaviorScript
 from repro.sandbox.emulator import SandboxReport
@@ -28,6 +29,10 @@ def make_sample(sha="s1", strings=None, kind=ExecutableKind.PE,
     return SampleRecord(sha256=sha, md5="", raw=raw,
                         behavior=BehaviorScript(), first_seen=None,
                         source="test", kind="miner")
+
+
+def context(sample):
+    return ScanContext.for_sample(sample.raw)
 
 
 def vt_with(sha, positives, label="Trojan.CoinMiner.x", domains=()):
@@ -91,12 +96,13 @@ class TestIsMiner:
     def test_yara_on_strings(self):
         sample = make_sample(
             strings=["stratum+tcp://pool.example:3333"])
-        assert checker(vt_with(sample.sha256, 12)).is_miner(sample)
+        c = checker(vt_with(sample.sha256, 12))
+        assert c.is_miner(sample, context(sample))
 
     def test_plain_malware_not_miner(self):
         sample = make_sample(strings=["nothing suspicious"])
         c = checker(vt_with(sample.sha256, 12, label="Trojan.Generic.a"))
-        assert not c.is_miner(sample)
+        assert not c.is_miner(sample, context(sample))
 
     def test_stratum_flow_ioc(self):
         sample = make_sample(strings=["no static evidence"])
@@ -104,25 +110,25 @@ class TestIsMiner:
         report.flows.record(FlowRecord("10.0.0.1", "10.0.0.1", 4444,
                                        "stratum", login="W"))
         c = checker(vt_with(sample.sha256, 12, label="Trojan.Generic.a"))
-        assert c.is_miner(sample, report)
+        assert c.is_miner(sample, context(sample), report)
 
     def test_pool_dns_ioc(self):
         sample = make_sample(strings=["nothing"])
         report = SandboxReport(sample_sha256=sample.sha256)
         report.dns_queries.append("xmr-eu.dwarfpool.com")
         c = checker(vt_with(sample.sha256, 12, label="Trojan.Generic.a"))
-        assert c.is_miner(sample, report)
+        assert c.is_miner(sample, context(sample), report)
 
     def test_vt_contacted_pool_domain(self):
         sample = make_sample(strings=["nothing"])
         c = checker(vt_with(sample.sha256, 12, label="Trojan.Generic.a",
                             domains=["pool.minexmr.com"]))
-        assert c.is_miner(sample)
+        assert c.is_miner(sample, context(sample))
 
     def test_miner_labels_query(self):
         sample = make_sample(strings=["nothing"])
         c = checker(vt_with(sample.sha256, 12, label="Riskware.CoinMiner"))
-        assert c.is_miner(sample)
+        assert c.is_miner(sample, context(sample))
 
     def test_osint_ioc(self):
         sample = make_sample(strings=["nothing"])
@@ -130,7 +136,7 @@ class TestIsMiner:
         feeds = OsintFeeds()
         feeds.operation("Rocke").sample_hashes.add(sample.sha256)
         c = SanityChecker(vt, feeds, default_directory())
-        assert c.is_miner(sample)
+        assert c.is_miner(sample, context(sample))
 
     def test_packed_sample_unpacked_before_scan(self):
         from repro.binfmt.packers import PACKERS, pack
@@ -139,7 +145,8 @@ class TestIsMiner:
             strings=["stratum+tcp://pool.example:3333"])
         packed = pack(inner, PACKERS["UPX"])
         sample = make_sample(raw=packed)
-        assert checker(vt_with(sample.sha256, 12)).is_miner(sample)
+        c = checker(vt_with(sample.sha256, 12))
+        assert c.is_miner(sample, context(sample))
 
 
 class TestCombinedVerdict:

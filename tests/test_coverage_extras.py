@@ -106,6 +106,7 @@ class TestAliasCache:
         from repro.core.dynamic_analysis import DynamicAnalyzer
         from repro.core.extraction import ExtractionEngine
         from repro.core.static_analysis import StaticAnalyzer
+        from repro.perf.scan import ScanContext
         from repro.sandbox.emulator import Sandbox
 
         engine = ExtractionEngine(
@@ -118,8 +119,12 @@ class TestAliasCache:
         samples = [small_world.sample_by_hash(sha)
                    for sha in freebuf.sample_hashes
                    if small_world.sample_by_hash(sha).kind == "miner"][:6]
-        pools_first = [engine.extract(s).pool for s in samples if s]
-        pools_second = [engine.extract(s).pool for s in samples if s]
+        def pools():
+            return [engine.extract_with_report(
+                s, ScanContext.for_sample(s.raw))[0].pool for s in samples]
+
+        pools_first = pools()
+        pools_second = pools()
         assert pools_first == pools_second
         assert "minexmr" in pools_first or "crypto-pool" in pools_first
 

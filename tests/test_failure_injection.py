@@ -22,6 +22,7 @@ from repro.corpus.model import ScenarioConfig
 from repro.intel.ha import HaService
 from repro.intel.vt import VtService
 from repro.netsim.dns import DnsZone, PassiveDns, Resolver
+from repro.perf.scan import ScanContext
 from repro.pools.directory import PoolDirectory, default_directory
 from repro.sandbox.behavior import (
     BehaviorScript,
@@ -32,6 +33,13 @@ from repro.sandbox.behavior import (
 from repro.sandbox.emulator import Sandbox, SandboxEnvironment
 
 D = datetime.date
+
+
+def _record(engine, sample):
+    """The engine's merged record for ``sample``, over a fresh context."""
+    record, _report = engine.extract_with_report(
+        sample, ScanContext.for_sample(sample.raw))
+    return record
 
 
 class TestVtRateLimit:
@@ -47,7 +55,7 @@ class TestVtRateLimit:
             limited, small_world.pool_directory,
             small_world.resolver, small_world.passive_dns)
         miners = [s for s in small_world.samples if s.kind == "miner"][:80]
-        records = [engine.extract(s) for s in miners]
+        records = [_record(engine, s) for s in miners]
         with_fs = sum(1 for r in records if r.first_seen is not None)
         without_fs = sum(1 for r in records if r.first_seen is None)
         assert without_fs > 0          # the limit bit
@@ -88,7 +96,7 @@ class TestEvasiveSamples:
         """Crypter blocks statics AND sandbox detection kills dynamics:
         the sample yields nothing (an acknowledged FN, §VI)."""
         engine = self._engine()
-        record = engine.extract(self._evasive_sample())
+        record = _record(engine, self._evasive_sample())
         assert record.identifiers == []
         assert record.type == "Ancillary"
 
@@ -96,7 +104,7 @@ class TestEvasiveSamples:
         """Bare-metal analysis (the paper's proposed fix) sees the
         mining session despite the fingerprinting check."""
         engine = self._engine(hardened=True)
-        record = engine.extract(self._evasive_sample())
+        record = _record(engine, self._evasive_sample())
         assert record.user is not None
         assert record.pool == "minexmr"
 
@@ -113,7 +121,7 @@ class TestEvasiveSamples:
             raw=build_binary(ExecutableKind.PE, code=b"\x90" * 100),
             behavior=behavior, first_seen=None, source="test",
             kind="miner")
-        record = self._engine().extract(sample)
+        record = _record(self._engine(), sample)
         assert record.identifiers == []
 
 
@@ -152,5 +160,6 @@ class TestDegradedWorlds:
             behavior=BehaviorScript(), first_seen=None,
             source="test", kind="junk")
         analyzer = StaticAnalyzer()
-        findings = analyzer.analyze(corrupt.raw)  # must not raise
+        # must not raise
+        findings = analyzer.analyze(ScanContext.for_sample(corrupt.raw))
         assert findings.identifiers == []

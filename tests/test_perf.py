@@ -110,7 +110,6 @@ class TestContentMemos:
         assert CTPH_CACHE.hits == 1
 
     def test_release_caches_empties_every_memo(self):
-        import repro.perf.scan  # noqa: F401  (registers scan_context)
         cached_ctph(b"some miner binary contents " * 64)
         release_caches()
         stats = cache_stats()
@@ -126,13 +125,13 @@ class TestContentMemos:
         world = generate_world(ScenarioConfig(seed=7, scale=0.002))
         MeasurementPipeline(world).run()
         stats = cache_stats()
-        assert stats["scan_context"]["misses"] > 0
+        assert stats["ctph"]["misses"] > 0
         assert all(entry["size"] == 0 for entry in stats.values())
 
     def test_cache_stats_covers_process_caches(self):
-        import repro.perf.scan  # noqa: F401  (registers scan_context)
-        stats = cache_stats()
-        assert set(stats) >= {"ctph", "scan_context"}
+        # stage 1 hands one scan context to its consumers, so CTPH
+        # is the one content-keyed memo left in the process
+        assert set(cache_stats()) == {"ctph"}
 
 
 # ---------------------------------------------------------------------------

@@ -14,21 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.binfmt.format import ExecutableKind, build_binary
-from repro.binfmt.packers import PACKERS, pack
+from repro.binfmt.packers import PACKERS, Packer, pack
 from repro.binfmt.strings import extract_strings
 from repro.common.errors import RuleSyntaxError
 from repro.common.rng import DeterministicRNG
 from repro.core.static_analysis import StaticAnalyzer
-from repro.perf.cache import clear_caches
 from repro.perf.scan import (
     BLOB_MIN_RUN,
-    SCAN_CONTEXT_CACHE,
     AhoCorasick,
     ScanContext,
     build_blob,
     printable_min_len,
-    scan_context,
-    unpack_scannable,
+    reset_scan_stats,
+    scan_stats,
 )
 from repro.wallets.addresses import COINS, WalletFactory
 from repro.wallets.detect import (
@@ -147,7 +145,7 @@ class TestKernelEqualsLegacy:
 
     def test_world_samples(self, small_world, builtin_rules):
         for sample in small_world.samples:
-            ctx = scan_context(sample.raw)
+            ctx = ScanContext.for_sample(sample.raw)
             assert (builtin_rules.scan(ctx)
                     == builtin_rules.scan_legacy(ctx.data))
 
@@ -230,7 +228,7 @@ class TestIdentifierEquivalence:
 
     def test_extract_on_world_strings(self, small_world):
         for sample in small_world.samples[:200]:
-            blob = scan_context(sample.raw).text
+            blob = ScanContext.for_sample(sample.raw).text
             assert (extract_identifiers(blob)
                     == extract_identifiers_legacy(blob))
 
@@ -251,32 +249,42 @@ class TestScanContext:
 
     def test_strings_equal_extract_strings(self, small_world):
         for sample in small_world.samples[:100]:
-            ctx = scan_context(sample.raw)
+            ctx = ScanContext.for_sample(sample.raw)
             assert ctx.strings == extract_strings(ctx.data)
 
-    def test_unpack_shared_between_consumers(self):
+    def test_unpack_shared_between_consumers(self, monkeypatch):
+        """One context, two consumers, one unpack."""
         inner = build_binary(
             ExecutableKind.PE, code=b"\x90" * 64,
             strings=["stratum+tcp://pool.example.com:3333"])
         packed = pack(inner, PACKERS["UPX"])
-        clear_caches()
-        StaticAnalyzer().analyze(packed)
-        assert SCAN_CONTEXT_CACHE.misses == 1
-        rules = builtin_miner_rules()
-        # the second consumer reuses the whole memoised context, so
-        # the sample is unpacked once for both
-        ctx = scan_context(packed)
-        assert rules.scan(ctx)
-        assert SCAN_CONTEXT_CACHE.misses == 1
-        assert SCAN_CONTEXT_CACHE.hits >= 1
+        reversals = []
+        reverse = Packer.reverse
+
+        def counting_reverse(packer, raw, key=b"k3y"):
+            reversals.append(packer.name)
+            return reverse(packer, raw, key)
+
+        monkeypatch.setattr(Packer, "reverse", counting_reverse)
+        reset_scan_stats()
+        ctx = ScanContext.for_sample(packed)
+        findings = StaticAnalyzer().analyze(ctx)
+        assert builtin_miner_rules().scan(ctx)
+        assert reversals == ["UPX"]
+        assert scan_stats()["contexts_built"] == 1
+        assert (findings.packer, findings.unpacked) == ("UPX", True)
         assert (ctx.data, ctx.unpacked) == (inner, True)
 
     def test_cached_unpack_flags(self):
         inner = build_binary(ExecutableKind.PE, code=b"\x90" * 64,
                              strings=["some content string"])
         packed = pack(inner, PACKERS["UPX"])
-        assert unpack_scannable(packed) == (inner, True)
-        assert unpack_scannable(b"plain bytes") == (b"plain bytes", False)
+        ctx = ScanContext.for_sample(packed)
+        assert (ctx.data, ctx.unpacked, ctx.packer) == (
+            inner, True, PACKERS["UPX"])
+        plain = ScanContext.for_sample(b"plain bytes")
+        assert (plain.data, plain.unpacked, plain.packer) == (
+            b"plain bytes", False, None)
 
 
 class TestBlobSafetyAnalysis:
@@ -299,13 +307,15 @@ class TestPackerRendering:
     def test_compression_only_renders_archive(self):
         inner = build_binary(ExecutableKind.PE, code=b"\x90" * 64,
                              strings=["plain old content"])
-        findings = StaticAnalyzer().analyze(pack(inner, PACKERS["SFX"]))
+        findings = StaticAnalyzer().analyze(
+            ScanContext.for_sample(pack(inner, PACKERS["SFX"])))
         assert findings.packer == "SFX (archive)"
 
     def test_crypter_renders_plain_name(self):
         inner = build_binary(ExecutableKind.PE, code=b"\x90" * 64,
                              strings=["plain old content"])
-        findings = StaticAnalyzer().analyze(pack(inner, PACKERS["UPX"]))
+        findings = StaticAnalyzer().analyze(
+            ScanContext.for_sample(pack(inner, PACKERS["UPX"])))
         assert findings.packer == "UPX"
 
 
@@ -321,3 +331,84 @@ class TestBatchIngestParity:
                                   batch_days=120).run()
         batch = MeasurementPipeline(world).run()
         assert diff_measurements(batch, ingest.result) == []
+
+
+#: scan contexts one pass over the seed-2019, scale-0.004 world builds:
+#: one per stage-1 analysis, deferral, wallet-exception sweep and
+#: dropper-chain recovery.  Measured on a batch pass just before the
+#: content-keyed ``scan_context`` memo was deleted: 1,248 lookups, of
+#: which 389 were rule scans reusing their own analysis' context.  The
+#: memo held to one entry missed the other 859.  At its 2,048 entries it
+#: missed 791: it also served the 68 dropper-chain recoveries, each a
+#: second analysis of a sample rejected earlier in the pass.
+CONTEXTS_PER_PASS = 859
+
+
+class TestOneContextPerAnalysis:
+    @pytest.fixture(scope="class")
+    def world(self):
+        from repro.corpus.generator import generate_world
+        from repro.corpus.model import ScenarioConfig
+        return generate_world(ScenarioConfig(seed=2019, scale=0.004))
+
+    def test_batch_pass_builds_one_context_per_analysis(self, world):
+        from repro.core.pipeline import MeasurementPipeline
+        reset_scan_stats()
+        MeasurementPipeline(world).run()
+        assert scan_stats()["contexts_built"] == CONTEXTS_PER_PASS
+
+    def test_ingest_pass_builds_one_context_per_analysis(self, world,
+                                                         tmp_path):
+        from repro.ingest import IngestionService
+        reset_scan_stats()
+        IngestionService(world, str(tmp_path / "ck"), batch_days=30,
+                         fsync=False).run()
+        assert scan_stats()["contexts_built"] == CONTEXTS_PER_PASS
+
+    def test_stage1_consumers_share_one_context(self, world, monkeypatch):
+        import repro.binfmt.packers as packers
+        import repro.perf.scan as scan
+        from repro.core.pipeline import (
+            build_analysis_components,
+            stage1_analyze,
+        )
+        from repro.core.sanity import (
+            MALWARE_POSITIVES_THRESHOLD,
+            SanityChecker,
+        )
+        seen = {"analyze": [], "is_miner": [], "identify": 0}
+        analyze, is_miner = StaticAnalyzer.analyze, SanityChecker.is_miner
+        identify = packers.identify_packer
+
+        def spy_analyze(self, ctx):
+            seen["analyze"].append(ctx)
+            return analyze(self, ctx)
+
+        def spy_is_miner(self, sample, ctx, sandbox_report=None):
+            seen["is_miner"].append(ctx)
+            return is_miner(self, sample, ctx, sandbox_report)
+
+        def spy_identify(raw):
+            seen["identify"] += 1
+            return identify(raw)
+
+        monkeypatch.setattr(StaticAnalyzer, "analyze", spy_analyze)
+        monkeypatch.setattr(SanityChecker, "is_miner", spy_is_miner)
+        monkeypatch.setattr(scan, "identify_packer", spy_identify)
+        monkeypatch.setattr(packers, "identify_packer", spy_identify)
+        checker, engine = build_analysis_components(
+            world, MALWARE_POSITIVES_THRESHOLD)
+        analysed = scanned = 0
+        for index, sample in enumerate(world.samples):
+            seen.update(analyze=[], is_miner=[], identify=0)
+            stage1_analyze(sample, index, checker, engine)
+            if not seen["analyze"]:
+                continue  # not an executable, or below the threshold
+            analysed += 1
+            assert len(seen["analyze"]) == 1
+            assert seen["identify"] == 1
+            if seen["is_miner"]:
+                scanned += 1
+                assert seen["is_miner"] == seen["analyze"]
+                assert seen["is_miner"][0] is seen["analyze"][0]
+        assert analysed > scanned > 0
