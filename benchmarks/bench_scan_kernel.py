@@ -39,7 +39,7 @@ import re
 import sys
 import time
 
-from repro.binfmt.packers import identify_packer, unpack
+from repro.binfmt.packers import identify_packer
 from repro.binfmt.strings import extract_strings
 from repro.common.errors import BinaryFormatError
 from repro.core.static_analysis import _STRATUM_URL_RE
@@ -74,7 +74,7 @@ def _seed_scannable(raw):
     packer = identify_packer(raw)
     if packer is not None and packer.unpackable:
         try:
-            return unpack(raw)
+            return packer.reverse(raw)
         except BinaryFormatError:
             pass
     return raw

@@ -28,7 +28,6 @@ from repro.binfmt.packers import (
     Packer,
     identify_packer,
     pack,
-    unpack,
 )
 from repro.binfmt.strings import extract_strings
 
@@ -45,6 +44,5 @@ __all__ = [
     "Packer",
     "identify_packer",
     "pack",
-    "unpack",
     "extract_strings",
 ]

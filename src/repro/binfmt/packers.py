@@ -28,7 +28,6 @@ __all__ = [
     "pack",
     "pack_chain",
     "packer_names",
-    "unpack",
 ]
 
 
@@ -134,14 +133,6 @@ def identify_packer(raw: bytes) -> Optional[Packer]:
         if packer.signature and packer.signature in window:
             return packer
     return None
-
-
-def unpack(raw: bytes, key: bytes = b"k3y") -> bytes:
-    """Reverse a known packer; raises for crypters or unpacked input."""
-    packer = identify_packer(raw)
-    if packer is None:
-        raise BinaryFormatError("no known packer signature")
-    return packer.reverse(raw, key)
 
 
 def is_packed(raw: bytes) -> bool:

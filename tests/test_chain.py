@@ -3,6 +3,8 @@
 import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chain.btc_ledger import BtcLedger, OpaqueLedger, Transaction
 from repro.chain.emission import (
@@ -12,6 +14,7 @@ from repro.chain.emission import (
 )
 from repro.chain.pow import ALGO_BY_ERA, algo_at, max_era_for_software
 from repro.common.errors import ReproError
+from tests.reference_emission import TAIL_REWARD_ATOMIC, supply_table
 
 D = datetime.date
 
@@ -53,6 +56,57 @@ class TestEmission:
         assert schedule.fraction_of_supply(10, D(2010, 1, 1)) == 0.0
 
 
+class TestEmissionOracle:
+    """The remainder integration equals the block-by-block recurrence."""
+
+    def test_monero_table_matches_recurrence(self):
+        schedule = EmissionSchedule()
+        schedule._extend_to(2100)
+        assert schedule._supply_by_day == supply_table(2100)
+
+    def test_tail_floor_crossing_matches_recurrence(self):
+        """A small ``total`` reaches the 0.6 XMR floor on day 338."""
+        total = 5 * 10 ** 17
+        schedule = EmissionSchedule(total_atomic=total)
+        schedule._extend_to(500)
+        table = schedule._supply_by_day
+        assert table == supply_table(500, total_atomic=total)
+        daily = [b - a for a, b in zip(table, table[1:])]
+        tail_day = 720 * TAIL_REWARD_ATOMIC
+        assert daily[337] > tail_day and daily[338] == tail_day
+        assert daily[-1] == tail_day
+
+    def test_pinned_headline_values(self):
+        """Exact values of the seed's integration; the headline's basis."""
+        MONERO_EMISSION._extend_to(1838)
+        assert MONERO_EMISSION._supply_by_day[1838] == \
+            16968615828710106832
+        assert MONERO_EMISSION._day_index(D(2019, 4, 30)) == 1838
+        assert MONERO_EMISSION.fraction_of_supply(
+            741_000, D(2019, 4, 30)) == 0.04366885357533186
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(10 ** 12, 2 ** 64 - 1), st.integers(1, 24),
+           st.integers(1, 50),
+           st.lists(st.integers(0, 120), min_size=1, max_size=6))
+    def test_incremental_equals_one_shot(self, total, speed, blocks,
+                                         targets):
+        incremental = EmissionSchedule(total_atomic=total,
+                                       emission_speed=speed,
+                                       blocks_per_day=blocks)
+        for target in targets:
+            incremental._extend_to(target)
+        one_shot = EmissionSchedule(total_atomic=total,
+                                    emission_speed=speed,
+                                    blocks_per_day=blocks)
+        one_shot._extend_to(max(targets))
+        expected = supply_table(max(targets), total_atomic=total,
+                                emission_speed=speed,
+                                blocks_per_day=blocks)
+        assert incremental._supply_by_day == expected
+        assert one_shot._supply_by_day == expected
+
+
 class TestHashrate:
     def test_positive_everywhere(self):
         for year in range(2014, 2020):
@@ -71,6 +125,32 @@ class TestHashrate:
     def test_clamps_outside_range(self):
         assert network_hashrate_hs(D(2010, 1, 1)) == \
             network_hashrate_hs(D(2014, 1, 1))
+
+    def test_equals_per_call_interpolation_bit_for_bit(self):
+        """The hoisted anchors give the seed's floats on every day."""
+        import bisect
+        import math
+
+        from repro.chain.emission import _HASHRATE_ANCHORS
+
+        def per_call(when):
+            dates = [d for d, _ in _HASHRATE_ANCHORS]
+            if when <= dates[0]:
+                return _HASHRATE_ANCHORS[0][1]
+            if when >= dates[-1]:
+                return _HASHRATE_ANCHORS[-1][1]
+            idx = bisect.bisect_right(dates, when)
+            d0, h0 = _HASHRATE_ANCHORS[idx - 1]
+            d1, h1 = _HASHRATE_ANCHORS[idx]
+            span = (d1 - d0).days or 1
+            frac = (when - d0).days / span
+            return math.exp(math.log(h0)
+                            + frac * (math.log(h1) - math.log(h0)))
+
+        day = D(2014, 1, 1)
+        while day <= D(2020, 3, 1):
+            assert network_hashrate_hs(day) == per_call(day), day
+            day += datetime.timedelta(days=1)
 
 
 class TestPow:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.binfmt.entropy import shannon_entropy
 from repro.binfmt.format import ExecutableKind, build_binary, parse_binary
-from repro.binfmt.packers import PACKERS, pack, unpack
+from repro.binfmt.packers import PACKERS, identify_packer, pack
 from repro.binfmt.strings import extract_strings
 from repro.common.rng import DeterministicRNG, derive_seed
 from repro.fuzzyhash.ctph import compare, compute, edit_distance
@@ -135,7 +135,8 @@ class TestBinaryFormatProperties:
     def test_pack_unpack_roundtrip(self, code):
         raw = build_binary(ExecutableKind.ELF, code=code)
         for name in ("UPX", "NSIS", "SFX"):
-            assert unpack(pack(raw, PACKERS[name])) == raw
+            packed = pack(raw, PACKERS[name])
+            assert identify_packer(packed).reverse(packed) == raw
 
 
 class TestStringsProperties:
