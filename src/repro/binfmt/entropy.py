@@ -12,6 +12,11 @@ import numpy as np
 #: Paper's obfuscation threshold (§IV-E).
 OBFUSCATION_THRESHOLD = 7.5
 
+#: Entropy never exceeds log2 of the number of distinct byte values; a
+#: body whose bound falls short of the threshold by more than this (far
+#: above the rounding of a 256-term float sum) cannot cross it.
+_BOUND_MARGIN = 1e-9
+
 
 __all__ = [
     "looks_obfuscated",
@@ -37,5 +42,14 @@ def shannon_entropy(data: bytes) -> float:
 
 
 def looks_obfuscated(data: bytes, threshold: float = OBFUSCATION_THRESHOLD) -> bool:
-    """True when entropy exceeds the obfuscation threshold."""
+    """True when entropy exceeds the obfuscation threshold.
+
+    Counts distinct byte values first: with ``n`` of them the entropy is
+    at most ``log2(n)``, so code-like bodies (a few dozen values against
+    the 182 that 7.5 bits need) are decided without summing entropy.
+    """
+    distinct = int(np.count_nonzero(
+        np.bincount(np.frombuffer(data, dtype=np.uint8))))
+    if distinct and math.log2(distinct) < threshold - _BOUND_MARGIN:
+        return False
     return shannon_entropy(data) > threshold

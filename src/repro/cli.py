@@ -40,6 +40,7 @@ and stage-contract table.
 
 import argparse
 import sys
+import time
 from typing import Optional
 
 from repro.core.pipeline import MeasurementPipeline
@@ -60,12 +61,21 @@ def _positive_int(text: str) -> int:
 _WORLD_CACHE = {}
 
 
-def _get_world(seed: int, scale: float):
-    """Build (or reuse) the synthetic world for one (seed, scale)."""
+def _get_world(seed: int, scale: float, profile: bool = False):
+    """Build (or reuse) the synthetic world for one (seed, scale).
+
+    With ``profile``, a build prints its wall time to stderr in the
+    stage table's columns.
+    """
     key = (seed, scale)
     if key not in _WORLD_CACHE:
-        _WORLD_CACHE[key] = generate_world(
-            ScenarioConfig(seed=seed, scale=scale))
+        started = time.perf_counter()
+        world = generate_world(ScenarioConfig(seed=seed, scale=scale))
+        if profile:
+            print(f"{'world generation':<32} "
+                  f"{time.perf_counter() - started:>9.3f}  "
+                  f"{len(world.samples)} samples", file=sys.stderr)
+        _WORLD_CACHE[key] = world
     return _WORLD_CACHE[key]
 
 
@@ -78,7 +88,8 @@ def _print_runtime_stats() -> None:
 
 
 def _build_world_and_result(args):
-    world = _get_world(args.seed, args.scale)
+    world = _get_world(args.seed, args.scale,
+                       getattr(args, "profile", False))
     pipeline = MeasurementPipeline(world)
     result = pipeline.run()
     if getattr(args, "profile", False):
@@ -230,7 +241,7 @@ def cmd_ingest(args) -> int:
         render_batch_metrics,
         render_ingest_summary,
     )
-    world = _get_world(args.seed, args.scale)
+    world = _get_world(args.seed, args.scale, args.profile)
     service = IngestionService(
         world, args.checkpoint, batch_days=args.batch_days,
         resume=args.resume,

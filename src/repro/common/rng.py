@@ -9,7 +9,7 @@ never perturbs the draws of existing ones (stable stream splitting).
 import hashlib
 import math
 import random
-from typing import List, Optional, Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -35,11 +35,13 @@ class DeterministicRNG:
     def __init__(self, seed: int, label: str = "root") -> None:
         self.seed = seed
         self.label = label
-        self._random = random.Random(derive_seed(seed, label))
+        # kept so substream() derives each child with one hash, not two
+        self._derived = derive_seed(seed, label)
+        self._random = random.Random(self._derived)
 
     def substream(self, label: str) -> "DeterministicRNG":
         """Return an independent child stream named ``label``."""
-        return DeterministicRNG(derive_seed(self.seed, self.label), label)
+        return DeterministicRNG(self._derived, label)
 
     # -- thin wrappers -------------------------------------------------
 
@@ -59,10 +61,15 @@ class DeterministicRNG:
         """Pick one element of ``seq`` uniformly."""
         return self._random.choice(seq)
 
-    def choices(self, seq: Sequence[T], weights: Optional[Sequence[float]] = None,
-                k: int = 1) -> List[T]:
-        """Pick ``k`` elements with optional weights (with replacement)."""
-        return self._random.choices(seq, weights=weights, k=k)
+    def choices(self, seq: Sequence[T],
+                cum_weights: Sequence[float]) -> List[T]:
+        """Pick one element by running weight sums, as a 1-element list.
+
+        ``cum_weights`` is ``itertools.accumulate`` of the weights: it
+        draws exactly what ``random.choices(weights=...)`` draws, without
+        rebuilding the sums on every call.
+        """
+        return self._random.choices(seq, cum_weights=cum_weights)
 
     def sample(self, seq: Sequence[T], k: int) -> List[T]:
         """``k`` distinct elements of ``seq`` (without replacement)."""

@@ -10,10 +10,11 @@ simulators so that pool-side payment ledgers exist for profit analysis.
 
 import datetime
 import hashlib
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.binfmt.codegen import pseudo_code
-from repro.binfmt.entropy import shannon_entropy
+from repro.binfmt.entropy import looks_obfuscated
 from repro.binfmt.format import ExecutableKind, build_binary
 from repro.binfmt.packers import CUSTOM_CRYPTER, PACKERS, identify_packer, pack
 from repro.common.rng import DeterministicRNG
@@ -60,28 +61,62 @@ _XMR_END = datetime.date(2019, 4, 30)
 #: campaign's hashrate into "distinct infected IPs" seen by pools.
 _HASHRATE_PER_BOT = 100.0
 
+
+def _cum(weights) -> Tuple[float, ...]:
+    """The running sums ``random.choices`` builds from ``weights``."""
+    return tuple(accumulate(weights))
+
+
 # Invariant per-sample distribution setup, hoisted out of the emission
 # loops: re-deriving these name/weight lists on every draw dominated the
 # generator profile without changing a single draw (the RNG consumes
-# values, not the lists they come from).
+# values, not the lists they come from).  Weights are kept as the running
+# sums random.choices would build from them on every call; passed as
+# ``cum_weights`` they draw exactly what ``weights`` draws.
 _PPI_NAMES = tuple(n for n, _ in dist.PPI_WEIGHTS)
-_PPI_P = tuple(w for _, w in dist.PPI_WEIGHTS)
+_PPI_CUM = _cum(w for _, w in dist.PPI_WEIGHTS)
 _STOCK_TOOL_NAMES = tuple(n for n, _ in dist.STOCK_TOOL_WEIGHTS)
-_STOCK_TOOL_P = tuple(w for _, w in dist.STOCK_TOOL_WEIGHTS)
+_STOCK_TOOL_CUM = _cum(w for _, w in dist.STOCK_TOOL_WEIGHTS)
 _PACKER_NAMES = tuple(n for n, _ in dist.PACKER_WEIGHTS)
-_PACKER_P = tuple(w for _, w in dist.PACKER_WEIGHTS)
+_PACKER_CUM = _cum(w for _, w in dist.PACKER_WEIGHTS)
 _WALLET_COUNTS = tuple(c for c, _ in dist.WALLETS_PER_CAMPAIGN_P)
-_WALLET_COUNT_P = tuple(w for _, w in dist.WALLETS_PER_CAMPAIGN_P)
+_WALLET_COUNT_CUM = _cum(w for _, w in dist.WALLETS_PER_CAMPAIGN_P)
 _XMR_POOL_NAMES = tuple(n for n, _ in dist.XMR_POOL_WEIGHTS)
-_XMR_POOL_P = tuple(w for _, w in dist.XMR_POOL_WEIGHTS)
+_XMR_POOL_CUM = _cum(w for _, w in dist.XMR_POOL_WEIGHTS)
 _EMAIL_POOL_NAMES = tuple(n for n, _ in dist.EMAIL_POOL_WEIGHTS)
-_EMAIL_POOL_P = tuple(w for _, w in dist.EMAIL_POOL_WEIGHTS)
+_EMAIL_POOL_CUM = _cum(w for _, w in dist.EMAIL_POOL_WEIGHTS)
 _HOSTING_NAMES = tuple(d for d, _, _ in dist.HOSTING_DOMAINS)
-_HOSTING_P = tuple(w for _, w, _ in dist.HOSTING_DOMAINS)
+_HOSTING_CUM = _cum(w for _, w, _ in dist.HOSTING_DOMAINS)
 _HOSTING_PUBLIC = {d: p for d, _, p in dist.HOSTING_DOMAINS}
+#: (years, running sums) per earnings band
+_BAND_START_YEARS = tuple((tuple(years), _cum(years.values()))
+                          for years in dist.BAND_START_YEAR)
+_BTC_YEARS = tuple(dist.BTC_SAMPLES_PER_YEAR)
+_BTC_YEAR_CUM = _cum(dist.BTC_SAMPLES_PER_YEAR.values())
+_ALT_YEARS = (2016, 2017, 2018, 2019)
+_ALT_YEAR_CUM = _cum((0.1, 0.5, 0.35, 0.05))
+_EMAIL_YEARS = (2014, 2015, 2016, 2017, 2018)
+_EMAIL_YEAR_CUM = _cum((0.05, 0.1, 0.2, 0.45, 0.2))
+_UNKNOWN_YEARS = (2016, 2017, 2018)
+_UNKNOWN_YEAR_CUM = _cum((0.2, 0.5, 0.3))
+_SOURCES = ("Virus Total", "Palo Alto Networks", "Hybrid Analysis",
+            "Virus Share")
+_SOURCE_CUM = _cum((0.61, 0.385, 0.004, 0.001))
+#: a VT detection lags first sight by randint(0, 120) days
+_LAG_DAYS = tuple(datetime.timedelta(days=d) for d in range(121))
+
 _AV_VENDOR_LIST = list(AV_VENDORS)
 _MINER_PORTS = (3333, 4444, 5555, 7777, 8080)
 _BTC_POOLS = ("50btc", "slushpool", "btcdig", "f2pool", "suprnova")
+
+
+def _hex2(bits: int) -> str:
+    """``randbytes(2).hex()`` from the ``getrandbits(64)`` that makes it.
+
+    ``randbytes(2)`` keeps the top byte of each 32-bit word of that draw,
+    low word first.
+    """
+    return f"{(bits >> 24) & 255:02x}{bits >> 56:02x}"
 
 
 class EcosystemGenerator:
@@ -374,17 +409,16 @@ class EcosystemGenerator:
         campaign.uses_ppi = rng.bernoulli(dist.BAND_FEATURES["ppi"][band])
         if campaign.uses_ppi:
             campaign.ppi_botnet = rng.choices(_PPI_NAMES,
-                                              weights=_PPI_P)[0]
+                                              cum_weights=_PPI_CUM)[0]
         campaign.uses_stock_tool = rng.bernoulli(
             dist.BAND_FEATURES["stock_tool"][band])
         if campaign.uses_stock_tool:
             campaign.stock_framework = rng.choices(
-                _STOCK_TOOL_NAMES, weights=_STOCK_TOOL_P)[0]
+                _STOCK_TOOL_NAMES, cum_weights=_STOCK_TOOL_CUM)[0]
         campaign.uses_obfuscation = rng.bernoulli(
             dist.BAND_FEATURES["obfuscation"][band])
         if campaign.uses_obfuscation or rng.bernoulli(0.60):
-            campaign.packer = rng.choices(_PACKER_NAMES,
-                                          weights=_PACKER_P)[0]
+            campaign.packer = self._pick_packer(rng)
         campaign.uses_cname = rng.bernoulli(dist.BAND_FEATURES["cname"][band])
         if campaign.uses_cname:
             self._setup_cname(rng, campaign)
@@ -395,14 +429,13 @@ class EcosystemGenerator:
         return campaign
 
     def _sample_wallet_count(self, rng: DeterministicRNG) -> int:
-        return rng.choices(_WALLET_COUNTS, weights=_WALLET_COUNT_P)[0]
+        return rng.choices(_WALLET_COUNTS,
+                           cum_weights=_WALLET_COUNT_CUM)[0]
 
     def _sample_activity(self, rng: DeterministicRNG,
                          band: int) -> Tuple[Date, Date, bool]:
-        year_dist = dist.BAND_START_YEAR[band]
-        years = list(year_dist)
-        start_year = rng.choices(years,
-                                 weights=[year_dist[y] for y in years])[0]
+        years, cum = _BAND_START_YEARS[band]
+        start_year = rng.choices(years, cum_weights=cum)[0]
         start = datetime.date(start_year, rng.randint(1, 12),
                               rng.randint(1, 28))
         # Monero launched 2014-04-18; no campaign can pre-date the coin.
@@ -424,7 +457,6 @@ class EcosystemGenerator:
 
     def _sample_pools(self, rng: DeterministicRNG, band: int) -> List[str]:
         names = _XMR_POOL_NAMES
-        weights = _XMR_POOL_P
         if rng.bernoulli(dist.BAND_SINGLE_POOL_PROB[band]):
             n_pools = 1
         else:
@@ -432,7 +464,7 @@ class EcosystemGenerator:
             n_pools = rng.randint(max(2, low), max(2, high))
         chosen: List[str] = []
         while len(chosen) < min(n_pools, len(names)):
-            pick = rng.choices(names, weights=weights)[0]
+            pick = rng.choices(names, cum_weights=_XMR_POOL_CUM)[0]
             if pick not in chosen:
                 chosen.append(pick)
         return chosen
@@ -462,14 +494,10 @@ class EcosystemGenerator:
             for _ in range(self._sample_wallet_count(rng))
         ]
         if ticker == "BTC":
-            year_weights = dist.BTC_SAMPLES_PER_YEAR
-            years = list(year_weights)
-            year = rng.choices(years,
-                               weights=[year_weights[y] for y in years])[0]
+            year = rng.choices(_BTC_YEARS, cum_weights=_BTC_YEAR_CUM)[0]
             campaign.pools = [rng.choice(_BTC_POOLS)]
         else:
-            year = rng.choices([2016, 2017, 2018, 2019],
-                               weights=[0.1, 0.5, 0.35, 0.05])[0]
+            year = rng.choices(_ALT_YEARS, cum_weights=_ALT_YEAR_CUM)[0]
             campaign.pools = ["etn-pool"] if ticker == "ETN" else []
         start = datetime.date(year, rng.randint(1, 12), rng.randint(1, 28))
         campaign.start = clamp(start)
@@ -481,13 +509,11 @@ class EcosystemGenerator:
 
     @staticmethod
     def _pick_packer(rng: DeterministicRNG) -> str:
-        return rng.choices(_PACKER_NAMES, weights=_PACKER_P)[0]
+        return rng.choices(_PACKER_NAMES, cum_weights=_PACKER_CUM)[0]
 
     def _generate_email_campaigns(self) -> None:
         rng = self.rng.substream("email-campaigns")
         count = self._scaled(dist.EMAIL_CAMPAIGNS, minimum=5)
-        pool_names = _EMAIL_POOL_NAMES
-        pool_weights = _EMAIL_POOL_P
         for _ in range(count):
             campaign = GroundTruthCampaign(
                 campaign_id=self._next_campaign_id(),
@@ -496,12 +522,12 @@ class EcosystemGenerator:
                 coin=None,
             )
             campaign.identifiers = [self.wallets.new_email()]
-            campaign.pools = [rng.choices(pool_names,
-                                          weights=pool_weights)[0]]
+            campaign.pools = [rng.choices(_EMAIL_POOL_NAMES,
+                                          cum_weights=_EMAIL_POOL_CUM)[0]]
             if rng.bernoulli(0.55):
                 campaign.packer = self._pick_packer(rng)
-            year = rng.choices([2014, 2015, 2016, 2017, 2018],
-                               weights=[0.05, 0.1, 0.2, 0.45, 0.2])[0]
+            year = rng.choices(_EMAIL_YEARS,
+                               cum_weights=_EMAIL_YEAR_CUM)[0]
             campaign.start = datetime.date(year, rng.randint(1, 12),
                                            rng.randint(1, 28))
             campaign.end = clamp(add_days(campaign.start,
@@ -527,8 +553,8 @@ class EcosystemGenerator:
             campaign.cname_domains = [private]
             if rng.bernoulli(0.55):
                 campaign.packer = self._pick_packer(rng)
-            year = rng.choices([2016, 2017, 2018],
-                               weights=[0.2, 0.5, 0.3])[0]
+            year = rng.choices(_UNKNOWN_YEARS,
+                               cum_weights=_UNKNOWN_YEAR_CUM)[0]
             campaign.start = datetime.date(year, rng.randint(1, 12),
                                            rng.randint(1, 28))
             campaign.end = clamp(add_days(campaign.start,
@@ -619,11 +645,10 @@ class EcosystemGenerator:
         campaign, the actor registers a fresh one.
         """
         names = _HOSTING_NAMES
-        weights = _HOSTING_P
         public = _HOSTING_PUBLIC
         urls = []
         for _ in range(rng.randint(1, 3)):
-            domain = rng.choices(names, weights=weights)[0]
+            domain = rng.choices(names, cum_weights=_HOSTING_CUM)[0]
             if public[domain]:
                 path = f"/dl/{rng.hexbytes(5)}/miner{rng.randint(1,9)}.exe"
             else:
@@ -814,12 +839,8 @@ class EcosystemGenerator:
                   else PACKERS[campaign.packer])
         return pack(raw, packer)
 
-    _SOURCES = ["Virus Total", "Palo Alto Networks", "Hybrid Analysis",
-                "Virus Share"]
-    _SOURCE_W = [0.61, 0.385, 0.004, 0.001]
-
     def _pick_source(self, rng: DeterministicRNG) -> str:
-        return rng.choices(self._SOURCES, weights=self._SOURCE_W)[0]
+        return rng.choices(_SOURCES, cum_weights=_SOURCE_CUM)[0]
 
     #: P(sample ALSO appears in feed), per feed: VT carries nearly
     #: everything, Palo Alto about half — which is why Table III's
@@ -1002,7 +1023,7 @@ class EcosystemGenerator:
                 label_base = "Heur.Suspicious"
         else:
             packer = identify_packer(sample.raw)
-            if packer is None and shannon_entropy(sample.raw) > 7.5:
+            if packer is None and looks_obfuscated(sample.raw):
                 positives = rng.randint(4, 12)    # crypters evade many AVs
             elif packer is not None:
                 # known packers are trivially unpacked by AV engines
@@ -1014,9 +1035,11 @@ class EcosystemGenerator:
         positives = min(positives, len(AV_VENDORS))
         vendors = rng.sample(_AV_VENDOR_LIST, positives)
         # One iteration per detection, about 18 per sample, so the
-        # draws are inlined: bernoulli(0.35) is random() < 0.35 and
+        # draws are inlined: bernoulli(0.35) is random() < 0.35,
         # randint(0, 120) is getrandbits(7) drawn until it is at most 120,
-        # the loop random.Random.randint runs.  Same calls, same order.
+        # the loop random.Random.randint runs, and hexbytes(2) is one
+        # getrandbits(64) whose two 32-bit words give their top bytes
+        # (_hex2).  Same calls, same order.
         _random = rng._random.random
         _bits = rng._random.getrandbits
         ppi_botnet = (campaign.ppi_botnet
@@ -1024,13 +1047,13 @@ class EcosystemGenerator:
         seen = sample.first_seen or datetime.date(2019, 2, 1)
         detections = {}
         for vendor in vendors:
-            label = f"{label_base}.{rng.hexbytes(2)}"
+            label = f"{label_base}.{_hex2(_bits(64))}"
             if ppi_botnet and _random() < 0.35:
-                label = f"Win32.{ppi_botnet}.{rng.hexbytes(2)}"
+                label = f"Win32.{ppi_botnet}.{_hex2(_bits(64))}"
             lag = _bits(7)
             while lag > 120:
                 lag = _bits(7)
-            detections[vendor] = (label, add_days(seen, lag))
+            detections[vendor] = (label, seen + _LAG_DAYS[lag])
         # first_seen can be missing for recent samples (VT rate limits)
         first_seen = sample.first_seen
         if (first_seen is not None and first_seen.year >= 2019

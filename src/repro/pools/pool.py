@@ -62,7 +62,12 @@ class _WalletAccount:
     payments: List[Tuple[Date, float]] = field(default_factory=list)
     last_share: Optional[Date] = None
     last_hashrate: float = 0.0
+    #: wire-path source IPs (Stratum logins and shares)
     src_ips: Set[str] = field(default_factory=set)
+    #: bulk-path connections: the most distinct IPs one credited day
+    #: reported.  Each day's IPs are the same bots as the day before plus
+    #: any new ones, so the bulk total is the high-water mark.
+    bulk_ips: int = 0
     hashrate_history: List[Tuple[Date, float]] = field(default_factory=list)
     banned: bool = False
     banned_on: Optional[Date] = None
@@ -97,6 +102,11 @@ class PoolConfig:
     recent_window_days: int = 30
     ban_policy: BanPolicy = BanPolicy()
     exposes_hashrate_history: bool = False  # minexmr does
+
+
+def _connections(account: _WalletAccount) -> int:
+    """Distinct connections: wire IPs plus the bulk high-water mark."""
+    return len(account.src_ips) + account.bulk_ips
 
 
 class MiningPool(ShareSink):
@@ -153,19 +163,15 @@ class MiningPool(ShareSink):
         account.hashes += hashrate_hs * 86400
         account.last_share = day
         account.last_hashrate = hashrate_hs
-        # The bulk path only ever adds the prefix bulk:{id}:0..n-1, so the
-        # last of the day's IPs being present means all of them are, and
-        # re-adding members would leave the set exactly as it is.
-        if f"bulk:{identifier}:{src_ips - 1}" not in account.src_ips:
-            for i in range(src_ips):
-                account.src_ips.add(f"bulk:{identifier}:{i}")
+        if src_ips > account.bulk_ips:
+            account.bulk_ips = src_ips
         if self.config.exposes_hashrate_history:
             account.hashrate_history.append((day, hashrate_hs))
         self._maybe_pay(account, day)
         # Proactive pools ban as soon as the IP threshold is crossed.
         policy = self.config.ban_policy
         if (policy.proactive and not account.banned
-                and len(account.src_ips) > policy.min_connections_to_ban):
+                and _connections(account) > policy.min_connections_to_ban):
             self._ban(account, day)
         return reward
 
@@ -194,7 +200,7 @@ class MiningPool(ShareSink):
         account = self._accounts.get(identifier)
         if account is None or account.banned:
             return False
-        if len(account.src_ips) <= policy.min_connections_to_ban:
+        if _connections(account) <= policy.min_connections_to_ban:
             return False
         # A wallet with live wire sessions (no dated ledger yet) counts
         # as active; a dated ledger must show recent shares.
@@ -257,7 +263,7 @@ class MiningPool(ShareSink):
     def distinct_connections(self, identifier: str) -> int:
         """Operator-side insight (shared with the authors on request)."""
         account = self._accounts.get(identifier)
-        return len(account.src_ips) if account else 0
+        return _connections(account) if account else 0
 
     def known_wallets(self) -> List[str]:
         """Every identifier with an account at this pool."""

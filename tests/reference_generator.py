@@ -1,16 +1,17 @@
 """Independent oracles for the world generator's inlined draw kernels.
 
 Production generation (``repro.binfmt.codegen.pseudo_code``,
-``DeterministicRNG.randbytes``/``hexbytes``,
-``repro.binfmt.entropy.shannon_entropy`` and the bulk path of
-``MiningPool.credit_mining_day``) inlines its random draws and skips
-work that cannot change a result.  This module keeps the plain
-implementations they replaced, written against the ``random.Random``
-methods themselves, so ``tests/test_generator_kernels.py`` can check
-that every kernel returns the same value and leaves the generator in
-the same state.  A Python upgrade that changes how ``choice`` or
-``randint`` consume the stream fails those tests instead of silently
-changing every world.
+``DeterministicRNG.randbytes``/``hexbytes``/``substream``, the VT label
+draw and the ``cum_weights`` picks of ``repro.corpus.generator``,
+``repro.binfmt.entropy.shannon_entropy``/``looks_obfuscated`` and the
+bulk path of ``MiningPool.credit_mining_day``) inlines its random draws
+and skips work that cannot change a result.  This module keeps the
+plain implementations they replaced, written against the
+``random.Random`` methods themselves, so
+``tests/test_generator_kernels.py`` can check that every kernel returns
+the same value and leaves the generator in the same state.  A Python
+upgrade that changes how ``choice`` or ``randint`` consume the stream
+fails those tests instead of silently changing every world.
 """
 
 import math
@@ -20,16 +21,19 @@ from typing import List
 from repro.binfmt.codegen import _BLOCK, _COMMON, _RARE
 from repro.chain.emission import network_hashrate_hs
 from repro.common.errors import PoolError
-from repro.common.rng import DeterministicRNG
+from repro.common.rng import DeterministicRNG, derive_seed
 from repro.common.simtime import Date
 from repro.pools.pool import MiningPool
 
 __all__ = [
     "ReferenceMiningPool",
     "hexbytes",
+    "looks_obfuscated",
     "pseudo_code",
     "randbytes",
     "shannon_entropy",
+    "substream",
+    "weighted_pick",
 ]
 
 
@@ -67,6 +71,21 @@ def hexbytes(rng: DeterministicRNG, n: int) -> str:
     return randbytes(rng, n).hex()
 
 
+def substream(rng: DeterministicRNG, label: str) -> DeterministicRNG:
+    """The child stream ``label``, re-deriving the parent's seed."""
+    return DeterministicRNG(derive_seed(rng.seed, rng.label), label)
+
+
+def weighted_pick(rng: DeterministicRNG, seq, weights):
+    """One ``choices`` pick from the raw weights."""
+    return rng._random.choices(seq, weights=weights)[0]
+
+
+def looks_obfuscated(data: bytes, threshold: float) -> bool:
+    """The entropy test, always summing the entropy."""
+    return shannon_entropy(data) > threshold
+
+
 def shannon_entropy(data: bytes) -> float:
     """Entropy in bits per byte, summed in ``Counter`` order."""
     if not data:
@@ -80,7 +99,13 @@ def shannon_entropy(data: bytes) -> float:
 
 
 class ReferenceMiningPool(MiningPool):
-    """A pool whose bulk path re-adds every IP of every mining day."""
+    """A pool whose bulk path re-adds every IP of every mining day.
+
+    Each bulk connection is a ``bulk:{id}:{i}`` string in ``src_ips``,
+    beside the wire IPs, and the ban checks count the whole set: its
+    ``bulk_ips`` stays 0, so the inherited ``report_wallet`` and
+    ``distinct_connections`` count the set alone.
+    """
 
     def credit_mining_day(self, identifier: str, day: Date,
                           hashrate_hs: float, src_ips: int = 1) -> float:

@@ -96,6 +96,19 @@ class TestCli:
         assert "campaigns:" in out
         assert (tmp_path / "out" / "samples.csv").exists()
 
+    def test_profile_reports_world_generation(self, capsys, monkeypatch):
+        from repro import cli
+        monkeypatch.setattr(cli, "_WORLD_CACHE", {})
+        argv = ["measure", "--scale", "0.002", "--seed", "6"]
+        assert cli_main(argv + ["--profile"]) == 0
+        profiled = capsys.readouterr()
+        first = profiled.err.splitlines()[0]
+        assert first.startswith("world generation ")
+        assert first.endswith(" samples")
+        assert cli_main(argv) == 0  # the world is reused: no line
+        plain = capsys.readouterr()
+        assert plain.out == profiled.out and plain.err == ""
+
     def test_casestudy_freebuf(self, capsys):
         code = cli_main(["casestudy", "--scale", "0.002", "--seed", "5",
                          "--name", "Freebuf"])

@@ -20,6 +20,7 @@ from repro.common.errors import RuleSyntaxError
 from repro.common.rng import DeterministicRNG
 from repro.core.static_analysis import StaticAnalyzer
 from repro.perf.scan import (
+    _DENSE_NEEDLE_CUTOVER,
     BLOB_MIN_RUN,
     AhoCorasick,
     ScanContext,
@@ -184,6 +185,24 @@ class TestAhoCorasick:
         automaton = AhoCorasick([b"", b"zz"])
         assert automaton.find(b"anything") == frozenset({0})
         assert automaton.walk(b"zz") == frozenset({0, 1})
+
+    # Needles over a two-letter alphabet, so that at least 128 unique ones
+    # exist and many of them occur in data over nearly the same alphabet.
+    dense_needles = st.lists(
+        st.text("ab", min_size=1, max_size=8).map(str.encode),
+        min_size=_DENSE_NEEDLE_CUTOVER, max_size=_DENSE_NEEDLE_CUTOVER + 40,
+        unique=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dense_needles, st.lists(st.integers(0, 7), max_size=6),
+           st.text("abc", max_size=300).map(str.encode))
+    def test_dense_find_equals_substring_search(self, needles, extra, data):
+        # repeated needles and an empty one keep their own indices
+        needles = needles + [needles[i] for i in extra] + [b""]
+        automaton = AhoCorasick(needles)
+        assert len(automaton._unique) >= _DENSE_NEEDLE_CUTOVER
+        assert automaton.find(data) == frozenset(
+            i for i, needle in enumerate(needles) if needle in data)
 
 
 class TestIdentifierEquivalence:
