@@ -38,6 +38,7 @@ import json
 import re
 import sys
 import time
+from pathlib import Path
 
 from repro.binfmt.packers import identify_packer
 from repro.binfmt.strings import extract_strings
@@ -47,12 +48,13 @@ from repro.corpus.generator import generate_world
 from repro.corpus.model import ScenarioConfig
 from repro.perf.cache import clear_caches
 from repro.perf.scan import ScanContext
-from repro.wallets.detect import (
-    extract_identifiers,
-    extract_identifiers_legacy,
-)
+from repro.wallets.detect import extract_identifiers
 from repro.yarm.builtin import builtin_miner_rules
 from repro.yarm.engine import Match
+
+# the per-token identifier oracle lives with the tests
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.reference_scan import extract_identifiers_legacy  # noqa: E402
 
 
 def _stratum_entries(blob):

@@ -1,22 +1,22 @@
 #!/usr/bin/env python
 """Throughput regression gate over committed BENCH_*.json baselines.
 
-Compares a fresh bench run against the previously committed JSON for
-each suite and fails (exit 1) when any matched point's throughput
-metric dropped by more than the threshold (default 25%)::
+Compares a fresh ``repro bench`` run against the previously committed
+JSON for each suite and fails (exit 1) when any matched point's
+throughput metric dropped by more than the threshold (default 25%)::
 
     PYTHONPATH=src python benchmarks/regression_gate.py \
         --previous-dir . --current-dir /tmp/bench \
-        --suites scale,serve,ingest [--threshold 0.25]
+        --suites scale,serve [--threshold 0.25]
 
-Points are matched on their identifying fields (see
-``repro.scale.bench.GATE_METRICS``): scale and pipeline points on
-their scale, serve points on (scale, concurrency, workers), ingest
-points on (scale, batch_days), lint points on (mode, workers).  Points present
-on only one side — a grown or shrunk curve — are reported but never
-fail the gate, so CI smoke runs covering a subset of the committed
-curve still gate the overlap.  A missing baseline file is a pass
-(first run of a new lane).
+The suites are the keys of ``repro.scale.bench.GATE_METRICS``: scale
+points match on their scale, serve points on (scale, concurrency,
+workers).  The measurement itself is gated end to end by
+``benchmarks/e2e``; these two lanes cover what it does not yet.
+Points present on only one side — a grown or shrunk curve — are
+reported but never fail the gate, so CI smoke runs covering a subset
+of the committed curve still gate the overlap.  A missing baseline
+file is a pass (first run of a new lane).
 
 When both sides carry a ``calibration`` stamp
 (:mod:`repro.common.calibrate`), deltas are taken over

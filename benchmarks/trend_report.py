@@ -9,11 +9,13 @@ bench-trajectory item calls for::
 
     PYTHONPATH=src python benchmarks/trend_report.py \
         --history-dir BENCH_history --out-md trends.md \
-        --out-csv trends.csv [--suites lint,scale]
+        --out-csv trends.csv [--suites scale,serve]
 
 Points are keyed exactly like the regression gate
 (:data:`repro.scale.bench.GATE_METRICS`), so a trend series here is
-the same curve the gate compares.  When an entry carries a
+the same curve the gate compares.  Entries of suites the gate no
+longer knows (the deleted pipeline, ingest, scan and lint lanes) stay
+in the trail and are skipped here with a note on stderr.  When an entry carries a
 ``calibration`` stamp the normalised metric (metric / score) is
 reported alongside the raw one — cross-machine history stays
 readable.  Output is deterministic: suites, keys and sequence numbers

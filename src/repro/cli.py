@@ -12,8 +12,8 @@ Subcommands::
     python -m repro.cli serve     [--checkpoint DIR | --store DIR]
                                   [--port 8742] [--api-key KEY --rate 50]
                                   [--workers N]
-    python -m repro.cli bench     [--suite scale|pipeline|scan|serve|
-                                   ingest|all] [--workers-list 1,2]
+    python -m repro.cli bench     [--suite scale|serve|all]
+                                  [--workers-list 1,2]
     python -m repro.cli lint      [--changed] [--graph]
                                   [--json | --sarif]
 
@@ -29,9 +29,9 @@ the whole world in memory; ``serve`` starts the threat-intel HTTP API
 checkpoint advances), a columnar record store, or a fresh pipeline
 run — ``--workers N`` forks an ``SO_REUSEPORT`` fleet of N serving
 processes sharing one pre-fork index (store or pipeline sources only:
-a fleet cannot follow a checkpoint); ``bench`` emits the
-``BENCH_*.json`` scaling/stage benchmarks plus per-run
-``BENCH_history/`` entries; ``lint`` runs the
+a fleet cannot follow a checkpoint); ``bench`` runs the scale and
+serve lanes into ``BENCH_*.json`` plus per-run ``BENCH_history/``
+entries; ``lint`` runs the
 reprolint invariant checks (see ``docs/static-analysis.md``) and fails
 on any finding a pragma does not accept — ``--changed`` narrows
 reporting to the git diff, ``--graph`` dumps the resolved call graph
@@ -420,43 +420,30 @@ def cmd_serve(args) -> int:
 
 
 def _serve_fleet(service, args) -> int:
-    """Run the multi-process fleet until interrupted."""
+    """Run the multi-process fleet until Ctrl-C or SIGTERM."""
+    import signal
     import time as _time
 
     from repro.serve.fleet import ServerFleet
-    with ServerFleet(service.handle, host=args.host, port=args.port,
-                     workers=args.workers) as fleet:
-        print(f"serving on http://{fleet.host}:{fleet.port} with "
-              f"{args.workers} workers (pids "
-              f"{' '.join(str(p) for p in fleet.pids)})",
-              file=sys.stderr)
-        try:
+    # SIGTERM (kill, service managers, Popen.terminate) stops the
+    # workers the way Ctrl-C does: its default action would end this
+    # process before ServerFleet.__exit__ runs, orphaning them
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        with ServerFleet(service.handle, host=args.host, port=args.port,
+                         workers=args.workers) as fleet:
+            print(f"serving on http://{fleet.host}:{fleet.port} with "
+                  f"{args.workers} workers (pids "
+                  f"{' '.join(str(p) for p in fleet.pids)})",
+                  file=sys.stderr)
             while fleet.alive():
                 _time.sleep(1.0)
             print("all workers exited", file=sys.stderr)
-        except KeyboardInterrupt:
-            print("interrupted; shutting down", file=sys.stderr)
+    except KeyboardInterrupt:
+        print("interrupted; workers stopped", file=sys.stderr)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
-
-
-def cmd_bench(args) -> int:
-    """Run the benchmark harness (see ``benchmarks/harness.py``)."""
-    from repro.scale import bench
-    argv = ["--suite", args.suite, "--seed", str(args.seed),
-            "--workers", str(args.workers),
-            "--prefetch", str(args.prefetch),
-            "--chunk-samples", str(args.chunk_samples),
-            "--shards", str(args.shards),
-            "--iterations", str(args.iterations),
-            "--duration", str(args.duration),
-            "--concurrency", str(args.concurrency),
-            "--batch-days", str(args.batch_days),
-            "--out-dir", args.out_dir]
-    if args.scales:
-        argv += ["--scales", args.scales]
-    if args.workers_list:
-        argv += ["--workers-list", args.workers_list]
-    return bench.main(argv)
 
 
 def cmd_lint(args) -> int:
@@ -616,38 +603,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--poll-interval", type=float, default=2.0,
                        help="checkpoint poll period for hot swap")
     serve.set_defaults(func=cmd_serve)
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark harness; writes BENCH_<suite>.json plus a "
-             "BENCH_history/ entry per run (suites: scale, pipeline, "
-             "scan, serve, ingest)")
-    bench.add_argument("--suite",
-                       choices=["scale", "pipeline", "scan", "serve",
-                                "ingest", "all"],
-                       default="all")
-    bench.add_argument("--scales", type=str, default=None,
-                       help="comma-separated scale factors")
-    bench.add_argument("--seed", type=int, default=2019)
-    bench.add_argument("--workers", type=_positive_int, default=1,
-                       help="serving processes for the serve lane")
-    bench.add_argument("--workers-list", type=str, default=None,
-                       help="comma-separated worker counts for the "
-                            "serve lane (e.g. 1,2)")
-    bench.add_argument("--prefetch", type=int, default=2,
-                       help="chunk prefetch depth for the scale lane")
-    bench.add_argument("--batch-days", type=_positive_int, default=30,
-                       help="feed-batch size for the ingest lane")
-    bench.add_argument("--chunk-samples", type=_positive_int,
-                       default=4096)
-    bench.add_argument("--shards", type=_positive_int, default=8)
-    bench.add_argument("--iterations", type=_positive_int, default=3,
-                       help="best-of iterations for the scan lane")
-    bench.add_argument("--duration", type=float, default=8.0,
-                       help="sustained-load seconds for the serve lane")
-    bench.add_argument("--concurrency", type=_positive_int, default=8,
-                       help="client threads for the serve lane")
-    bench.add_argument("--out-dir", type=str, default=".")
-    bench.set_defaults(func=cmd_bench)
+    # listed for --help only: main() hands "bench ..." to the harness,
+    # which owns its flags (suites from repro.scale.bench.GATE_METRICS)
+    sub.add_parser(
+        "bench", add_help=False,
+        help="scale and serve benchmark lanes; writes "
+             "BENCH_<suite>.json plus a BENCH_history/ entry per run "
+             "(see repro bench --help)")
     status = sub.add_parser("status")
     status.add_argument("--checkpoint", type=str, required=True,
                         help="checkpoint directory to inspect")
@@ -673,6 +635,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     """CLI entry point; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["bench"]:
+        from repro.scale import bench
+        return bench.main(argv[1:])
     args = build_parser().parse_args(argv)
     return args.func(args)
 

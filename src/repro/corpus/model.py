@@ -150,7 +150,3 @@ class SyntheticWorld:
     def miners(self) -> List[SampleRecord]:
         """Samples whose ground-truth kind is miner."""
         return [s for s in self.samples if s.kind == "miner"]
-
-    def truth_by_id(self) -> Dict[int, GroundTruthCampaign]:
-        """Ground-truth campaigns indexed by campaign id."""
-        return {c.campaign_id: c for c in self.ground_truth}

@@ -188,12 +188,6 @@ class NameUse:
     dict_inits: int = 0
     other_inits: int = 0
 
-    @property
-    def closed_writes(self) -> bool:
-        """Every key ever written is known."""
-        return (self.dict_inits > 0 and self.other_inits == 0
-                and not self.open_writes)
-
 
 @dataclass
 class FunctionFact:

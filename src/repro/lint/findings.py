@@ -50,13 +50,6 @@ class LintReport:
     modules_scanned: int = 0
     parse_errors: List[str] = field(default_factory=list)
 
-    def by_rule(self) -> Dict[str, List[Finding]]:
-        """Findings grouped by rule ID."""
-        out: Dict[str, List[Finding]] = {}
-        for finding in self.findings:
-            out.setdefault(finding.rule_id, []).append(finding)
-        return out
-
 
 #: every shipped rule, by ID (populated by the rules package import).
 RULE_REGISTRY: Dict[str, RuleSpec] = {}

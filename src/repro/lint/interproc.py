@@ -1,16 +1,13 @@
 """The resolved call graph every whole-program pass shares.
 
-The concurrency and unit/kind passes need the same three things
-over the project call graph: a flat
-``FnKey -> (summary, fact)`` map with memoised call-site resolutions
-and caller edges (:class:`ResolvedProgram`), one caller-ward worklist
-(:func:`propagate`), and — for the unit/kind flow
-(:mod:`repro.lint.unitflow`) — the per-function summary skeleton
-solved to fixpoint (:class:`FixpointEngine`).
+The concurrency and unit/kind passes need the same two things over
+the project call graph: a flat ``FnKey -> (summary, fact)`` map with
+memoised call-site resolutions and caller edges
+(:class:`ResolvedProgram`), and one caller-ward worklist
+(:func:`propagate`).
 """
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.callgraph import ProjectIndex, Resolution
@@ -109,18 +106,6 @@ def resolved_program(index: ProjectIndex) -> ResolvedProgram:
     return program
 
 
-@dataclass(frozen=True)
-class ProjectFinding:
-    """A project-level unit/kind violation, pre-Finding."""
-
-    rule_id: str
-    module: str          # ModuleSummary.dotted
-    line: int
-    col: int
-    message: str
-    symbol: str
-
-
 def propagate(program: ResolvedProgram, changed: Iterable[FnKey],
               update: Callable[[FnKey, FnKey], bool],
               max_rounds: int = 50) -> None:
@@ -144,46 +129,3 @@ def propagate(program: ResolvedProgram, changed: Iterable[FnKey],
             if update(caller, key) and caller not in queued:
                 queue.append(caller)
                 queued.add(caller)
-
-
-class FixpointEngine:
-    """Per-function summaries solved to fixpoint, then one report pass.
-
-    Subclasses supply ``_evaluate(key, report)``, which computes one
-    function's summary from its callees' current summaries (appending
-    findings when ``report`` is a list), and a summary type with a
-    ``same`` fixpoint-equality test.
-    """
-
-    def __init__(self, program: ResolvedProgram, bottom) -> None:
-        self.program = program
-        self.summaries = {key: bottom() for key in program.facts}
-
-    def solve(self, max_rounds: int = 50) -> None:
-        """Evaluate every function once, then re-evaluate callers of
-        whatever changed until the summaries stabilise."""
-        changed = [key for key in self.program.facts
-                   if self._refresh(key)]
-        propagate(self.program, changed,
-                  lambda caller, _callee: self._refresh(caller),
-                  max_rounds)
-
-    def _refresh(self, key: FnKey) -> bool:
-        new = self._evaluate(key, None)
-        if new.same(self.summaries[key]):
-            return False
-        self.summaries[key] = new
-        return True
-
-    def report(self) -> List[ProjectFinding]:
-        """One reporting pass over the solved program."""
-        findings: List[ProjectFinding] = []
-        for key in self.program.facts:
-            self._evaluate(key, findings)
-        findings.sort(key=lambda f: (f.module, f.line, f.col,
-                                     f.rule_id, f.message))
-        return findings
-
-    def _evaluate(self, key: FnKey,
-                  report: Optional[List[ProjectFinding]]):
-        raise NotImplementedError

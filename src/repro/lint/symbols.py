@@ -51,14 +51,6 @@ class ModuleInfo:
         """
         return any(part in names for part in self.parts)
 
-    def imports_any(self, modules: Set[str]) -> bool:
-        """Whether the module imports any of ``modules`` (by prefix)."""
-        for imported in self.imported_modules:
-            for wanted in modules:
-                if imported == wanted or imported.startswith(wanted + "."):
-                    return True
-        return False
-
     def origin_of(self, name: str) -> Optional[str]:
         """Qualified origin of a local binding, or None if not imported."""
         return self.import_aliases.get(name)

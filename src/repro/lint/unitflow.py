@@ -8,9 +8,10 @@ ResolvedProgram` substrate.  Per function the engine evaluates the
 :class:`~repro.lint.facts.ValueFact` sketches (bind RHS, arithmetic
 events, sink writes, key flows, returns) to a name -> state map, and
 summarises the return value's unit/kind plus the parameter positions
-that flow into it, iterating caller-ward to fixpoint on
-:class:`~repro.lint.interproc.FixpointEngine` — so a coin amount laundered through two helper calls still reaches a
-``usd`` slot with its coin unit intact.
+that flow into it, iterating caller-ward to fixpoint over
+:func:`~repro.lint.interproc.propagate` — so a coin amount laundered
+through two helper calls still reaches a ``usd`` slot with its coin
+unit intact.
 
 Findings (reported by :class:`repro.lint.rules.units.UnitKindRule`):
 
@@ -37,12 +38,7 @@ from repro.lint.facts import (
     FunctionFact,
     ValueFact,
 )
-from repro.lint.interproc import (
-    FixpointEngine,
-    FnKey,
-    ProjectFinding,
-    ResolvedProgram,
-)
+from repro.lint.interproc import FnKey, ResolvedProgram, propagate
 from repro.lint.units import (
     ATTR_KINDS,
     ATTR_UNITS,
@@ -66,6 +62,18 @@ from repro.lint.units import (
 _PASSTHROUGH_CALLS = frozenset({
     "sum", "min", "max", "abs", "round", "float", "int", "sorted",
 })
+
+
+@dataclass(frozen=True)
+class ProjectFinding:
+    """A project-level unit/kind violation, pre-Finding."""
+
+    rule_id: str
+    module: str          # ModuleSummary.dotted
+    line: int
+    col: int
+    message: str
+    symbol: str
 
 
 @dataclass(frozen=True)
@@ -116,11 +124,41 @@ def sink_rule(want: str, got: str) -> str:
     return "UNIT001"
 
 
-class UnitFlowEngine(FixpointEngine):
-    """Whole-program unit/kind propagation and checking."""
+class UnitFlowEngine:
+    """Whole-program unit/kind propagation and checking.
+
+    Per-function :class:`UnitSummary` values are solved to fixpoint
+    (:meth:`solve`), then one reporting pass (:meth:`report`)
+    re-evaluates every function against the solved summaries.
+    """
 
     def __init__(self, program: ResolvedProgram) -> None:
-        super().__init__(program, UnitSummary)
+        self.program = program
+        self.summaries = {key: UnitSummary() for key in program.facts}
+
+    def solve(self) -> None:
+        """Evaluate every function once, then re-evaluate callers of
+        whatever changed until the summaries stabilise."""
+        changed = [key for key in self.program.facts
+                   if self._refresh(key)]
+        propagate(self.program, changed,
+                  lambda caller, _callee: self._refresh(caller))
+
+    def _refresh(self, key: FnKey) -> bool:
+        new = self._evaluate(key, None)
+        if new.same(self.summaries[key]):
+            return False
+        self.summaries[key] = new
+        return True
+
+    def report(self) -> List[ProjectFinding]:
+        """One reporting pass over the solved program."""
+        findings: List[ProjectFinding] = []
+        for key in self.program.facts:
+            self._evaluate(key, findings)
+        findings.sort(key=lambda f: (f.module, f.line, f.col,
+                                     f.rule_id, f.message))
+        return findings
 
     # -- per-function evaluation --------------------------------------------
 

@@ -29,11 +29,12 @@ independently, once per pattern.  This module collapses that work:
   per-pattern confirmation.  Rules whose condition is monotone (no
   ``not``) are skipped outright when none of their strings fired.
 
-The kernel is bit-equivalent to the legacy per-pattern evaluators
-(``RuleSet.scan_legacy`` stays as the oracle): a printable needle of
-length >= the blob's run threshold occurs in the sample iff it occurs
-in the blob, because any occurrence lies inside a maximal printable
-run, and every such run long enough to contain it is a blob line.
+The kernel is bit-equivalent to the per-pattern evaluators it
+replaced (kept as the oracle in ``tests/reference_scan.py``): a
+printable needle of length >= the blob's run threshold occurs in the
+sample iff it occurs in the blob, because any occurrence lies inside
+a maximal printable run, and every such run long enough to contain it
+is a blob line.
 """
 
 import re
@@ -450,7 +451,7 @@ class ScanKernel:
 
     Built once per :class:`~repro.yarm.engine.RuleSet` (and therefore
     once per process for the built-in miner rules); ``scan()`` is
-    bit-equivalent to ``RuleSet.scan_legacy``.
+    bit-equivalent to ``scan_legacy`` in ``tests/reference_scan.py``.
     """
 
     def __init__(self, ruleset: RuleSet) -> None:

@@ -1,24 +1,20 @@
-"""Unified benchmark harness: scale, pipeline, scan, serve and ingest.
+"""Benchmark lanes the end-to-end benchmark does not cover: scale, serve.
 
-Each measurement point runs in a **fresh subprocess** — ``ru_maxrss``
-is a lifetime high-water mark, so points sharing a process would
-inherit each other's peaks.  The child re-invokes this module with a
-``--*-scale`` flag and prints one JSON object on stdout; the parent
-collects points into the committed artifacts:
+The paper's measurement is timed end to end by ``benchmarks/e2e``
+(``BENCHMARK.json``).  Two lanes stay here because nothing there
+replaces them yet:
 
-* ``BENCH_scale.json`` — the out-of-core pipeline's scaling curve,
-  one point per scale
-* ``BENCH_pipeline.json`` — batch-pipeline stage breakdown (tier-1)
-* ``BENCH_scan.json`` — one-pass scan kernel vs the legacy per-pattern
-  path (throughput + equivalence)
+* ``BENCH_scale.json`` — the out-of-core pipeline's memory and
+  throughput curve, one point per scale
 * ``BENCH_serve.json`` — sustained-QPS serving runs, one point per
   worker count (single-process hot-swap run plus multi-process
   fleets — see :mod:`repro.serve.bench`)
-* ``BENCH_ingest.json`` — checkpointed ingestion lane: batch
-  throughput plus the cost of a cold resume from the checkpoint
-* ``BENCH_lint.json`` — reprolint over the real source tree: one cold
-  serial full-tree run, plus the warm ``--changed`` fast path served
-  from the fact cache
+
+Each measurement point runs in a **fresh subprocess** — ``ru_maxrss``
+is a lifetime high-water mark, so points sharing a process would
+inherit each other's peaks.  The child re-invokes this module with
+``--point-scale`` or ``--serve-scale`` and prints one JSON object on
+stdout; the parent collects the points.
 
 Every suite write also appends a copy under ``BENCH_history/`` as
 ``<suite>-<NNNN>.json`` — the committed bench trajectory — and stamps
@@ -31,8 +27,8 @@ carry a calibration stamp the comparison is machine-normalised
 (``metric / score``), so a baseline committed from a fast dev box
 does not fail CI on a slow runner.
 
-Invoked via ``python -m repro.scale.bench``, ``python
-benchmarks/harness.py`` or ``repro bench`` — all the same code.
+Invoked as ``repro bench`` or ``python -m repro.scale.bench``: the
+CLI hands its arguments to :func:`main` unparsed.
 """
 
 import argparse
@@ -45,16 +41,9 @@ from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "compare_runs",
-    "measure_ingest_point",
-    "measure_lint_point",
-    "measure_pipeline_point",
     "measure_scale_point",
-    "measure_scan_point",
-    "run_ingest_suite",
-    "run_lint_suite",
     "run_point_subprocess",
     "run_scaling_suite",
-    "run_scan_suite",
     "run_serve_suite",
     "write_history_entry",
 ]
@@ -119,226 +108,6 @@ def measure_scale_point(scale: float, seed: int = 2019,
     }
 
 
-def measure_pipeline_point(scale: float = 0.02, seed: int = 2019) -> Dict:
-    """One batch-pipeline run with per-stage timings (tier-1 scales)."""
-    from repro.common.memory import peak_rss_mib
-    from repro.core.pipeline import MeasurementPipeline
-    from repro.corpus.generator import generate_world
-    from repro.corpus.model import ScenarioConfig
-
-    t0 = time.perf_counter()
-    world = generate_world(ScenarioConfig(seed=seed, scale=scale))
-    world_s = time.perf_counter() - t0
-    pipeline = MeasurementPipeline(world)
-    t1 = time.perf_counter()
-    result = pipeline.run()
-    run_s = time.perf_counter() - t1
-    stages = [
-        {"stage": timing.name, "seconds": round(timing.wall_s, 3),
-         "items": timing.items}
-        for timing in pipeline.profiler.stages.values()
-    ]
-    return {
-        "suite": "pipeline",
-        "scale": scale,
-        "seed": seed,
-        "samples": result.stats.collected,
-        "records": len(result.records),
-        "campaigns": len(result.campaigns),
-        "world_s": round(world_s, 3),
-        "run_s": round(run_s, 3),
-        "samples_per_s": round(result.stats.collected / run_s, 1)
-        if run_s else 0.0,
-        "peak_rss_mib": round(peak_rss_mib() or 0.0, 1),
-        "stages": stages,
-    }
-
-
-def measure_scan_point(scale: float = 0.02, seed: int = 2019,
-                       iterations: int = 3) -> Dict:
-    """Scan-kernel vs legacy per-pattern throughput at one scale.
-
-    A compact lane over shared :class:`~repro.perf.scan.ScanContext`
-    views: both paths scan identical materialised bytes/text, so the
-    timing isolates the pattern-matching work the kernel replaced
-    (``benchmarks/bench_scan_kernel.py`` remains the deep-dive tool
-    that also times materialisation).  Equivalence is asserted per
-    sample and reported in the point.
-    """
-    from repro.common.memory import peak_rss_mib
-    from repro.corpus.generator import generate_world
-    from repro.corpus.model import ScenarioConfig
-    from repro.perf.cache import clear_caches
-    from repro.perf.scan import ScanContext
-    from repro.wallets.detect import (
-        extract_identifiers,
-        extract_identifiers_legacy,
-    )
-    from repro.yarm.builtin import builtin_miner_rules
-
-    world = generate_world(ScenarioConfig(seed=seed, scale=scale,
-                                          include_junk=False))
-    rules = builtin_miner_rules()
-    rules.kernel()  # compile outside the timed region
-    clear_caches()
-    contexts = []
-    for sample in world.samples:
-        ctx = ScanContext.for_sample(sample.raw)
-        ctx.strings  # materialise blob/text once, outside the timing
-        contexts.append(ctx)
-    bytes_scanned = sum(len(ctx.data) for ctx in contexts)
-
-    mismatches = 0
-    for ctx in contexts:
-        same_rules = rules.scan_legacy(ctx.data) == rules.scan(ctx)
-        same_ids = (extract_identifiers_legacy(ctx.text)
-                    == extract_identifiers(ctx.text))
-        if not (same_rules and same_ids):
-            mismatches += 1
-
-    def legacy_pass():
-        for ctx in contexts:
-            rules.scan_legacy(ctx.data)
-            extract_identifiers_legacy(ctx.text)
-
-    def kernel_pass():
-        for ctx in contexts:
-            rules.scan(ctx)
-            extract_identifiers(ctx.text)
-
-    def best_of(fn):
-        best = float("inf")
-        for _ in range(iterations):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    legacy_s = best_of(legacy_pass)
-    kernel_s = best_of(kernel_pass)
-    mib = bytes_scanned / (1024 * 1024)
-    return {
-        "suite": "scan",
-        "scale": scale,
-        "seed": seed,
-        "iterations": iterations,
-        "samples": len(contexts),
-        "mib_scanned": round(mib, 2),
-        "legacy_s": round(legacy_s, 4),
-        "kernel_s": round(kernel_s, 4),
-        "speedup": round(legacy_s / kernel_s, 2) if kernel_s else 0.0,
-        "kernel_mib_per_s": round(mib / kernel_s, 1) if kernel_s else 0.0,
-        "equivalent": mismatches == 0,
-        "mismatches": mismatches,
-        "peak_rss_mib": round(peak_rss_mib() or 0.0, 1),
-    }
-
-
-def measure_ingest_point(scale: float = 0.02, seed: int = 2019,
-                         batch_days: int = 30) -> Dict:
-    """Checkpointed ingestion throughput plus cold-resume cost.
-
-    Runs the full feed replay through :class:`repro.ingest.service.
-    IngestionService` (fresh checkpoint, fsync off — the lane measures
-    compute, not the disk), then restores the finished checkpoint from
-    scratch and materialises its result — the cost a `repro serve
-    --checkpoint` start or a crash-resume actually pays.
-    """
-    import shutil
-    import tempfile
-
-    from repro.common.memory import peak_rss_mib
-    from repro.corpus.generator import generate_world
-    from repro.corpus.model import ScenarioConfig
-    from repro.ingest.service import IngestionService
-
-    world = generate_world(ScenarioConfig(seed=seed, scale=scale))
-    workdir = Path(tempfile.mkdtemp(prefix="repro-bench-ingest-"))
-    try:
-        service = IngestionService(world, workdir / "checkpoint",
-                                   batch_days=batch_days, fsync=False)
-        t0 = time.perf_counter()
-        ingest = service.run()
-        run_s = time.perf_counter() - t0
-        batches = len(ingest.batches)
-        analyzed = sum(b.analyzed for b in ingest.batches)
-
-        resumer = IngestionService(world, workdir / "checkpoint",
-                                   batch_days=batch_days, resume=True,
-                                   fsync=False)
-        t1 = time.perf_counter()
-        resumer.restore_state()
-        restored = resumer.current_result()
-        resume_s = time.perf_counter() - t1
-        return {
-            "suite": "ingest",
-            "scale": scale,
-            "seed": seed,
-            "batch_days": batch_days,
-            "batches": batches,
-            "samples": analyzed,
-            "records": len(ingest.result.records),
-            "campaigns": len(ingest.result.campaigns),
-            "run_s": round(run_s, 3),
-            "batches_per_s": round(batches / run_s, 2) if run_s else 0.0,
-            "samples_per_s": round(analyzed / run_s, 1) if run_s else 0.0,
-            #: cold restore of the finished checkpoint + materialise
-            "resume_s": round(resume_s, 3),
-            "resume_records": len(restored.records),
-            "resume_fraction": round(resume_s / run_s, 3) if run_s
-            else 0.0,
-            "peak_rss_mib": round(peak_rss_mib() or 0.0, 1),
-        }
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-
-
-def measure_lint_point(mode: str = "cold") -> Dict:
-    """One serial reprolint run over the real source tree.
-
-    ``cold`` lints the full tree from a fresh index (the CI lint
-    gate's cost); ``warm`` measures the ``--changed`` fast path — a
-    priming run fills the fact cache, then the timed run focuses one
-    module and serves every other summary from cache.
-    """
-    import shutil
-    import tempfile
-
-    from repro.common.memory import peak_rss_mib
-    from repro.lint import LintEngine, default_source_root
-
-    root = default_source_root()
-    workdir = Path(tempfile.mkdtemp(prefix="repro-bench-lint-"))
-    try:
-        focus = None
-        cache = None
-        if mode == "warm":
-            cache = workdir / "reprolint-cache"
-            focus = ["cli.py"]
-            LintEngine(cache_path=cache).run(root, focus=focus)
-        engine = LintEngine(cache_path=cache)
-        t0 = time.perf_counter()
-        report = engine.run(root, focus=focus)
-        lint_s = time.perf_counter() - t0
-        modules = report.modules_scanned
-        return {
-            "suite": "lint",
-            "mode": mode,
-            # kept so points still pair with the committed
-            # (mode, workers)-keyed BENCH_lint.json entries
-            "workers": 1,
-            "modules": modules,
-            "findings": len(report.findings),
-            "parse_errors": len(report.parse_errors),
-            "lint_s": round(lint_s, 3),
-            "modules_per_s": round(modules / lint_s, 1) if lint_s
-            else 0.0,
-            "peak_rss_mib": round(peak_rss_mib() or 0.0, 1),
-        }
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-
-
 def run_point_subprocess(argv: List[str], timeout: Optional[float] = None
                          ) -> Dict:
     """Run one point in a child interpreter; parse its JSON stdout."""
@@ -374,27 +143,6 @@ def run_scaling_suite(scales: List[float], seed: int = 2019,
             "prefetch": prefetch, "points": points}
 
 
-def run_pipeline_suite(scale: float = 0.02, seed: int = 2019) -> Dict:
-    """Batch-pipeline stage breakdown, in its own subprocess."""
-    point = run_point_subprocess([
-        "--pipeline-scale", str(scale), "--seed", str(seed),
-    ])
-    return {"bench": "pipeline", "seed": seed, "points": [point]}
-
-
-def run_scan_suite(scale: float = 0.02, seed: int = 2019,
-                   iterations: int = 3) -> Dict:
-    """Scan-kernel lane, in its own subprocess."""
-    point = run_point_subprocess([
-        "--scan-scale", str(scale), "--seed", str(seed),
-        "--iterations", str(iterations),
-    ])
-    print(f"  scan: {point['samples']} samples, "
-          f"{point['speedup']}x kernel speedup, "
-          f"equivalent={point['equivalent']}", file=sys.stderr)
-    return {"bench": "scan", "seed": seed, "points": [point]}
-
-
 def run_serve_suite(scale: float = 0.02, seed: int = 2019,
                     duration_s: float = 8.0,
                     concurrency: int = 8,
@@ -417,31 +165,6 @@ def run_serve_suite(scale: float = 0.02, seed: int = 2019,
               f"pids={point['serving_pids']}", file=sys.stderr)
     return {"bench": "serve", "seed": seed,
             "workers_list": workers_list, "points": points}
-
-
-def run_ingest_suite(scale: float = 0.02, seed: int = 2019,
-                     batch_days: int = 30) -> Dict:
-    """Checkpointed ingestion lane, in its own subprocess."""
-    point = run_point_subprocess([
-        "--ingest-scale", str(scale), "--seed", str(seed),
-        "--batch-days", str(batch_days),
-    ])
-    print(f"  ingest: {point['batches']} batches in {point['run_s']}s "
-          f"({point['batches_per_s']} batches/s), "
-          f"resume {point['resume_s']}s", file=sys.stderr)
-    return {"bench": "ingest", "seed": seed, "points": [point]}
-
-
-def run_lint_suite() -> Dict:
-    """Lint lane: one cold full-tree point plus the warm path."""
-    points = []
-    for mode in ("cold", "warm"):
-        point = run_point_subprocess(["--lint-mode", mode])
-        points.append(point)
-        print(f"  lint {mode}: {point['modules']} modules in "
-              f"{point['lint_s']}s ({point['modules_per_s']}/s)",
-              file=sys.stderr)
-    return {"bench": "lint", "points": points}
 
 
 # -- artifacts: committed JSON + history trail -------------------------------
@@ -485,11 +208,7 @@ def _write_suite(out_dir: Path, suite: str, payload: Dict) -> None:
 #: side are reported but never fail the gate (the curve may grow).
 GATE_METRICS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "scale": ("samples_per_s", ("scale",)),
-    "pipeline": ("samples_per_s", ("scale",)),
-    "scan": ("kernel_mib_per_s", ("scale",)),
     "serve": ("qps", ("scale", "concurrency", "workers")),
-    "ingest": ("batches_per_s", ("scale", "batch_days")),
-    "lint": ("modules_per_s", ("mode", "workers")),
 }
 
 
@@ -563,34 +282,20 @@ def compare_runs(previous: Dict, current: Dict,
 def main(argv: Optional[List[str]] = None) -> int:
     """Harness entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
-        prog="repro-bench",
-        description="scaling / pipeline benchmark harness")
+        prog="repro bench",
+        description="scale / serve benchmark lanes; writes "
+                    "BENCH_<suite>.json plus a BENCH_history/ entry "
+                    "per run")
     parser.add_argument("--point-scale", type=float, default=None,
                         help="run ONE scale-pipeline point, JSON on "
                              "stdout (used by the parent harness)")
-    parser.add_argument("--pipeline-scale", type=float, default=None,
-                        help="run ONE batch-pipeline point, JSON on "
-                             "stdout")
-    parser.add_argument("--scan-scale", type=float, default=None,
-                        help="run ONE scan-kernel point, JSON on stdout")
     parser.add_argument("--serve-scale", type=float, default=None,
                         help="run ONE serving-QPS point, JSON on stdout")
-    parser.add_argument("--ingest-scale", type=float, default=None,
-                        help="run ONE ingestion point, JSON on stdout")
-    parser.add_argument("--lint-mode", choices=["cold", "warm"],
-                        default=None,
-                        help="run ONE reprolint point, JSON on stdout")
-    parser.add_argument("--iterations", type=int, default=3,
-                        help="best-of iterations for the scan lane")
     parser.add_argument("--duration", type=float, default=8.0,
                         help="sustained-load seconds for the serve lane")
     parser.add_argument("--concurrency", type=int, default=8,
                         help="client threads for the serve lane")
-    parser.add_argument("--batch-days", type=int, default=30,
-                        help="feed batch width for the ingest lane")
-    parser.add_argument("--suite",
-                        choices=["scale", "pipeline", "scan", "serve",
-                                 "ingest", "lint", "all"],
+    parser.add_argument("--suite", choices=[*GATE_METRICS, "all"],
                         default=None, help="full suite to run")
     parser.add_argument("--scales", type=str, default=None,
                         help="comma-separated scale factors for the "
@@ -619,15 +324,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 chunk_samples=args.chunk_samples, num_shards=args.shards,
                 prefetch=args.prefetch)))
             return 0
-        if args.pipeline_scale is not None:
-            print(json.dumps(measure_pipeline_point(
-                args.pipeline_scale, seed=args.seed)))
-            return 0
-        if args.scan_scale is not None:
-            print(json.dumps(measure_scan_point(
-                args.scan_scale, seed=args.seed,
-                iterations=args.iterations)))
-            return 0
         if args.serve_scale is not None:
             from repro.serve.bench import measure_serve_point
             print(json.dumps(measure_serve_point(
@@ -635,14 +331,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 duration_s=args.duration,
                 concurrency=args.concurrency,
                 workers=args.workers)))
-            return 0
-        if args.ingest_scale is not None:
-            print(json.dumps(measure_ingest_point(
-                args.ingest_scale, seed=args.seed,
-                batch_days=args.batch_days)))
-            return 0
-        if args.lint_mode is not None:
-            print(json.dumps(measure_lint_point(args.lint_mode)))
             return 0
 
     suite = args.suite or "all"
@@ -658,14 +346,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                        chunk_samples=args.chunk_samples,
                                        num_shards=args.shards,
                                        prefetch=args.prefetch))
-    if suite in ("pipeline", "all"):
-        _write_suite(out_dir, "pipeline",
-                     run_pipeline_suite(seed=args.seed))
-    if suite in ("scan", "all"):
-        _write_suite(out_dir, "scan",
-                     run_scan_suite(args.scan_scale or 0.02,
-                                    seed=args.seed,
-                                    iterations=args.iterations))
     if suite in ("serve", "all"):
         _write_suite(out_dir, "serve",
                      run_serve_suite(args.serve_scale or 0.02,
@@ -673,13 +353,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                      duration_s=args.duration,
                                      concurrency=args.concurrency,
                                      workers_list=workers_list))
-    if suite in ("ingest", "all"):
-        _write_suite(out_dir, "ingest",
-                     run_ingest_suite(args.ingest_scale or 0.02,
-                                      seed=args.seed,
-                                      batch_days=args.batch_days))
-    if suite in ("lint", "all"):
-        _write_suite(out_dir, "lint", run_lint_suite())
     return 0
 
 

@@ -10,7 +10,7 @@ Stratum login parameters, network payloads) for candidates.
 import enum
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.wallets.addresses import COINS, Coin, is_valid_address
 
@@ -19,9 +19,7 @@ __all__ = [
     "ClassifiedIdentifier",
     "IdentifierKind",
     "classify_identifier",
-    "classify_identifier_legacy",
     "extract_identifiers",
-    "extract_identifiers_legacy",
 ]
 
 
@@ -60,10 +58,6 @@ def _coin_regex(coin: Coin) -> re.Pattern:
         return re.compile(re.escape(coin.prefix) + r"[0-9a-f]{%d}" % coin.body_length)
     return re.compile(re.escape(coin.prefix) + _B58 + r"{%d}" % coin.body_length)
 
-
-_COIN_RES: List[Tuple[str, re.Pattern]] = [
-    (ticker, _coin_regex(COINS[ticker])) for ticker in _COIN_ORDER
-]
 
 #: All thirteen per-coin regexes fused into one named-group
 #: alternation.  ``fullmatch`` tries branches in ``_COIN_ORDER``, so
@@ -104,26 +98,8 @@ def classify_identifier(value: str) -> ClassifiedIdentifier:
     return ClassifiedIdentifier(stripped, IdentifierKind.UNKNOWN)
 
 
-def classify_identifier_legacy(value: str) -> ClassifiedIdentifier:
-    """Sequential per-coin reference classifier (equivalence oracle)."""
-    stripped = value.strip()
-    for key, pattern in _COIN_RES:
-        if pattern.fullmatch(stripped) and is_valid_address(stripped,
-                                                            COINS[key]):
-            return ClassifiedIdentifier(stripped, IdentifierKind.WALLET,
-                                        COINS[key].ticker)
-    if _EMAIL_RE.fullmatch(stripped):
-        return ClassifiedIdentifier(stripped, IdentifierKind.EMAIL)
-    if stripped.startswith("worker_"):
-        return ClassifiedIdentifier(stripped, IdentifierKind.USERNAME)
-    return ClassifiedIdentifier(stripped, IdentifierKind.UNKNOWN)
-
-
-#: Characters that can delimit an identifier inside a command line.
-_TOKEN_SPLIT_RE = re.compile(r"[\s\"'=,;|<>()]+")
-
-#: Maximal delimiter-free runs long enough to be identifiers — the
-#: same tokens ``_TOKEN_SPLIT_RE.split`` yields, minus the short ones.
+#: Maximal runs free of identifier delimiters (whitespace, quotes and
+#: ``=,;|<>()``) long enough to be identifiers.
 _CANDIDATE_RUN_RE = re.compile(r"[^\s\"'=,;|<>()]{6,}")
 
 
@@ -156,20 +132,6 @@ def extract_identifiers(text: str) -> List[ClassifiedIdentifier]:
             continue
         seen.add(token)
         classified = classify_identifier(token)
-        if classified.kind in (IdentifierKind.WALLET, IdentifierKind.EMAIL):
-            found.append(classified)
-    return found
-
-
-def extract_identifiers_legacy(text: str) -> List[ClassifiedIdentifier]:
-    """Token-split reference extractor (equivalence oracle)."""
-    seen = set()
-    found: List[ClassifiedIdentifier] = []
-    for token in _TOKEN_SPLIT_RE.split(text):
-        if len(token) < 6 or token in seen:
-            continue
-        seen.add(token)
-        classified = classify_identifier_legacy(token)
         if classified.kind in (IdentifierKind.WALLET, IdentifierKind.EMAIL):
             found.append(classified)
     return found

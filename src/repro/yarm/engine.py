@@ -38,23 +38,6 @@ class StringPattern:
     pattern: bytes       # raw needle for text/hex; regex source for regex
     nocase: bool = False
 
-    def matches(self, data: bytes,
-                lowered: Optional[bytes] = None) -> bool:
-        """Whether the pattern occurs anywhere in ``data``.
-
-        ``lowered`` lets callers share one ``data.lower()`` across all
-        nocase patterns of a scan instead of re-folding per pattern.
-        """
-        if self.kind == "text":
-            if self.nocase:
-                haystack = data.lower() if lowered is None else lowered
-                return self.pattern.lower() in haystack
-            return self.pattern in data
-        if self.kind == "hex":
-            return self.pattern in data
-        flags = re.IGNORECASE if self.nocase else 0
-        return re.search(self.pattern, data, flags) is not None
-
 
 # --------------------------------------------------------------------------
 # Condition AST
@@ -223,22 +206,6 @@ class CompiledRule:
     strings: List[StringPattern]
     condition: _Node
 
-    def evaluate(self, data: bytes,
-                 lowered: Optional[bytes] = None) -> Optional["Match"]:
-        """Evaluate the rule on ``data``; a Match or None."""
-        if lowered is None and any(
-                sp.nocase and sp.kind == "text" for sp in self.strings):
-            lowered = data.lower()
-        fired = {sp.identifier: sp.matches(data, lowered)
-                 for sp in self.strings}
-        if self.condition.evaluate(fired):
-            return Match(
-                rule=self.name,
-                tags=list(self.tags),
-                fired=[name for name, hit in fired.items() if hit],
-            )
-        return None
-
 
 @dataclass(frozen=True)
 class Match:
@@ -353,16 +320,13 @@ class RuleSet:
 
     ``scan`` goes through the one-pass multi-pattern kernel
     (:class:`repro.perf.scan.ScanKernel`), compiled lazily once per
-    rule set; ``scan_legacy`` keeps the original per-pattern evaluator
-    as the reference oracle for the kernel's equivalence tests.
+    rule set; the per-pattern evaluator it replaced is the oracle in
+    ``tests/reference_scan.py``.
     """
 
     def __init__(self, rules: List[CompiledRule]) -> None:
         self.rules = rules
         self._kernel = None
-        self._needs_lower = any(
-            sp.nocase and sp.kind == "text"
-            for rule in rules for sp in rule.strings)
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -382,16 +346,6 @@ class RuleSet:
         derived views across consumers).
         """
         return self.kernel().scan(data)
-
-    def scan_legacy(self, data: bytes) -> List[Match]:
-        """Per-pattern reference scan, with one shared lowercase fold."""
-        lowered = data.lower() if self._needs_lower else None
-        matches = []
-        for rule in self.rules:
-            match = rule.evaluate(data, lowered)
-            if match is not None:
-                matches.append(match)
-        return matches
 
     def names(self) -> List[str]:
         """Names of every rule in the set."""

@@ -187,11 +187,3 @@ class TestBenchHarness:
         assert point["peak_rss_mib"] > 0
         assert point["segments"] >= 1
         assert "workers" not in point
-
-    def test_pipeline_point_metrics(self):
-        from repro.scale.bench import measure_pipeline_point
-        point = measure_pipeline_point(0.01, seed=1)
-        assert point["samples"] > 0
-        assert point["stages"], "expected per-stage timings"
-        assert {"stage", "seconds", "items"} <= set(point["stages"][0])
-        assert "workers" not in point

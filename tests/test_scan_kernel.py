@@ -2,9 +2,10 @@
 
 The kernel (`repro.perf.scan`) must fire exactly the same rules,
 identifiers and IoCs as the per-pattern evaluators it replaced
-(`RuleSet.scan_legacy`, `classify_identifier_legacy`,
-`extract_identifiers_legacy`), on random blobs, generated-world
-samples, and the overlapping-needle / nocase / hex edge cases.
+(`scan_legacy`, `classify_identifier_legacy` and
+`extract_identifiers_legacy` in `tests/reference_scan.py`), on random
+blobs, generated-world samples, and the overlapping-needle / nocase /
+hex edge cases.
 """
 
 import re
@@ -30,14 +31,14 @@ from repro.perf.scan import (
     scan_stats,
 )
 from repro.wallets.addresses import COINS, WalletFactory
-from repro.wallets.detect import (
-    classify_identifier,
-    classify_identifier_legacy,
-    extract_identifiers,
-    extract_identifiers_legacy,
-)
+from repro.wallets.detect import classify_identifier, extract_identifiers
 from repro.yarm.builtin import builtin_miner_rules
 from repro.yarm.engine import compile_rules
+from tests.reference_scan import (
+    classify_identifier_legacy,
+    extract_identifiers_legacy,
+    scan_legacy,
+)
 
 # --------------------------------------------------------------------------
 # Edge-case rule set: overlapping needles, nocase text, hex (plain and
@@ -128,7 +129,7 @@ class TestKernelEqualsLegacy:
            st.integers(min_value=0, max_value=997))
     def test_edge_rules_random_blobs(self, edge_rules, noise, frags, off):
         data = _inject(noise, frags, off)
-        assert edge_rules.scan(data) == edge_rules.scan_legacy(data)
+        assert edge_rules.scan(data) == scan_legacy(edge_rules, data)
 
     @settings(max_examples=100, deadline=None)
     @given(st.binary(max_size=300),
@@ -137,18 +138,18 @@ class TestKernelEqualsLegacy:
     def test_builtin_rules_random_blobs(self, builtin_rules, noise,
                                         frags, off):
         data = _inject(noise, frags, off)
-        assert builtin_rules.scan(data) == builtin_rules.scan_legacy(data)
+        assert builtin_rules.scan(data) == scan_legacy(builtin_rules, data)
 
     def test_every_fragment_alone(self, edge_rules, builtin_rules):
         for fragment in FRAGMENTS:
             for rules in (edge_rules, builtin_rules):
-                assert rules.scan(fragment) == rules.scan_legacy(fragment)
+                assert rules.scan(fragment) == scan_legacy(rules, fragment)
 
     def test_world_samples(self, small_world, builtin_rules):
         for sample in small_world.samples:
             ctx = ScanContext.for_sample(sample.raw)
             assert (builtin_rules.scan(ctx)
-                    == builtin_rules.scan_legacy(ctx.data))
+                    == scan_legacy(builtin_rules, ctx.data))
 
     def test_unknown_identifier_still_raises(self):
         rules = compile_rules('''

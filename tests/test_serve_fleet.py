@@ -6,11 +6,18 @@ correctly, connections actually landing on the forked children (every
 ``/v1/healthz`` pid is one of the fleet's), and ``stop()`` leaving no
 live child behind.  POSIX-only by construction — the fleet refuses to
 start without ``os.fork``.  ``repro serve`` refuses a fleet over a
-checkpoint, which the fleet could not follow.
+checkpoint, which the fleet could not follow, and a SIGTERM to its
+process stops every worker.
 """
 
 import os
+import re
 import signal
+import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +25,7 @@ from repro import cli
 from repro.serve.app import IntelService
 from repro.serve.auth import ApiKeyRegistry
 from repro.serve.client import IntelClient
-from repro.serve.fleet import ServerFleet, reuse_port_supported
+from repro.serve.fleet import _TERM_GRACE_S, ServerFleet, reuse_port_supported
 from repro.serve.index import build_index
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
@@ -44,6 +51,31 @@ def _healthz_pid(host, port):
         status, payload = client.request("GET", "/v1/healthz")
     assert status == 200
     return payload["pid"]
+
+
+def _alive(pids):
+    live = []
+    for pid in pids:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            continue
+        live.append(pid)
+    return live
+
+
+def _await_fleet(log: Path, proc, timeout: float = 120.0):
+    """(host, port, worker pids) from ``repro serve``'s ready line."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        match = re.search(r"serving on http://([\d.]+):(\d+) with \d+ "
+                          r"workers \(pids ([\d ]+)\)", log.read_text())
+        if match:
+            return (match.group(1), int(match.group(2)),
+                    [int(pid) for pid in match.group(3).split()])
+        assert proc.poll() is None, log.read_text()
+        time.sleep(0.1)
+    raise AssertionError(f"no fleet in {timeout}s: {log.read_text()}")
 
 
 class TestServerFleet:
@@ -138,3 +170,32 @@ class TestServeCommand:
                          "--store", str(tmp_path / "store")])
         assert code == 0
         assert forked == [2]
+
+    def test_sigterm_to_parent_stops_every_worker(self, tmp_path):
+        """``kill``, service managers and ``Popen.terminate`` send the
+        parent SIGTERM; no worker may outlive it or keep the port."""
+        repo = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        log = tmp_path / "serve.err"
+        with open(log, "w", encoding="utf-8") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve",
+                 "--scale", "0.004", "--workers", "2", "--port", "0",
+                 "--api-key", _KEY],
+                env=env, cwd=repo, stdout=subprocess.DEVNULL, stderr=err)
+        pids = []
+        try:
+            host, port, pids = _await_fleet(log, proc)
+            assert len(_alive(pids)) == 2
+            proc.terminate()
+            proc.wait(timeout=_TERM_GRACE_S + 5)
+            assert _alive(pids) == [], log.read_text()
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection((host, port), timeout=1).close()
+            assert proc.returncode == 0, log.read_text()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in _alive(pids):
+                os.kill(pid, signal.SIGKILL)

@@ -15,10 +15,10 @@ from trend_report import (  # noqa: E402
 )
 
 
-def _entry(seq, mps, calibration=None, suite="lint"):
+def _entry(seq, qps, calibration=None, suite="serve"):
     payload = {"bench": suite,
-               "points": [{"mode": "cold", "workers": 1,
-                           "modules_per_s": mps}]}
+               "points": [{"scale": 0.02, "concurrency": 8,
+                           "workers": 1, "qps": qps}]}
     if calibration is not None:
         payload["calibration"] = calibration
     return f"{suite}-{seq:04d}.json", payload
@@ -38,7 +38,7 @@ class TestLoadHistory:
             _entry(2, 60.0, 1000.0), _entry(1, 80.0, 1000.0)])
         rows = load_history(history)
         assert [r["seq"] for r in rows] == [1, 2]
-        assert rows[0]["label"] == "mode=cold, workers=1"
+        assert rows[0]["label"] == "scale=0.02, concurrency=8, workers=1"
         assert rows[0]["normalised"] == 80.0 / 1000.0
 
     def test_unstamped_entry_has_no_normalised_value(self, tmp_path):
@@ -48,7 +48,7 @@ class TestLoadHistory:
 
     def test_corrupt_and_unknown_entries_skipped(self, tmp_path):
         history = _write_history(tmp_path, [_entry(1, 80.0)])
-        (history / "lint-0002.json").write_text("{not json")
+        (history / "serve-0002.json").write_text("{not json")
         (history / "mystery-0001.json").write_text(
             json.dumps({"bench": "mystery", "points": []}))
         assert len(load_history(history)) == 1
@@ -56,7 +56,7 @@ class TestLoadHistory:
     def test_suite_filter(self, tmp_path):
         history = _write_history(tmp_path, [_entry(1, 80.0)])
         assert load_history(history, ["scale"]) == []
-        assert len(load_history(history, ["lint"])) == 1
+        assert len(load_history(history, ["serve"])) == 1
 
 
 class TestRendering:
@@ -66,7 +66,7 @@ class TestRendering:
             _entry(1, 80.0, 1000.0), _entry(2, 160.0, 2000.0)])
         markdown = render_markdown(load_history(history))
         assert "+0.0%" in markdown
-        assert "## lint (modules_per_s)" in markdown
+        assert "## serve (qps)" in markdown
 
     def test_markdown_raw_delta_without_stamps(self, tmp_path):
         history = _write_history(tmp_path, [
@@ -94,7 +94,7 @@ class TestCli:
         assert main(["--history-dir", str(history),
                      "--out-md", str(md),
                      "--out-csv", str(out_csv)]) == 0
-        assert "## lint" in md.read_text()
+        assert "## serve" in md.read_text()
         assert out_csv.read_text().count("\n") == 2
 
     def test_missing_history_dir_fails_cleanly(self, tmp_path):
